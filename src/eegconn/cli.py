@@ -148,10 +148,15 @@ def load_features(cfg: RunConfig, manifest: CohortManifest) -> tuple[dict, tuple
                 raise ValidationError(f"{path}: holds {header['kind']}, expected "
                                       f"{FEATURE_KIND_BY_DOMAIN[domain]}")
             per[domain] = values
-            if domain == "pdc" and header.get("bands"):
-                band_names = tuple(b[0] for b in header["bands"])
+            if domain == "pdc":
+                band_names = _header_band_names(header) or band_names
         features[entry.subject_id] = per
     return features, band_names or BandSpec().names
+
+
+def _header_band_names(header: dict) -> tuple[str, ...]:
+    """Band names a feature container header records (none for VAR containers)."""
+    return tuple(b[0] for b in header.get("bands") or ())
 
 
 def _spec_from_features(cfg: RunConfig, features: dict, band_idx) -> ModelSpec:
@@ -242,6 +247,16 @@ def read_fold_plan(path: Path) -> FoldPlan:
     return FoldPlan(k=max(assignments.values()) + 1, assignments=assignments, seed=-1)
 
 
+def _check_fold_plan(plan: FoldPlan, subject_ids: list[str], path: Path) -> None:
+    """Fail with every manifest subject that the fold plan does not assign."""
+    missing = [sid for sid in subject_ids if sid not in plan.assignments]
+    if missing:
+        raise ValidationError(
+            f"{path}: no fold for {len(missing)} manifest subject(s): {', '.join(missing)}; "
+            "run train again"
+        )
+
+
 def cmd_train(cfg: RunConfig) -> int:
     manifest = _load_manifest(cfg)
     features, band_names = load_features(cfg, manifest)
@@ -292,9 +307,11 @@ def cmd_train(cfg: RunConfig) -> int:
 def cmd_eval(cfg: RunConfig) -> int:
     manifest = _load_manifest(cfg)
     features, band_names = load_features(cfg, manifest)
-    plan = read_fold_plan(Path(cfg.output_dir) / "folds.csv")
+    plan_path = Path(cfg.output_dir) / "folds.csv"
+    plan = read_fold_plan(plan_path)
     labels = manifest.labels()
     ordered = manifest.subject_ids()
+    _check_fold_plan(plan, ordered, plan_path)
     models_dir = _models_dir(cfg)
     rows = []
     failures = 0
@@ -353,10 +370,15 @@ def cmd_predict(cfg: RunConfig, model_path: str, input_paths: list[str]) -> int:
     kind = meta["model_kind"]
     per_domain: dict[str, np.ndarray] = {}
     sid = None
+    band_names: tuple[str, ...] = ()
     for p in input_paths:
         values, header = read_container(p)
         domain = DOMAIN_BY_FEATURE_KIND[header["kind"]]
         per_domain[domain] = values
+        names = _header_band_names(header)
+        if names and band_names and names != band_names:
+            raise ValidationError(f"inputs disagree on bands: {band_names} and {names}")
+        band_names = names or band_names
         if sid is None:
             sid = header["subject_id"]
         elif sid != header["subject_id"]:
@@ -366,8 +388,7 @@ def cmd_predict(cfg: RunConfig, model_path: str, input_paths: list[str]) -> int:
     if sid is None:
         raise ValidationError("predict needs at least one --input feature container")
     features = {sid: per_domain}
-    band_names = BandSpec().names
-    band_idx = band_indices(meta.get("band_filter") or None, band_names)
+    band_idx = band_indices(meta.get("band_filter") or None, band_names or BandSpec().names)
     bits, probs = predict_with_core(core, kind, features, [sid], band_idx,
                                     meta.get("feature_set", "all"))
     class_names = tuple(meta["class_names"])

@@ -34,7 +34,82 @@ def onehot(bits: np.ndarray, classes: int = 2) -> np.ndarray:
     return out
 
 
-class Network:
+class _LayerStack:
+    """Parameter plumbing shared by both network shapes.
+
+    A subclass names its layers through ``_all_layers`` (key prefix, layer)
+    and its seeded random streams through ``_streams`` (layer, weight-draw
+    labels, dropout labels).
+    """
+
+    def initialize(self, rng_seed: int | None = None):
+        """Draw fresh parameters and wire per-layer dropout streams."""
+        if rng_seed is not None:
+            self.seed = int(rng_seed)
+        for layer, init_labels, _ in self._streams():
+            layer.init(derive_rng(self.seed, self.name, *init_labels))
+        return self.wire_dropout()
+
+    def wire_dropout(self):
+        """Give every dropout layer its seeded mask stream; parameters stay as they are."""
+        for layer, _, dropout_labels in self._streams():
+            if isinstance(layer, Dropout):
+                layer.rng = derive_rng(self.seed, self.name, *dropout_labels)
+        return self
+
+    def _check_grads_finite(self):
+        for prefix, layer in self._all_layers():
+            for name, g in layer.grads.items():
+                if not np.isfinite(g).all():
+                    raise FloatingPointError(
+                        f"{self.name}: non-finite gradient in layer {prefix} ({layer.kind}).{name}"
+                    )
+
+    # -- parameter access ---------------------------------------------------
+
+    def param_dict(self) -> dict[str, np.ndarray]:
+        return {
+            f"{prefix}.{name}": arr
+            for prefix, layer in self._all_layers()
+            for name, arr in layer.params.items()
+        }
+
+    def grad_dict(self) -> dict[str, np.ndarray]:
+        return {
+            f"{prefix}.{name}": arr
+            for prefix, layer in self._all_layers()
+            for name, arr in layer.grads.items()
+        }
+
+    def get_state(self) -> dict[str, np.ndarray]:
+        return {key: arr.copy() for key, arr in self.param_dict().items()}
+
+    def set_state(self, state: dict[str, np.ndarray]) -> None:
+        """Copy ``state`` into the parameter arrays; keys and shapes must match."""
+        self._bind_state(state, copy=True)
+
+    def _bind_state(self, state: dict[str, np.ndarray], copy: bool) -> None:
+        """Check every key and shape of ``state`` first, then copy the arrays in,
+        or with ``copy=False`` make them the layers' parameter arrays."""
+        slots = [
+            (f"{prefix}.{name}", layer, name)
+            for prefix, layer in self._all_layers()
+            for name in layer.params
+        ]
+        if {key for key, _, _ in slots} != set(state):
+            raise ValidationError(f"{self.name}: parameter state does not match the architecture")
+        for key, layer, name in slots:
+            want, got = layer.params[name].shape, np.shape(state[key])
+            if got != want:
+                raise ShapeError(f"{self.name}: state shape mismatch for {key}: {got} != {want}")
+        for key, layer, name in slots:
+            if copy:
+                layer.params[name][...] = state[key]
+            else:
+                layer.params[name] = state[key]
+
+
+class Network(_LayerStack):
     """A sequential stack ending in a softmax over two classes."""
 
     def __init__(self, layers: list[Layer], input_shape: tuple[int, ...],
@@ -54,15 +129,13 @@ class Network:
                 raise ShapeError(f"{self.name}: layer {i} ({layer.kind}): {exc}") from None
         return shape
 
-    def initialize(self, rng_seed: int | None = None) -> "Network":
-        """Draw fresh parameters and wire per-layer dropout streams."""
-        seed = self.seed if rng_seed is None else int(rng_seed)
-        self.seed = seed
+    def _all_layers(self):
         for i, layer in enumerate(self.layers):
-            layer.init(derive_rng(seed, self.name, "init", i))
-            if isinstance(layer, Dropout):
-                layer.rng = derive_rng(seed, self.name, "dropout", i)
-        return self
+            yield str(i), layer
+
+    def _streams(self):
+        for i, layer in enumerate(self.layers):
+            yield layer, ("init", i), ("dropout", i)
 
     def forward(self, x: np.ndarray, train: bool = False,
                 record: list | None = None) -> np.ndarray:
@@ -106,42 +179,6 @@ class Network:
         self._check_grads_finite()
         return loss, probs
 
-    def _check_grads_finite(self):
-        for i, layer in enumerate(self.layers):
-            for name, g in layer.grads.items():
-                if not np.isfinite(g).all():
-                    raise FloatingPointError(
-                        f"{self.name}: non-finite gradient in layer {i} ({layer.kind}).{name}"
-                    )
-
-    # -- parameter access ---------------------------------------------------
-
-    def param_dict(self) -> dict[str, np.ndarray]:
-        return {
-            f"{i}.{name}": arr
-            for i, layer in enumerate(self.layers)
-            for name, arr in layer.params.items()
-        }
-
-    def grad_dict(self) -> dict[str, np.ndarray]:
-        return {
-            f"{i}.{name}": arr
-            for i, layer in enumerate(self.layers)
-            for name, arr in layer.grads.items()
-        }
-
-    def get_state(self) -> dict[str, np.ndarray]:
-        return {key: arr.copy() for key, arr in self.param_dict().items()}
-
-    def set_state(self, state: dict[str, np.ndarray]) -> None:
-        params = self.param_dict()
-        if set(params) != set(state):
-            raise ValidationError("parameter state does not match the architecture")
-        for key, arr in params.items():
-            if arr.shape != state[key].shape:
-                raise ShapeError(f"state shape mismatch for {key}")
-            arr[...] = state[key]
-
     def descriptor(self) -> dict:
         return {
             "type": "network",
@@ -152,7 +189,7 @@ class Network:
         }
 
 
-class MultiBranchNetwork:
+class MultiBranchNetwork(_LayerStack):
     """Parallel per-domain stacks concatenated into a shared trunk.
 
     Each branch consumes its own input and must end flat (rank-1 output);
@@ -202,20 +239,6 @@ class MultiBranchNetwork:
     def concat_width(self) -> int:
         return int(sum(self._branch_widths))
 
-    def initialize(self, rng_seed: int | None = None) -> "MultiBranchNetwork":
-        seed = self.seed if rng_seed is None else int(rng_seed)
-        self.seed = seed
-        for bi, layers in enumerate(self.branches):
-            for i, layer in enumerate(layers):
-                layer.init(derive_rng(seed, self.name, "branch", bi, i))
-                if isinstance(layer, Dropout):
-                    layer.rng = derive_rng(seed, self.name, "branch-dropout", bi, i)
-        for i, layer in enumerate(self.trunk):
-            layer.init(derive_rng(seed, self.name, "trunk", i))
-            if isinstance(layer, Dropout):
-                layer.rng = derive_rng(seed, self.name, "trunk-dropout", i)
-        return self
-
     def forward(self, xs: list[np.ndarray], train: bool = False) -> np.ndarray:
         if len(xs) != len(self.branches):
             raise ShapeError(f"expected {len(self.branches)} inputs, got {len(xs)}")
@@ -250,12 +273,7 @@ class MultiBranchNetwork:
             db = d[:, offsets[bi] : offsets[bi + 1]]
             for layer in reversed(layers):
                 db = layer.backward(db)
-        for prefix, layer in self._all_layers():
-            for name, g in layer.grads.items():
-                if not np.isfinite(g).all():
-                    raise FloatingPointError(
-                        f"{self.name}: non-finite gradient in layer {prefix}.{name}"
-                    )
+        self._check_grads_finite()
         return loss, probs
 
     def _all_layers(self):
@@ -265,29 +283,12 @@ class MultiBranchNetwork:
         for i, layer in enumerate(self.trunk):
             yield f"t.{i}", layer
 
-    def param_dict(self) -> dict[str, np.ndarray]:
-        return {
-            f"{prefix}.{name}": arr
-            for prefix, layer in self._all_layers()
-            for name, arr in layer.params.items()
-        }
-
-    def grad_dict(self) -> dict[str, np.ndarray]:
-        return {
-            f"{prefix}.{name}": arr
-            for prefix, layer in self._all_layers()
-            for name, arr in layer.grads.items()
-        }
-
-    def get_state(self) -> dict[str, np.ndarray]:
-        return {key: arr.copy() for key, arr in self.param_dict().items()}
-
-    def set_state(self, state: dict[str, np.ndarray]) -> None:
-        params = self.param_dict()
-        if set(params) != set(state):
-            raise ValidationError("parameter state does not match the architecture")
-        for key, arr in params.items():
-            arr[...] = state[key]
+    def _streams(self):
+        for bi, layers in enumerate(self.branches):
+            for i, layer in enumerate(layers):
+                yield layer, ("branch", bi, i), ("branch-dropout", bi, i)
+        for i, layer in enumerate(self.trunk):
+            yield layer, ("trunk", i), ("trunk-dropout", i)
 
     def descriptor(self) -> dict:
         return {

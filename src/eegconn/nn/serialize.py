@@ -11,6 +11,8 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
+import os
 import struct
 from pathlib import Path
 
@@ -51,6 +53,8 @@ def _entry_params(obj) -> dict[str, np.ndarray]:
 
 
 def _rebuild(desc: dict):
+    """The network an entry descriptor names, dropout wired and no weights
+    drawn, or None for a plain array group."""
     if desc["type"] == "network":
         net = Network(
             _build_layers(desc["layers"]),
@@ -58,8 +62,7 @@ def _rebuild(desc: dict):
             seed=desc["seed"],
             name=desc["name"],
         )
-        net.initialize()  # wires dropout streams; weights are overwritten below
-        return net
+        return net.wire_dropout()
     if desc["type"] == "multibranch":
         net = MultiBranchNetwork(
             [_build_layers(b) for b in desc["branches"]],
@@ -68,10 +71,9 @@ def _rebuild(desc: dict):
             seed=desc["seed"],
             name=desc["name"],
         )
-        net.initialize()
-        return net
+        return net.wire_dropout()
     if desc["type"] == "arrays":
-        return {}
+        return None
     raise ValidationError(f"unknown entry type {desc['type']!r} in model file")
 
 
@@ -100,42 +102,81 @@ def save_bundle(path: str | Path, entries: dict[str, object], meta: dict | None 
     Path(path).write_bytes(body + digest)
 
 
+def _param_views(path, records: list[dict], payload: np.ndarray,
+                 payload_len: int) -> list[np.ndarray]:
+    """One zero-copy view of ``payload`` per manifest record, once the
+    manifest is known to account for every payload byte."""
+    shapes = []
+    for rec in records:
+        shape = tuple(rec["shape"])
+        if any(not isinstance(d, int) or d < 0 for d in shape):
+            raise ValidationError(f"{path}: bad shape {rec['shape']!r} for {rec['key']}")
+        shapes.append(shape)
+    sizes = [math.prod(shape) for shape in shapes]
+    need = 8 * sum(sizes)
+    if need > payload_len:
+        raise ChecksumError(
+            f"{path}: params manifest needs {need} payload bytes, file holds {payload_len}"
+        )
+    if need < payload_len:
+        raise ChecksumError(f"{path}: {payload_len - need} trailing payload bytes")
+    offsets = np.cumsum([0, *sizes])
+    return [payload[a:b].reshape(shape) for a, b, shape in zip(offsets, offsets[1:], shapes)]
+
+
 def load_bundle(path: str | Path) -> tuple[dict[str, object], dict]:
-    """Read a model file back into {role: Network | MultiBranchNetwork | dict}."""
-    raw = Path(path).read_bytes()
-    if len(raw) < len(MAGIC) + 8 + 32:
-        raise ChecksumError(f"{path}: truncated model file")
-    body, digest = raw[:-32], raw[-32:]
-    if hashlib.sha256(body).digest() != digest:
+    """Read a model file back into {role: Network | MultiBranchNetwork | dict}.
+
+    The file is read once: the payload goes straight into one float64 buffer
+    whose slices become the parameter arrays, and the sha256 is checked
+    before any network is built.  Loading draws no random weights.
+    """
+    lead = len(MAGIC) + 8
+    with open(path, "rb") as fh:
+        size = os.fstat(fh.fileno()).st_size
+        prefix = fh.read(lead)
+        if len(prefix) < lead:
+            raise ChecksumError(f"{path}: truncated model file")
+        major, header_len = struct.unpack_from("<II", prefix, len(MAGIC))
+        payload_len = size - lead - header_len - 32
+        if payload_len < 0:
+            raise ChecksumError(f"{path}: truncated model file")
+        header_bytes = fh.read(header_len)
+        sha = hashlib.sha256(prefix)
+        sha.update(header_bytes)
+        payload = np.empty(-(-payload_len // 8), dtype="<f8")
+        view = memoryview(payload).cast("B")[:payload_len]
+        if fh.readinto(view) < payload_len:
+            raise ChecksumError(f"{path}: truncated model file")
+        sha.update(view)
+        digest = fh.read(32)
+    if sha.digest() != digest:
         raise ChecksumError(f"{path}: checksum mismatch")
-    if body[: len(MAGIC)] != MAGIC:
+    if prefix[: len(MAGIC)] != MAGIC:
         raise ValidationError(f"{path}: not a model file (bad magic)")
-    major, header_len = struct.unpack_from("<II", body, len(MAGIC))
     if major != FORMAT_MAJOR:
         raise ValidationError(
             f"{path}: format major version {major} unsupported (expected {FORMAT_MAJOR})"
         )
-    off = len(MAGIC) + 8
-    header = json.loads(body[off : off + header_len].decode())
-    off += header_len
+    try:
+        header = json.loads(header_bytes.decode())
+    except ValueError as exc:
+        raise ValidationError(f"{path}: unreadable header ({exc})") from None
+
+    records = header["params"]
+    states: dict[str, dict[str, np.ndarray]] = {item["role"]: {} for item in header["entries"]}
+    for rec, view in zip(records, _param_views(path, records, payload, payload_len)):
+        if rec["entry"] not in states:
+            raise ValidationError(f"{path}: parameters for unknown entry {rec['entry']!r}")
+        states[rec["entry"]][rec["key"]] = view
 
     entries: dict[str, object] = {}
-    states: dict[str, dict[str, np.ndarray]] = {}
     for item in header["entries"]:
-        entries[item["role"]] = _rebuild(item["descriptor"])
-        states[item["role"]] = {}
-    for rec in header["params"]:
-        shape = tuple(rec["shape"])
-        count = int(np.prod(shape)) if shape else 1
-        arr = np.frombuffer(body, dtype="<f8", count=count, offset=off).reshape(shape)
-        off += count * 8
-        states[rec["entry"]][rec["key"]] = arr.astype(float)
-    if off != len(body):
-        raise ChecksumError(f"{path}: {len(body) - off} trailing payload bytes")
-
-    for role, obj in entries.items():
-        if isinstance(obj, (Network, MultiBranchNetwork)):
-            obj.set_state(states[role])
-        else:
+        role = item["role"]
+        net = _rebuild(item["descriptor"])
+        if net is None:
             entries[role] = states[role]
+        else:
+            net._bind_state(states[role], copy=False)
+            entries[role] = net
     return entries, header["meta"]

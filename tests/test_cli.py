@@ -1,6 +1,7 @@
 """End-to-end command tests on a small synthetic cohort."""
 
 import json
+import shutil
 from pathlib import Path
 
 import numpy as np
@@ -8,7 +9,11 @@ import pytest
 
 from eegconn.cli import main
 from eegconn.config import parse_config
+from eegconn.container import read_container, write_container
 from eegconn.errors import ConfigError
+from eegconn.nn import save_bundle
+from eegconn.pipeline import ModelSpec, build_domain_network
+from eegconn.spectral import BandSpec
 from eegconn.synthetic import make_synthetic_cohort
 
 KINDS = "cnn2d_var,cnn2d_pdc,cnn1d_cn,fusion_feature,fusion_score,fusion_decision,svm_linear"
@@ -185,6 +190,23 @@ class TestEval:
         payload = json.loads((out4 / "metrics.json").read_text())
         assert [row["model"] for row in payload["rows"]] == ["cnn2d_pdc", "cnn1d_cn"]
 
+    def test_fold_plan_missing_subjects_fail_up_front(self, workspace, tmp_path, capsys):
+        root, _, out, manifest = workspace
+        out5 = tmp_path / "out5"
+        shutil.copytree(out / "features", out5 / "features")
+        shutil.copytree(out / "models", out5 / "models")
+        lines = (out / "folds.csv").read_text().splitlines()
+        kept = [ln for ln in lines if not ln.startswith(("sz000,", "hc002,"))]
+        assert len(kept) == len(lines) - 2
+        (out5 / "folds.csv").write_text("\n".join(kept) + "\n")
+        cfg5 = write_config(tmp_path / "r5.cfg", manifest, out5)
+        capsys.readouterr()
+        assert main(["eval", "--config", str(cfg5)]) == 2
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1
+        assert err[0].startswith("error: ") and "sz000" in err[0] and "hc002" in err[0]
+        assert not (out5 / "metrics.json").exists()
+
     def test_seed_override_changes_results(self, workspace, tmp_path):
         root, _, out, manifest = workspace
         out3 = tmp_path / "out3"
@@ -222,6 +244,44 @@ class TestPredict:
         assert main(args) == 0
         result = json.loads(capsys.readouterr().out)
         assert result["subject_id"] == "hc002"
+
+    def test_bands_come_from_the_input_header(self, workspace, tmp_path, capsys):
+        _, cfg, out, _ = workspace
+        bands = BandSpec((("low", 4.0, 8.0), ("high", 8.0, 14.0)))
+        pdc, _ = read_container(out / "features" / "sz000_pdc.feat")
+        pdc = pdc[..., 1:3]  # two bands, neither in the default order nor names
+        feat = tmp_path / "sz000_pdc.feat"
+        write_container(feat, "PDC", pdc, "sz000", "SZ", bands=bands)
+        spec = ModelSpec(kind="cnn2d_pdc", channels=4, n_bands=1)
+        net = build_domain_network("pdc", spec, seed=5)
+        model = tmp_path / "pdc_high.model"
+        save_bundle(model, {"main": net}, meta={
+            "model_kind": "cnn2d_pdc", "feature": "PDC", "feature_set": "all",
+            "class_names": ["HC", "SZ"], "band_filter": ["high"],
+            "standardized_inputs": False,
+        })
+        rc = main(["predict", "--config", str(cfg), "--model", str(model),
+                   "--input", str(feat)])
+        assert rc == 0
+        result = json.loads(capsys.readouterr().out)
+        expected = net.predict_proba(pdc[None][..., [1]])[0]
+        assert result["probabilities"]["HC"] == pytest.approx(expected[0], rel=1e-12)
+        assert result["probabilities"]["SZ"] == pytest.approx(expected[1], rel=1e-12)
+
+    def test_inputs_with_different_bands_rejected(self, workspace, tmp_path):
+        _, cfg, out, _ = workspace
+        pdc, _ = read_container(out / "features" / "sz000_pdc.feat")
+        feat = tmp_path / "sz000_pdc.feat"
+        write_container(feat, "PDC", pdc[..., :2], "sz000", "SZ",
+                        bands=BandSpec((("low", 4.0, 8.0), ("high", 8.0, 14.0))))
+        rc = main([
+            "predict", "--config", str(cfg),
+            "--model", str(out / "models" / "fusion_decision_fold0.model"),
+            "--input", str(out / "features" / "sz000_var.feat"),
+            "--input", str(feat),
+            "--input", str(out / "features" / "sz000_cn.feat"),
+        ])
+        assert rc == 2
 
     def test_mixed_subjects_rejected(self, workspace, capsys):
         _, cfg, out, _ = workspace

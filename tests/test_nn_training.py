@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from eegconn.errors import ChecksumError, TrainingDivergedError
+from eegconn.errors import ChecksumError, ShapeError, TrainingDivergedError, ValidationError
 from eegconn.nn import (
     Dense,
     MultiBranchNetwork,
@@ -207,3 +207,191 @@ class TestSerialization:
         entries, _ = load_bundle(path)
         xs = [rng.standard_normal((2, 4, 2)), rng.standard_normal((2, 2, 3))]
         np.testing.assert_array_equal(net.predict_proba(xs), entries["main"].predict_proba(xs))
+
+
+class TestStateBinding:
+    def multibranch(self):
+        return MultiBranchNetwork(
+            branches=[[Flatten()], [Flatten()]],
+            trunk=[Dense(4, 2), Softmax()],
+            input_shapes=[(2,), (2,)],
+            seed=2,
+        ).initialize()
+
+    def test_multibranch_set_state_rejects_broadcast(self):
+        net = self.multibranch()
+        state = net.get_state()
+        state["t.0.b"] = np.array([0.5])  # (1,) would broadcast over (2,)
+        before = net.get_state()
+        with pytest.raises(ShapeError):
+            net.set_state(state)
+        for key, arr in net.param_dict().items():
+            np.testing.assert_array_equal(arr, before[key])
+
+    def test_network_set_state_rejects_broadcast(self):
+        net = tiny_net()
+        state = net.get_state()
+        state["2.b"] = np.array([0.5])
+        with pytest.raises(ShapeError):
+            net.set_state(state)
+
+    def test_set_state_rejects_wrong_keys(self):
+        net = self.multibranch()
+        state = net.get_state()
+        state["t.9.w"] = state.pop("t.0.w")
+        with pytest.raises(ValidationError):
+            net.set_state(state)
+
+    def test_set_state_copies(self):
+        net = self.multibranch()
+        state = {k: np.full_like(v, 0.25) for k, v in net.get_state().items()}
+        net.set_state(state)
+        state["t.0.w"][...] = 9.0
+        assert (net.param_dict()["t.0.w"] == 0.25).all()
+
+
+def _resign_bundle(path, mutate=None, major=None, extra_payload=b""):
+    """Rewrite a model file with an edited header or payload and a valid sha256."""
+    import hashlib
+    import json
+    import struct
+
+    from eegconn.nn.serialize import FORMAT_MAJOR, MAGIC
+
+    body = path.read_bytes()[:-32]
+    _, hlen = struct.unpack_from("<II", body, len(MAGIC))
+    off = len(MAGIC) + 8
+    header = json.loads(body[off : off + hlen].decode())
+    if mutate is not None:
+        mutate(header)
+    hb = json.dumps(header, sort_keys=True).encode()
+    new = (MAGIC + struct.pack("<II", FORMAT_MAJOR if major is None else major, len(hb))
+           + hb + body[off + hlen :] + extra_payload)
+    path.write_bytes(new + hashlib.sha256(new).digest())
+
+
+class TestBundleFaults:
+    @pytest.fixture
+    def bundle(self, tmp_path):
+        path = tmp_path / "m.model"
+        save_bundle(path, {"main": TestSerialization().conv_net()}, meta={"k": 1})
+        return path
+
+    @pytest.mark.parametrize("keep", [-100, 60, 10, 0],
+                             ids=["payload", "header", "shorter-than-prefix", "empty"])
+    def test_truncated_file(self, bundle, keep):
+        bundle.write_bytes(bundle.read_bytes()[:keep])
+        with pytest.raises(ChecksumError):
+            load_bundle(bundle)
+
+    def test_bad_magic(self, bundle):
+        import hashlib
+
+        body = b"NOTAMODL" + bundle.read_bytes()[8:-32]
+        bundle.write_bytes(body + hashlib.sha256(body).digest())
+        with pytest.raises(ValidationError, match="bad magic"):
+            load_bundle(bundle)
+
+    def test_major_version_bump_rejected(self, bundle):
+        _resign_bundle(bundle, major=2)
+        with pytest.raises(ValidationError, match="major version 2"):
+            load_bundle(bundle)
+
+    def test_minor_version_bump_still_readable(self, bundle):
+        _resign_bundle(bundle, mutate=lambda h: h.update(format_minor=7))
+        entries, meta = load_bundle(bundle)
+        assert meta == {"k": 1}
+        assert isinstance(entries["main"], Network)
+
+    def test_manifest_beyond_payload(self, bundle):
+        def grow(header):
+            header["params"][-1]["shape"] = [4, 3]  # the last array, 6.w, is (4, 2)
+        _resign_bundle(bundle, mutate=grow)
+        with pytest.raises((ChecksumError, ValidationError), match="payload bytes"):
+            load_bundle(bundle)
+
+    @pytest.mark.parametrize("extra", [8, 3])  # one whole value, part of one
+    def test_trailing_payload_bytes(self, bundle, extra):
+        _resign_bundle(bundle, extra_payload=bytes(extra))
+        with pytest.raises(ChecksumError, match=f"{extra} trailing payload bytes"):
+            load_bundle(bundle)
+
+    def test_unknown_layer_kind(self, bundle):
+        def rename(header):
+            header["entries"][0]["descriptor"]["layers"][1]["kind"] = "gelu"
+        _resign_bundle(bundle, mutate=rename)
+        with pytest.raises(ValidationError, match="gelu"):
+            load_bundle(bundle)
+
+    def test_shape_mismatch_with_architecture(self, bundle):
+        def swap(header):
+            params = header["params"]
+            w = next(p for p in params if p["key"] == "6.w")  # Dense(4, 2)
+            w["shape"] = [2, 4]
+        _resign_bundle(bundle, mutate=swap)
+        with pytest.raises(ShapeError):
+            load_bundle(bundle)
+
+    def test_missing_parameter_key(self, bundle):
+        def drop(header):
+            rec = next(p for p in header["params"] if p["key"] == "6.b")
+            rec["key"] = "7.b"
+        _resign_bundle(bundle, mutate=drop)
+        with pytest.raises(ValidationError):
+            load_bundle(bundle)
+
+
+class TestLoadedNetworks:
+    def test_params_writable_contiguous_float64(self, tmp_path, rng):
+        net = TestSerialization().conv_net()
+        arrays = {"weights": rng.standard_normal(7)}
+        path = tmp_path / "m.model"
+        save_bundle(path, {"main": net, "svm": arrays}, meta={})
+        entries, _ = load_bundle(path)
+        loaded = list(entries["main"].param_dict().values()) + list(entries["svm"].values())
+        for arr in loaded:
+            assert arr.flags.writeable and arr.flags.c_contiguous
+            assert arr.dtype == np.float64
+        w = entries["main"].param_dict()["0.w"]
+        w += 1.0
+        np.testing.assert_array_equal(w, net.param_dict()["0.w"] + 1.0)
+
+    def test_dropout_streams_match_initialize(self, tmp_path):
+        net = TestSerialization().conv_net(seed=8)
+        path = tmp_path / "m.model"
+        save_bundle(path, {"main": net}, meta={})
+        loaded = load_bundle(path)[0]["main"]
+        fresh = TestSerialization().conv_net(seed=8)
+        x = np.ones((3, 3, 3, 2))
+        np.testing.assert_array_equal(loaded.forward(x, train=True), fresh.forward(x, train=True))
+
+    def test_multibranch_dropout_streams_match_initialize(self, tmp_path):
+        def build():
+            return MultiBranchNetwork(
+                branches=[[Flatten(), Dropout(0.5)], [Flatten()]],
+                trunk=[Dense(6, 4), Dropout(0.5), Dense(4, 2), Softmax()],
+                input_shapes=[(2, 2), (2,)],
+                seed=12,
+            ).initialize()
+
+        path = tmp_path / "mb.model"
+        save_bundle(path, {"main": build()}, meta={})
+        loaded = load_bundle(path)[0]["main"]
+        fresh = build()
+        xs = [np.ones((5, 2, 2)), np.ones((5, 2))]
+        np.testing.assert_array_equal(loaded.forward(xs, train=True),
+                                      fresh.forward(xs, train=True))
+
+    def test_loading_draws_no_weights(self, tmp_path, monkeypatch):
+        from eegconn.nn import layers
+
+        path = tmp_path / "m.model"
+        save_bundle(path, {"main": TestSerialization().conv_net()}, meta={})
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("weights drawn while loading")
+
+        monkeypatch.setattr(layers, "_glorot", refuse)
+        for cls in layers.LAYER_KINDS.values():
+            monkeypatch.setattr(cls, "init", refuse)
+        assert isinstance(load_bundle(path)[0]["main"], Network)
