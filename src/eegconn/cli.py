@@ -21,20 +21,21 @@ from .container import read_container, write_container
 from .eeg_io import CohortManifest, load_manifest, load_recording, standardize
 from .errors import EegConnError, ValidationError
 from .netmetrics import cn_features
-from .nn.network import MultiBranchNetwork, Network
+from .nn.network import Network
 from .nn.serialize import load_bundle, save_bundle
 from .pipeline import (
     DOMAINS,
-    EnsembleModel,
+    KINDS,
     ExperimentRunner,
     FittedModel,
     FoldPlan,
+    KindResult,
     MetricsReport,
     ModelSpec,
-    apply_input_stats,
     band_indices,
     evaluate,
     predict_with_core,
+    standardized_inputs,
     time_classification,
 )
 from .reporting import (
@@ -45,7 +46,6 @@ from .reporting import (
     write_pgm,
 )
 from .spectral import BandSpec, band_pdc
-from .svm import LinearSvm
 from .var_model import fit_var, var_feature_tensor
 
 DOMAIN_BY_FEATURE_KIND = {"VAR": "var", "PDC": "pdc", "CN": "cn"}
@@ -80,14 +80,7 @@ def _load_manifest(cfg: RunConfig) -> CohortManifest:
 
 def _expand_result_ids(kinds: list[str]) -> list[tuple[str, str, str]]:
     """(result_id, kind, feature_set) triples; the SVM expands to four rows."""
-    out = []
-    for kind in kinds:
-        if kind == "svm_linear":
-            for feat in (*DOMAINS, "all"):
-                out.append((f"svm_{feat}", kind, feat))
-        else:
-            out.append((kind, kind, "all"))
-    return out
+    return [(row.result_id, kind, row.feature_set) for kind in kinds for row in KINDS[kind].results]
 
 
 # -- extract -----------------------------------------------------------------
@@ -174,20 +167,8 @@ def _spec_from_features(cfg: RunConfig, features: dict, band_idx) -> ModelSpec:
 # -- train -------------------------------------------------------------------
 
 
-def _bundle_entries(fitted: FittedModel) -> tuple[dict, dict]:
-    core = fitted.core
-    extra: dict = {}
-    if isinstance(core, (Network, MultiBranchNetwork)):
-        entries: dict[str, object] = {"main": core}
-    elif isinstance(core, EnsembleModel):
-        entries = {f"member_{d}": net for d, net in core.members.items()}
-        extra["fusion_mode"] = core.mode
-        if core.stage2 is not None:
-            entries["stage2"] = core.stage2
-    elif isinstance(core, LinearSvm):
-        entries = {"svm": core.param_arrays()}
-    else:
-        raise ValidationError(f"cannot bundle object of type {type(core).__name__}")
+def _bundle_entries(kind: str, fitted: FittedModel) -> tuple[dict, dict]:
+    entries, extra = KINDS[kind].bundle(fitted.core)
     if fitted.stats:
         for domain, (mean, sd) in fitted.stats.items():
             entries[f"stats_{domain}"] = {"mean": mean, "sd": sd}
@@ -196,7 +177,6 @@ def _bundle_entries(fitted: FittedModel) -> tuple[dict, dict]:
 
 
 def core_from_bundle(entries: dict, meta: dict) -> FittedModel:
-    kind = meta["model_kind"]
     stats = None
     if meta.get("standardized_inputs"):
         stats = {}
@@ -204,14 +184,7 @@ def core_from_bundle(entries: dict, meta: dict) -> FittedModel:
             rec = entries.get(f"stats_{domain}")
             if rec is not None:
                 stats[domain] = (rec["mean"], rec["sd"])
-    if kind == "svm_linear":
-        return FittedModel(core=LinearSvm.from_param_arrays(entries["svm"]), stats=None)
-    if kind in ("fusion_score", "fusion_decision"):
-        members = {d: entries[f"member_{d}"] for d in DOMAINS}
-        core = EnsembleModel(mode=meta["fusion_mode"], members=members,
-                             stage2=entries.get("stage2"))
-        return FittedModel(core=core, stats=stats)
-    return FittedModel(core=entries["main"], stats=stats)
+    return FittedModel(core=KINDS[meta["model_kind"]].unbundle(entries, meta), stats=stats)
 
 
 def _write_curve_csv(path: Path, curve) -> None:
@@ -272,33 +245,44 @@ def cmd_train(cfg: RunConfig) -> int:
     out = Path(cfg.output_dir)
     out.mkdir(parents=True, exist_ok=True)
     write_fold_plan(out / "folds.csv", runner.plan, manifest.subject_ids())
-    models_dir = _models_dir(cfg)
-    curves_dir = _curves_dir(cfg)
-    models_dir.mkdir(parents=True, exist_ok=True)
-    curves_dir.mkdir(parents=True, exist_ok=True)
+    _models_dir(cfg).mkdir(parents=True, exist_ok=True)
+    _curves_dir(cfg).mkdir(parents=True, exist_ok=True)
 
-    results = runner.run(model_kind_list(cfg))
-    for result in results:
-        for fold_outcome, fitted in zip(result.folds, result.models):
-            fold = fold_outcome.fold
-            entries, extra_meta = _bundle_entries(fitted)
-            meta = {
-                "model_kind": result.kind,
-                "feature": result.feature_label,
-                "feature_set": result.feature_label if result.kind == "svm_linear" else "all",
-                "class_names": list(manifest.class_names),
-                "positive_class": cfg.positive_class,
-                "band_filter": band_filter_list(cfg),
-                "fold": fold,
-                **extra_meta,
-            }
-            save_bundle(models_dir / f"{result.result_id}_fold{fold}.model", entries, meta)
-            for role, curve in fold_outcome.curves.items():
-                _write_curve_csv(curves_dir / _curve_filename(result.result_id, role, fold), curve)
-        print(f"{result.result_id}: trained {len(result.folds)} folds, "
-              f"modified accuracy {result.report.mean['modified_accuracy']:.2f}% "
-              f"(+/-{result.report.sd['modified_accuracy']:.2f})")
-    return 0
+    failures = 0
+    for kind in model_kind_list(cfg):
+        for row in KINDS[kind].results:
+            try:
+                result = runner.run_result(kind, row)
+            except Exception as exc:  # noqa: BLE001 - per-model isolation, nonzero exit below
+                failures += 1
+                print(f"{row.result_id}: FAILED ({exc})", file=sys.stderr)
+                continue
+            _save_result(cfg, manifest, result)
+            print(f"{result.result_id}: trained {len(result.folds)} folds, "
+                  f"modified accuracy {result.report.mean['modified_accuracy']:.2f}% "
+                  f"(+/-{result.report.sd['modified_accuracy']:.2f})")
+    return 1 if failures else 0
+
+
+def _save_result(cfg: RunConfig, manifest: CohortManifest, result: KindResult) -> None:
+    """One model bundle per fold plus its learning curves."""
+    for fold_outcome, fitted in zip(result.folds, result.models):
+        fold = fold_outcome.fold
+        entries, extra_meta = _bundle_entries(result.kind, fitted)
+        meta = {
+            "model_kind": result.kind,
+            "feature": result.feature,
+            "feature_set": result.feature_set,
+            "class_names": list(manifest.class_names),
+            "positive_class": cfg.positive_class,
+            "band_filter": band_filter_list(cfg),
+            "fold": fold,
+            **extra_meta,
+        }
+        save_bundle(_models_dir(cfg) / f"{result.result_id}_fold{fold}.model", entries, meta)
+        for role, curve in fold_outcome.curves.items():
+            _write_curve_csv(_curves_dir(cfg) / _curve_filename(result.result_id, role, fold),
+                             curve)
 
 
 # -- eval ----------------------------------------------------------------------
@@ -439,12 +423,7 @@ def _report_feature_maps(cfg: RunConfig, manifest, features, band_names, report_
     fitted = core_from_bundle(entries, meta)
     net: Network = fitted.core
     band_idx = band_indices(meta.get("band_filter") or None, band_names)
-    domain = "pdc" if kind == "cnn2d_pdc" else "var"
-    x = features[sid][domain][None]
-    if band_idx is not None and domain == "pdc":
-        x = x[..., band_idx]
-    if fitted.stats is not None:
-        x = apply_input_stats(x, fitted.stats.get(domain))
+    x = standardized_inputs(kind, features, [sid], band_idx, fitted.stats)
     record: list[np.ndarray] = []
     net.forward(x, train=False, record=record)
     conv_post_relu = [
@@ -535,10 +514,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
-    cfg = parse_config(args.config)
-    if args.seed is not None:
-        cfg.seed = args.seed
     try:
+        cfg = parse_config(args.config)
+        if args.seed is not None:
+            cfg.seed = args.seed
         if args.command == "extract":
             return cmd_extract(cfg)
         if args.command == "train":

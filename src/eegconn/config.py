@@ -101,6 +101,14 @@ def validate_config(cfg: RunConfig) -> None:
         raise ConfigError(f"pool2d must be none/avg/max, got {cfg.pool2d!r}")
     if cfg.epochs < 0:
         raise ConfigError(f"epochs must be >= 0, got {cfg.epochs}")
+    if not cfg.learning_rate > 0:
+        raise ConfigError(f"learning_rate must be positive, got {cfg.learning_rate}")
+    if not (0 <= cfg.dropout < 1):
+        raise ConfigError(f"dropout must be in [0, 1), got {cfg.dropout}")
+    if cfg.batch_size < 0:
+        raise ConfigError(f"batch_size must be >= 0 (0 = full batch), got {cfg.batch_size}")
+    if cfg.latency_repetitions < 1:
+        raise ConfigError(f"latency_repetitions must be >= 1, got {cfg.latency_repetitions}")
     from .pipeline import MODEL_KINDS  # local import to avoid a cycle
 
     for kind in model_kind_list(cfg):

@@ -59,84 +59,46 @@ class Layer:
 # -- convolution core ------------------------------------------------------
 #
 # Shared by Conv2d and Conv1d (the latter runs with a width-1 second axis).
-# Stride-1 convolutions (the only ones the standard architectures use) run
-# as one matmul per kernel offset on shifted views of the padded input,
-# which avoids the expensive im2col gather; other strides fall back to
-# im2col, with the input gradient computed as a full correlation of the
-# zero-dilated output gradient with the rotated kernel.
+# Every convolution has stride 1 and runs as one matmul per kernel offset on
+# shifted views of the padded input, which avoids an im2col gather.
 
 
-def _im2col(xp: np.ndarray, kh: int, kw: int, sh: int, sw: int) -> np.ndarray:
-    view = sliding_window_view(xp, (kh, kw), axis=(1, 2))  # (B, Ho', Wo', C, kh, kw)
-    view = view[:, ::sh, ::sw]
-    b, ho, wo = view.shape[:3]
-    cols = view.transpose(0, 1, 2, 4, 5, 3).reshape(b * ho * wo, -1)
-    return np.ascontiguousarray(cols), ho, wo
-
-
-def _conv_forward(x, w, bias, stride, pad):
+def _conv_forward(x, w, bias, pad):
     kh, kw = w.shape[:2]
-    sh, sw = stride
     ph, pw = pad
     xp = np.pad(x, ((0, 0), (ph, ph), (pw, pw), (0, 0)))
-    if sh == 1 and sw == 1:
-        b = x.shape[0]
-        ho = xp.shape[1] - kh + 1
-        wo = xp.shape[2] - kw + 1
-        out = np.empty((b, ho, wo, w.shape[-1]))
-        out[...] = bias
-        for u in range(kh):
-            for v in range(kw):
-                out += xp[:, u : u + ho, v : v + wo, :] @ w[u, v]
-        return out, ("shift", xp)
-    cols, ho, wo = _im2col(xp, kh, kw, sh, sw)
-    out = cols @ w.reshape(-1, w.shape[-1]) + bias
-    return out.reshape(x.shape[0], ho, wo, -1), ("cols", x.shape, cols)
+    b = x.shape[0]
+    ho = xp.shape[1] - kh + 1
+    wo = xp.shape[2] - kw + 1
+    out = np.empty((b, ho, wo, w.shape[-1]))
+    out[...] = bias
+    for u in range(kh):
+        for v in range(kw):
+            out += xp[:, u : u + ho, v : v + wo, :] @ w[u, v]
+    return out, xp
 
 
-def _conv_backward(dout, cache, w, stride, pad):
+def _conv_backward(dout, xp, w, pad):
     kh, kw, c, r = w.shape
     ph, pw = pad
     dflat = dout.reshape(-1, r)
     db = dflat.sum(axis=0)
-
-    if cache[0] == "shift":
-        xp = cache[1]
-        b, ho, wo, _ = dout.shape
-        h, wd = xp.shape[1] - 2 * ph, xp.shape[2] - 2 * pw
-        dw = np.empty_like(w)
-        dxp = np.zeros_like(xp)
-        for u in range(kh):
-            for v in range(kw):
-                xs = np.ascontiguousarray(xp[:, u : u + ho, v : v + wo, :]).reshape(-1, c)
-                dw[u, v] = xs.T @ dflat
-                dxp[:, u : u + ho, v : v + wo, :] += (dflat @ w[u, v].T).reshape(b, ho, wo, c)
-        return dxp[:, ph : ph + h, pw : pw + wd], dw, db
-
-    _, x_shape, cols = cache
-    b, h, wd, _ = x_shape
-    sh, sw = stride
-    dw = (cols.T @ dflat).reshape(w.shape)
-    if sh == 1 and sw == 1:
-        d = dout
-    else:
-        _, ho, wo, _ = dout.shape
-        d = np.zeros((b, (ho - 1) * sh + 1, (wo - 1) * sw + 1, r))
-        d[:, ::sh, ::sw] = dout
-    dp = np.pad(d, ((0, 0), (kh - 1, kh - 1), (kw - 1, kw - 1), (0, 0)))
-    krot = w[::-1, ::-1].transpose(0, 1, 3, 2)  # (kh, kw, R, C)
-    dcols, gh, gw = _im2col(dp, kh, kw, 1, 1)
-    part = (dcols @ krot.reshape(-1, c)).reshape(b, gh, gw, c)
-    hp, wp = h + 2 * ph, wd + 2 * pw
-    dxp = np.zeros((b, hp, wp, c))
-    dxp[:, :gh, :gw] = part
+    b, ho, wo, _ = dout.shape
+    h, wd = xp.shape[1] - 2 * ph, xp.shape[2] - 2 * pw
+    dw = np.empty_like(w)
+    dxp = np.zeros_like(xp)
+    for u in range(kh):
+        for v in range(kw):
+            xs = np.ascontiguousarray(xp[:, u : u + ho, v : v + wo, :]).reshape(-1, c)
+            dw[u, v] = xs.T @ dflat
+            dxp[:, u : u + ho, v : v + wo, :] += (dflat @ w[u, v].T).reshape(b, ho, wo, c)
     return dxp[:, ph : ph + h, pw : pw + wd], dw, db
 
 
-class Conv2d(Layer):
-    """2-D convolution over (B, H, W, C) maps, optional shape-preserving zero padding."""
+class _Conv(Layer):
+    """Constructor, weight draw and descriptor shared by the stride-1 convolutions."""
 
-    kind = "conv2d"
+    spatial = 2  # kernel axes
 
     def __init__(self, in_channels: int, filters: int, kernel: int = 3, stride: int = 1,
                  same_padding: bool = True):
@@ -145,6 +107,8 @@ class Conv2d(Layer):
             raise ValidationError(f"need at least one filter, got {filters}")
         if same_padding and kernel % 2 == 0:
             raise ValidationError("shape-preserving padding needs an odd kernel size")
+        if stride != 1:
+            raise ValidationError(f"convolutions support stride 1 only, got {stride}")
         self.in_channels = in_channels
         self.filters = filters
         self.kernel = kernel
@@ -152,22 +116,38 @@ class Conv2d(Layer):
         self.same_padding = same_padding
         self.pad = (kernel - 1) // 2 if same_padding else 0
         self.params = {
-            "w": np.zeros((kernel, kernel, in_channels, filters)),
+            "w": np.zeros((kernel,) * self.spatial + (in_channels, filters)),
             "b": np.zeros(filters),
         }
 
     def init(self, rng):
-        k, c, r = self.kernel, self.in_channels, self.filters
-        self.params["w"] = _glorot(rng, (k, k, c, r), k * k * c, k * k * r)
-        self.params["b"] = np.zeros(r)
+        taps = self.kernel ** self.spatial
+        self.params["w"] = _glorot(rng, self.params["w"].shape, taps * self.in_channels,
+                                   taps * self.filters)
+        self.params["b"] = np.zeros(self.filters)
+
+    def config(self):
+        return {
+            "in_channels": self.in_channels,
+            "filters": self.filters,
+            "kernel": self.kernel,
+            "stride": self.stride,
+            "same_padding": self.same_padding,
+        }
+
+
+class Conv2d(_Conv):
+    """2-D convolution over (B, H, W, C) maps, optional shape-preserving zero padding."""
+
+    kind = "conv2d"
 
     def output_shape(self, in_shape):
         if len(in_shape) != 3 or in_shape[2] != self.in_channels:
             raise ShapeError(
                 f"conv2d expects (H, W, {self.in_channels}), got {in_shape}"
             )
-        h = (in_shape[0] + 2 * self.pad - self.kernel) // self.stride + 1
-        w = (in_shape[1] + 2 * self.pad - self.kernel) // self.stride + 1
+        h = in_shape[0] + 2 * self.pad - self.kernel + 1
+        w = in_shape[1] + 2 * self.pad - self.kernel + 1
         if h < 1 or w < 1:
             raise ShapeError(f"conv2d output collapses on input {in_shape}")
         return (h, w, self.filters)
@@ -177,61 +157,25 @@ class Conv2d(Layer):
             raise ShapeError(
                 f"conv2d expects (B, H, W, {self.in_channels}), got {x.shape}"
             )
-        out, cache = _conv_forward(
-            x, self.params["w"], self.params["b"], (self.stride,) * 2, (self.pad,) * 2
-        )
-        self._cache = cache
+        out, self._cache = _conv_forward(x, self.params["w"], self.params["b"], (self.pad,) * 2)
         return out
 
     def backward(self, dout):
-        dx, dw, db = _conv_backward(
-            dout, self._cache, self.params["w"], (self.stride,) * 2, (self.pad,) * 2
-        )
+        dx, dw, db = _conv_backward(dout, self._cache, self.params["w"], (self.pad,) * 2)
         self.grads = {"w": dw, "b": db}
         return dx
 
-    def config(self):
-        return {
-            "in_channels": self.in_channels,
-            "filters": self.filters,
-            "kernel": self.kernel,
-            "stride": self.stride,
-            "same_padding": self.same_padding,
-        }
 
-
-class Conv1d(Layer):
+class Conv1d(_Conv):
     """1-D convolution over (B, L, C) sequences; runs on the 2-D core."""
 
     kind = "conv1d"
-
-    def __init__(self, in_channels: int, filters: int, kernel: int = 3, stride: int = 1,
-                 same_padding: bool = True):
-        super().__init__()
-        if filters < 1:
-            raise ValidationError(f"need at least one filter, got {filters}")
-        if same_padding and kernel % 2 == 0:
-            raise ValidationError("shape-preserving padding needs an odd kernel size")
-        self.in_channels = in_channels
-        self.filters = filters
-        self.kernel = kernel
-        self.stride = stride
-        self.same_padding = same_padding
-        self.pad = (kernel - 1) // 2 if same_padding else 0
-        self.params = {
-            "w": np.zeros((kernel, in_channels, filters)),
-            "b": np.zeros(filters),
-        }
-
-    def init(self, rng):
-        k, c, r = self.kernel, self.in_channels, self.filters
-        self.params["w"] = _glorot(rng, (k, c, r), k * c, k * r)
-        self.params["b"] = np.zeros(r)
+    spatial = 1
 
     def output_shape(self, in_shape):
         if len(in_shape) != 2 or in_shape[1] != self.in_channels:
             raise ShapeError(f"conv1d expects (L, {self.in_channels}), got {in_shape}")
-        length = (in_shape[0] + 2 * self.pad - self.kernel) // self.stride + 1
+        length = in_shape[0] + 2 * self.pad - self.kernel + 1
         if length < 1:
             raise ShapeError(f"conv1d output collapses on input {in_shape}")
         return (length, self.filters)
@@ -241,26 +185,14 @@ class Conv1d(Layer):
             raise ShapeError(f"conv1d expects (B, L, {self.in_channels}), got {x.shape}")
         x4 = x[:, :, None, :]
         w4 = self.params["w"][:, None, :, :]
-        out, cache = _conv_forward(x4, w4, self.params["b"], (self.stride, 1), (self.pad, 0))
-        self._cache = cache
+        out, self._cache = _conv_forward(x4, w4, self.params["b"], (self.pad, 0))
         return out[:, :, 0, :]
 
     def backward(self, dout):
         w4 = self.params["w"][:, None, :, :]
-        dx4, dw4, db = _conv_backward(
-            dout[:, :, None, :], self._cache, w4, (self.stride, 1), (self.pad, 0)
-        )
+        dx4, dw4, db = _conv_backward(dout[:, :, None, :], self._cache, w4, (self.pad, 0))
         self.grads = {"w": dw4[:, 0], "b": db}
         return dx4[:, :, 0, :]
-
-    def config(self):
-        return {
-            "in_channels": self.in_channels,
-            "filters": self.filters,
-            "kernel": self.kernel,
-            "stride": self.stride,
-            "same_padding": self.same_padding,
-        }
 
 
 class _Pool1d(Layer):

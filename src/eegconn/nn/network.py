@@ -50,6 +50,11 @@ class _LayerStack:
             layer.init(derive_rng(self.seed, self.name, *init_labels))
         return self.wire_dropout()
 
+    def predict(self, x):
+        """Class bits and probability rows in one forward pass."""
+        probs = self.predict_proba(x)
+        return probs.argmax(axis=1), probs
+
     def wire_dropout(self):
         """Give every dropout layer its seeded mask stream; parameters stay as they are."""
         for layer, _, dropout_labels in self._streams():

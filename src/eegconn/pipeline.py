@@ -4,14 +4,17 @@ Seven classifier configurations are supported: three single-domain CNNs
 (2-D over lagged-coefficient tensors, 2-D over band PDC tensors, 1-D over
 topology feature matrices), three fusions of those domains (feature-level
 concatenation, score-level second-stage softmax, decision-level majority
-vote), and a linear SVM baseline.  Evaluation is stratified k-fold with a
-held-out validation split inside each fold driving epoch selection.
+vote), and a linear SVM baseline.  Each kind is one row of the ``KINDS``
+table, which says what the kind reads, how one fold is fitted, how its core is
+saved, and which result rows it reports.  Evaluation is stratified k-fold with
+a held-out validation split inside each fold driving epoch selection.
 """
 
 from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -35,25 +38,6 @@ from .seeding import derive_rng, derive_seed
 from .svm import LinearSvm, train_svm
 
 DOMAINS = ("var", "pdc", "cn")
-
-MODEL_KINDS = (
-    "cnn2d_var",
-    "cnn2d_pdc",
-    "cnn1d_cn",
-    "fusion_feature",
-    "fusion_score",
-    "fusion_decision",
-    "svm_linear",
-)
-
-KIND_DOMAINS = {
-    "cnn2d_var": ("var",),
-    "cnn2d_pdc": ("pdc",),
-    "cnn1d_cn": ("cn",),
-    "fusion_feature": DOMAINS,
-    "fusion_score": DOMAINS,
-    "fusion_decision": DOMAINS,
-}
 
 METRIC_NAMES = ("accuracy", "sensitivity", "specificity", "modified_accuracy")
 
@@ -175,35 +159,6 @@ def build_stage2(seed: int) -> Network:
     return net.initialize()
 
 
-def build_model(spec: ModelSpec, seed: int = 0):
-    """Construct the classifier for ``spec.kind`` with freshly drawn weights.
-
-    Single-domain kinds give a :class:`Network`, feature fusion a
-    :class:`MultiBranchNetwork`, score/decision fusion an
-    :class:`EnsembleModel`, and the SVM kind an untrained parameter vector
-    sized for the concatenated flattened features.
-    """
-    if spec.kind in ("cnn2d_var", "cnn2d_pdc", "cnn1d_cn"):
-        return build_domain_network(KIND_DOMAINS[spec.kind][0], spec, seed)
-    if spec.kind == "fusion_feature":
-        return build_feature_fusion(spec, seed)
-    if spec.kind in ("fusion_score", "fusion_decision"):
-        members = {
-            d: build_domain_network(d, spec, derive_seed(seed, "member", d))
-            for d in DOMAINS
-        }
-        if spec.kind == "fusion_score":
-            return EnsembleModel(mode="score", members=members,
-                                 stage2=build_stage2(derive_seed(seed, "stage2")))
-        return EnsembleModel(mode="decision", members=members)
-    if spec.kind == "svm_linear":
-        n, lags, nb, fl = spec.channels, spec.lags, spec.n_bands, spec.cn_length
-        width = n * n * lags + n * n * nb + fl * nb
-        return LinearSvm(weights=np.zeros(width), bias=0.0,
-                         feat_mean=np.zeros(width), feat_scale=np.ones(width))
-    raise ValidationError(f"unknown model kind {spec.kind!r}")
-
-
 @dataclass
 class EnsembleModel:
     """Three domain CNNs combined by score- or decision-level fusion."""
@@ -232,40 +187,8 @@ class EnsembleModel:
             out = self.stage2.predict_proba(member.reshape(len(member), -1))
             return out.argmax(axis=1), out
         votes = member.argmax(axis=2)
-        bits = np.array([majority_vote(row.tolist()) for row in votes])
+        bits = (votes.sum(axis=1) >= 2).astype(int)  # majority of three binary votes
         return bits, member.mean(axis=1)  # decision mode reports the mean score
-
-    def predict_proba(self, inputs: dict[str, np.ndarray]) -> np.ndarray:
-        return self.predict(inputs)[1]
-
-    def predict_bits(self, inputs: dict[str, np.ndarray]) -> np.ndarray:
-        return self.predict(inputs)[0]
-
-
-def majority_vote(votes) -> object:
-    """Modal label of exactly three votes (a binary tie is impossible)."""
-    votes = list(votes)
-    if len(votes) != 3:
-        raise ValidationError(f"majority vote takes exactly 3 votes, got {len(votes)}")
-    for v in votes:
-        if votes.count(v) >= 2:
-            return v
-    return votes[0]  # three distinct votes cannot happen with binary labels
-
-
-def score_fusion_forward(probs: np.ndarray, stage2: Network) -> np.ndarray:
-    """Second-stage softmax over concatenated member probability rows."""
-    probs = np.asarray(probs, dtype=float)
-    squeeze = probs.ndim == 2
-    if squeeze:
-        probs = probs[None]
-    if probs.shape[1:] != (3, 2):
-        raise ShapeError(f"expected (B, 3, 2) member probabilities, got {probs.shape}")
-    sums = probs.sum(axis=2)
-    if np.abs(sums - 1.0).max() > 1e-6:
-        raise ValidationError("member probability rows must sum to 1")
-    out = stage2.predict_proba(probs.reshape(len(probs), 6))
-    return out[0] if squeeze else out
 
 
 # -- fold plans --------------------------------------------------------------
@@ -408,28 +331,6 @@ def domain_matrix(features: dict[str, dict[str, np.ndarray]], sids: list[str],
     return x
 
 
-def assemble_inputs(kind: str, features, sids: list[str], band_idx=None):
-    """Model inputs for a batch of subjects, in the form each core consumes."""
-    if kind in ("cnn2d_var", "cnn2d_pdc", "cnn1d_cn"):
-        return domain_matrix(features, sids, KIND_DOMAINS[kind][0], band_idx)
-    if kind == "fusion_feature":
-        return [domain_matrix(features, sids, d, band_idx) for d in DOMAINS]
-    if kind in ("fusion_score", "fusion_decision"):
-        return {d: domain_matrix(features, sids, d, band_idx) for d in DOMAINS}
-    raise ValidationError(f"no tensor inputs for kind {kind!r}")
-
-
-def svm_matrix(features, sids: list[str], feature_set: str, band_idx=None) -> np.ndarray:
-    """Flattened (and for 'all', concatenated) feature matrix for the SVM."""
-    if feature_set == "all":
-        parts = [domain_matrix(features, sids, d, band_idx).reshape(len(sids), -1)
-                 for d in DOMAINS]
-        return np.concatenate(parts, axis=1)
-    if feature_set not in DOMAINS:
-        raise ValidationError(f"unknown SVM feature set {feature_set!r}")
-    return domain_matrix(features, sids, feature_set, band_idx).reshape(len(sids), -1)
-
-
 # -- per-fold input standardization -------------------------------------------
 #
 # CNN inputs are z-scored per feature entry with statistics from the training
@@ -458,15 +359,8 @@ def apply_input_stats(x: np.ndarray, stat: tuple[np.ndarray, np.ndarray] | None)
 
 def standardized_inputs(kind: str, features, sids: list[str], band_idx=None,
                         stats: dict | None = None):
-    """Assembled model inputs with the per-domain affine maps applied."""
-    inputs = assemble_inputs(kind, features, sids, band_idx)
-    if stats is None:
-        return inputs
-    if isinstance(inputs, dict):
-        return {d: apply_input_stats(x, stats.get(d)) for d, x in inputs.items()}
-    if isinstance(inputs, list):
-        return [apply_input_stats(x, stats.get(d)) for d, x in zip(DOMAINS, inputs)]
-    return apply_input_stats(inputs, stats.get(KIND_DOMAINS[kind][0]))
+    """Model inputs for a batch of subjects with the per-domain affine maps applied."""
+    return KINDS[kind].inputs(features, sids, band_idx, stats)
 
 
 @dataclass
@@ -559,29 +453,12 @@ class FoldOutcome:
 @dataclass
 class KindResult:
     kind: str
-    feature_label: str
-    dimension: str
+    result_id: str
+    feature: str
+    feature_set: str
     folds: list[FoldOutcome]
     report: MetricsReport
-    models: list[object]  # per fold
-
-    @property
-    def result_id(self) -> str:
-        if self.kind == "svm_linear":
-            return f"svm_{self.feature_label}"
-        return self.kind
-
-
-def _feature_dims(spec: ModelSpec, feature_label: str) -> str:
-    n, lags, nb, fl = spec.channels, spec.lags, spec.n_bands, spec.cn_length
-    dims = {
-        "var": f"{n}x{n}x{lags}",
-        "pdc": f"{n}x{n}x{nb}",
-        "cn": f"{fl}x{nb}",
-        "var+pdc+cn": f"{n}x{n}x{lags} + {n}x{n}x{nb} + {fl}x{nb}",
-        "all": f"{n * n * lags + n * n * nb + fl * nb} flat",
-    }
-    return dims[feature_label]
+    models: list[FittedModel]  # per fold
 
 
 class ExperimentRunner:
@@ -676,154 +553,231 @@ class ExperimentRunner:
             self._member_cache[key] = (net, res)
         return self._member_cache[key]
 
-    # per-kind execution -----------------------------------------------------
+    # per-result execution ---------------------------------------------------
 
-    def run_kind(self, kind: str) -> list[KindResult]:
-        if kind == "svm_linear":
-            return [self._run_svm(feature) for feature in (*DOMAINS, "all")]
-        feature_label = KIND_DOMAINS[kind][0] if kind.startswith("cnn") else "var+pdc+cn"
+    def run_result(self, kind: str, result: "ResultRow") -> KindResult:
+        """Fit one result row of a kind on every fold and test it on the held-out subjects."""
+        row = KINDS[kind]
         folds: list[FoldOutcome] = []
-        models: list[object] = []
-        for fold in range(self.k):
-            outcome, model = self._run_tensor_fold(kind, fold)
-            folds.append(outcome)
-            models.append(model)
-        report = MetricsReport.from_folds([f.metrics for f in folds])
-        return [KindResult(kind=kind, feature_label=feature_label,
-                           dimension=_feature_dims(self.spec, feature_label),
-                           folds=folds, report=report, models=models)]
-
-    def _run_tensor_fold(self, kind: str, fold: int):
-        train_ids, val_ids, test_ids = self.fold_split(fold)
-        stats = self.fold_stats(fold)
-        curves: dict[str, list[tuple[float, float]]] = {}
-
-        def inputs_for(sids):
-            return standardized_inputs(kind, self.features, sids, self.band_idx, stats)
-
-        if kind in ("cnn2d_var", "cnn2d_pdc", "cnn1d_cn"):
-            domain = KIND_DOMAINS[kind][0]
-            net, res = self.trained_member(domain, fold)
-            curves[domain] = res.curve
-            core: object = net
-        elif kind == "fusion_feature":
-            net = build_feature_fusion(
-                self.spec, seed=derive_seed(self.master_seed, "init", "fusion_feature", fold)
-            )
-            res = train_model(
-                net, inputs_for(train_ids), self.bits_of(train_ids),
-                inputs_for(val_ids), self.bits_of(val_ids), self.spec,
-                seed=derive_seed(self.master_seed, "train", "fusion_feature", fold),
-            )
-            curves["main"] = res.curve
-            core = net
-        elif kind in ("fusion_score", "fusion_decision"):
-            members = {}
-            for domain in DOMAINS:
-                net, res = self.trained_member(domain, fold)
-                members[domain] = net
-                curves[domain] = res.curve
-            if kind == "fusion_score":
-                stage2 = build_stage2(seed=derive_seed(self.master_seed, "init", "stage2", fold))
-                ens = EnsembleModel(mode="score", members=members, stage2=stage2)
-                train_probs = ens.member_probs(inputs_for(train_ids)).reshape(len(train_ids), 6)
-                val_probs = ens.member_probs(inputs_for(val_ids)).reshape(len(val_ids), 6)
-                res2 = train_model(
-                    stage2, train_probs, self.bits_of(train_ids), val_probs,
-                    self.bits_of(val_ids), self.spec,
-                    seed=derive_seed(self.master_seed, "train", "stage2", fold),
-                )
-                curves["stage2"] = res2.curve
-                core = ens
-            else:
-                core = EnsembleModel(mode="decision", members=members)
-        else:
-            raise ValidationError(f"unknown model kind {kind!r}")
-
-        test_inputs = inputs_for(test_ids)
-        if isinstance(core, EnsembleModel):
-            bits, probs = core.predict(test_inputs)
-        else:
-            probs = core.predict_proba(test_inputs)
-            bits = probs.argmax(axis=1)
-        predicted = self.names_of_bits(bits)
-        metrics = evaluate(predicted, [self.labels[s] for s in test_ids], self.positive_class)
-        outcome = FoldOutcome(
-            fold=fold, test_ids=test_ids, train_ids=train_ids, val_ids=val_ids,
-            predicted=dict(zip(test_ids, predicted)),
-            probabilities={s: [float(p) for p in row] for s, row in zip(test_ids, probs)},
-            curves=curves, metrics=metrics,
-        )
-        return outcome, FittedModel(core=core, stats=stats)
-
-    def _run_svm(self, feature: str) -> KindResult:
-        folds: list[FoldOutcome] = []
-        models: list[object] = []
+        models: list[FittedModel] = []
         for fold in range(self.k):
             train_ids, val_ids, test_ids = self.fold_split(fold)
-            fit_ids = train_ids + val_ids  # no epoch selection; use all non-test subjects
-            svm = train_svm(
-                svm_matrix(self.features, fit_ids, feature, self.band_idx),
-                self.bits_of(fit_ids),
-                l2=self.svm_l2,
-                learning_rate=self.svm_learning_rate,
-                steps=self.svm_steps,
-            )
-            x_test = svm_matrix(self.features, test_ids, feature, self.band_idx)
-            bits = svm.predict_bits(x_test)
-            scores = svm.decision(x_test)
-            pos = 1.0 / (1.0 + np.exp(-scores))
+            fitted, curves = row.fit(self, row, fold, result.feature_set)
+            bits, probs = predict_with_core(fitted, kind, self.features, test_ids,
+                                            self.band_idx, result.feature_set)
             predicted = self.names_of_bits(bits)
-            metrics = evaluate(predicted, [self.labels[s] for s in test_ids],
-                               self.positive_class)
             folds.append(FoldOutcome(
                 fold=fold, test_ids=test_ids, train_ids=train_ids, val_ids=val_ids,
                 predicted=dict(zip(test_ids, predicted)),
-                probabilities={s: [float(1 - p), float(p)] for s, p in zip(test_ids, pos)},
-                curves={}, metrics=metrics,
+                probabilities={s: [float(p) for p in ps] for s, ps in zip(test_ids, probs)},
+                curves=curves,
+                metrics=evaluate(predicted, [self.labels[s] for s in test_ids],
+                                 self.positive_class),
             ))
-            models.append(FittedModel(core=svm, stats=None))
+            models.append(fitted)
         report = MetricsReport.from_folds([f.metrics for f in folds])
-        return KindResult(kind="svm_linear", feature_label=feature,
-                          dimension=_feature_dims(self.spec, feature),
-                          folds=folds, report=report, models=models)
+        return KindResult(kind, *result, folds=folds, report=report, models=models)
 
     def run(self, kinds: list[str]) -> list[KindResult]:
-        results: list[KindResult] = []
-        for kind in kinds:
-            results.extend(self.run_kind(kind))
-        return results
+        return [self.run_result(kind, result) for kind in kinds for result in KINDS[kind].results]
+
+
+# -- the model-kind table -----------------------------------------------------
+#
+# One row per kind.  ``fit`` trains the kind's core on one fold and returns it
+# with its learning curves by role; ``bundle`` and ``unbundle`` map a core to
+# the named entries of a model file and back; ``results`` lists the rows the
+# kind reports (the SVM reports one per feature set).
+
+
+class ResultRow(NamedTuple):
+    result_id: str
+    feature: str      # the feature label written to bundles and metrics.json
+    feature_set: str  # the domains the core reads: "all" of the kind's, or one
+
+
+def _one_array(arrays: dict) -> np.ndarray:
+    (x,) = arrays.values()
+    return x
+
+
+def _array_list(arrays: dict) -> list[np.ndarray]:
+    return list(arrays.values())
+
+
+def _by_domain(arrays: dict) -> dict[str, np.ndarray]:
+    return arrays
+
+
+def _flat_concat(arrays: dict) -> np.ndarray:
+    return np.concatenate([x.reshape(len(x), -1) for x in arrays.values()], axis=1)
+
+
+def _trained_members(runner: ExperimentRunner, row: "ModelKind", fold: int):
+    """The fold's cached domain CNNs for the kind's domains, and their curves by domain."""
+    trained = {d: runner.trained_member(d, fold) for d in row.domains}
+    return ({d: net for d, (net, _) in trained.items()},
+            {d: res.curve for d, (_, res) in trained.items()})
+
+
+def _fit_member(runner: ExperimentRunner, row: "ModelKind", fold: int, feature_set: str):
+    members, curves = _trained_members(runner, row, fold)
+    (net,) = members.values()
+    return FittedModel(net, runner.fold_stats(fold)), curves
+
+
+def _fit_feature_fusion(runner: ExperimentRunner, row: "ModelKind", fold: int,
+                        feature_set: str):
+    train_ids, val_ids, _ = runner.fold_split(fold)
+    stats = runner.fold_stats(fold)
+    net = build_feature_fusion(
+        runner.spec, seed=derive_seed(runner.master_seed, "init", "fusion_feature", fold)
+    )
+    res = train_model(
+        net, row.inputs(runner.features, train_ids, runner.band_idx, stats),
+        runner.bits_of(train_ids),
+        row.inputs(runner.features, val_ids, runner.band_idx, stats),
+        runner.bits_of(val_ids), runner.spec,
+        seed=derive_seed(runner.master_seed, "train", "fusion_feature", fold),
+    )
+    return FittedModel(net, stats), {"main": res.curve}
+
+
+def _fit_decision_fusion(runner: ExperimentRunner, row: "ModelKind", fold: int,
+                         feature_set: str):
+    members, curves = _trained_members(runner, row, fold)
+    return FittedModel(EnsembleModel(mode="decision", members=members),
+                       runner.fold_stats(fold)), curves
+
+
+def _fit_score_fusion(runner: ExperimentRunner, row: "ModelKind", fold: int,
+                      feature_set: str):
+    members, curves = _trained_members(runner, row, fold)
+    train_ids, val_ids, _ = runner.fold_split(fold)
+    stats = runner.fold_stats(fold)
+    stage2 = build_stage2(seed=derive_seed(runner.master_seed, "init", "stage2", fold))
+    ens = EnsembleModel(mode="score", members=members, stage2=stage2)
+
+    def member_probs(sids):
+        inputs = row.inputs(runner.features, sids, runner.band_idx, stats)
+        return ens.member_probs(inputs).reshape(len(sids), 6)
+
+    res = train_model(
+        stage2, member_probs(train_ids), runner.bits_of(train_ids),
+        member_probs(val_ids), runner.bits_of(val_ids), runner.spec,
+        seed=derive_seed(runner.master_seed, "train", "stage2", fold),
+    )
+    curves["stage2"] = res.curve
+    return FittedModel(ens, stats), curves
+
+
+def _fit_svm(runner: ExperimentRunner, row: "ModelKind", fold: int, feature_set: str):
+    train_ids, val_ids, _ = runner.fold_split(fold)
+    fit_ids = train_ids + val_ids  # no epoch selection; use all non-test subjects
+    svm = train_svm(
+        row.inputs(runner.features, fit_ids, runner.band_idx, None, feature_set),
+        runner.bits_of(fit_ids),
+        l2=runner.svm_l2,
+        learning_rate=runner.svm_learning_rate,
+        steps=runner.svm_steps,
+    )
+    return FittedModel(svm), {}
+
+
+def _bundle_net(net) -> tuple[dict, dict]:
+    return {"main": net}, {}
+
+
+def _unbundle_net(entries: dict, meta: dict):
+    return entries["main"]
+
+
+def _bundle_ensemble(ens: EnsembleModel) -> tuple[dict, dict]:
+    entries = {f"member_{d}": net for d, net in ens.members.items()}
+    if ens.stage2 is not None:
+        entries["stage2"] = ens.stage2
+    return entries, {"fusion_mode": ens.mode}
+
+
+def _unbundle_ensemble(entries: dict, meta: dict) -> EnsembleModel:
+    members = {d: entries[f"member_{d}"] for d in DOMAINS}
+    return EnsembleModel(mode=meta["fusion_mode"], members=members, stage2=entries.get("stage2"))
+
+
+def _bundle_svm(svm: LinearSvm) -> tuple[dict, dict]:
+    return {"svm": svm.param_arrays()}, {}
+
+
+def _unbundle_svm(entries: dict, meta: dict) -> LinearSvm:
+    return LinearSvm.from_param_arrays(entries["svm"])
+
+
+@dataclass(frozen=True)
+class ModelKind:
+    """What one classifier kind reads, how it is fitted and saved, what it reports."""
+
+    domains: tuple[str, ...]
+    pack: Callable[[dict], object]  # {domain: batch array} -> the input form of the core
+    fit: Callable                   # (runner, row, fold, feature_set) -> (FittedModel, curves)
+    bundle: Callable[[object], tuple[dict, dict]]  # core -> (bundle entries, extra meta)
+    unbundle: Callable[[dict, dict], object]       # (bundle entries, meta) -> core
+    results: tuple[ResultRow, ...]
+
+    def inputs(self, features, sids: list[str], band_idx=None, stats: dict | None = None,
+               feature_set: str = "all"):
+        """The core's input for a batch of subjects, each domain standardized by its stats."""
+        if feature_set == "all":
+            domains = self.domains
+        elif feature_set in self.domains:
+            domains = (feature_set,)
+        else:
+            raise ValidationError(f"unknown feature set {feature_set!r} for domains {self.domains}")
+        stats = stats or {}
+        return self.pack({d: apply_input_stats(domain_matrix(features, sids, d, band_idx),
+                                               stats.get(d)) for d in domains})
+
+
+_FUSED = "var+pdc+cn"
+
+KINDS: dict[str, ModelKind] = {
+    "cnn2d_var": ModelKind(("var",), _one_array, _fit_member, _bundle_net, _unbundle_net,
+                           (ResultRow("cnn2d_var", "var", "all"),)),
+    "cnn2d_pdc": ModelKind(("pdc",), _one_array, _fit_member, _bundle_net, _unbundle_net,
+                           (ResultRow("cnn2d_pdc", "pdc", "all"),)),
+    "cnn1d_cn": ModelKind(("cn",), _one_array, _fit_member, _bundle_net, _unbundle_net,
+                          (ResultRow("cnn1d_cn", "cn", "all"),)),
+    "fusion_feature": ModelKind(DOMAINS, _array_list, _fit_feature_fusion, _bundle_net,
+                                _unbundle_net, (ResultRow("fusion_feature", _FUSED, "all"),)),
+    "fusion_score": ModelKind(DOMAINS, _by_domain, _fit_score_fusion, _bundle_ensemble,
+                              _unbundle_ensemble, (ResultRow("fusion_score", _FUSED, "all"),)),
+    "fusion_decision": ModelKind(DOMAINS, _by_domain, _fit_decision_fusion, _bundle_ensemble,
+                                 _unbundle_ensemble,
+                                 (ResultRow("fusion_decision", _FUSED, "all"),)),
+    "svm_linear": ModelKind(DOMAINS, _flat_concat, _fit_svm, _bundle_svm, _unbundle_svm,
+                            tuple(ResultRow(f"svm_{f}", f, f) for f in (*DOMAINS, "all"))),
+}
+
+MODEL_KINDS = tuple(KINDS)
 
 
 # -- prediction and timing ----------------------------------------------------
 
 
-def predict_with_core(core, kind: str, features, sids: list[str],
-                      band_idx=None, feature_set: str = "all", stats=None):
-    """Class bits and probability rows for a batch of subjects."""
-    if isinstance(core, FittedModel):
-        stats = core.stats
-        core = core.core
-    if isinstance(core, LinearSvm):
-        x = svm_matrix(features, sids, feature_set, band_idx)
-        bits = core.predict_bits(x)
-        pos = 1.0 / (1.0 + np.exp(-core.decision(x)))
-        return bits, np.stack([1 - pos, pos], axis=1)
-    inputs = standardized_inputs(kind, features, sids, band_idx, stats)
-    if isinstance(core, EnsembleModel):
-        return core.predict(inputs)
-    probs = core.predict_proba(inputs)
-    return probs.argmax(axis=1), probs
+def predict_with_core(core: FittedModel, kind: str, features, sids: list[str],
+                      band_idx=None, feature_set: str = "all"):
+    """Class bits and probability rows of a fitted model for a batch of subjects."""
+    inputs = KINDS[kind].inputs(features, sids, band_idx, core.stats, feature_set)
+    return core.core.predict(inputs)
 
 
-def time_classification(core, kind: str, features, sid: str,
+def time_classification(core: FittedModel, kind: str, features, sid: str,
                         repetitions: int = 1000, band_idx=None,
-                        feature_set: str = "all", stats=None) -> float:
+                        feature_set: str = "all") -> float:
     """Mean wall-clock milliseconds to classify one subject."""
     if repetitions < 1:
         raise ValidationError(f"repetitions must be >= 1, got {repetitions}")
     start = time.perf_counter()
     for _ in range(repetitions):
-        predict_with_core(core, kind, features, [sid], band_idx, feature_set, stats)
+        predict_with_core(core, kind, features, [sid], band_idx, feature_set)
     elapsed = time.perf_counter() - start
     return 1000.0 * elapsed / repetitions

@@ -7,10 +7,11 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from eegconn import pipeline
 from eegconn.cli import main
 from eegconn.config import parse_config
 from eegconn.container import read_container, write_container
-from eegconn.errors import ConfigError
+from eegconn.errors import ConfigError, TrainingDivergedError
 from eegconn.nn import save_bundle
 from eegconn.pipeline import ModelSpec, build_domain_network
 from eegconn.spectral import BandSpec
@@ -77,6 +78,25 @@ class TestConfigParsing:
         with pytest.raises(ConfigError, match="epochs"):
             parse_config(p)
 
+    @pytest.mark.parametrize("line", [
+        "epochs = -1",
+        "folds = 1",
+        "learning_rate = 0",
+        "learning_rate = -0.001",
+        "dropout = 1.0",
+        "dropout = -0.1",
+        "batch_size = -1",
+        "latency_repetitions = 0",
+    ])
+    def test_out_of_range_value_rejected(self, tmp_path, line, capsys):
+        p = tmp_path / "bad.cfg"
+        p.write_text(f"manifest = m.csv\n{line}\n")
+        key = line.partition(" ")[0]
+        with pytest.raises(ConfigError, match=key):
+            parse_config(p)
+        assert main(["train", "--config", str(p)]) == 2
+        assert capsys.readouterr().err.startswith(f"error: {key} must be")
+
     def test_bad_model_kind_rejected(self, tmp_path):
         p = tmp_path / "bad.cfg"
         p.write_text("model_kinds = cnn3d_maximal\n")
@@ -141,6 +161,30 @@ class TestTrain:
         sids = [ln.split(",")[0] for ln in lines]
         folds = {int(ln.split(",")[1]) for ln in lines}
         assert len(sids) == 13 and folds == {0, 1}
+
+    def test_failed_kind_is_isolated(self, workspace, tmp_path, monkeypatch, capsys):
+        _, _, out, manifest = workspace
+        out6 = tmp_path / "out6"
+        shutil.copytree(out / "features", out6 / "features")
+        cfg6 = write_config(tmp_path / "r6.cfg", manifest, out6, epochs=2,
+                            model_kinds="cnn1d_cn,fusion_feature,svm_linear")
+        train_model = pipeline.train_model
+
+        def diverge_fusion_feature(model, *args, **kwargs):
+            if model.name == "fusion_feature":
+                raise TrainingDivergedError("validation loss became non-finite at epoch 0")
+            return train_model(model, *args, **kwargs)
+
+        monkeypatch.setattr(pipeline, "train_model", diverge_fusion_feature)
+        capsys.readouterr()
+        assert main(["train", "--config", str(cfg6)]) == 1
+        err = capsys.readouterr().err.strip().splitlines()
+        assert err == ["fusion_feature: FAILED (validation loss became non-finite at epoch 0)"]
+        models = {p.name for p in (out6 / "models").glob("*.model")}
+        assert models == {f"{rid}_fold{fold}.model" for fold in range(2)
+                          for rid in ("cnn1d_cn", "svm_var", "svm_pdc", "svm_cn", "svm_all")}
+        curves = {p.name for p in (out6 / "curves").glob("*.csv")}
+        assert curves == {"domain_cn_fold0.csv", "domain_cn_fold1.csv"}
 
     def test_curve_length_matches_epochs(self, workspace):
         _, _, out, _ = workspace

@@ -54,11 +54,6 @@ class TestLayerGradients:
         layer.init(rng)
         check_layer(layer, rng.standard_normal((2, 5, 5, 2)), rng)
 
-    def test_conv2d_strided(self, rng):
-        layer = Conv2d(2, 2, 3, stride=2)
-        layer.init(rng)
-        check_layer(layer, rng.standard_normal((2, 7, 7, 2)), rng)
-
     def test_conv1d(self, rng):
         layer = Conv1d(3, 4, 3)
         layer.init(rng)

@@ -24,13 +24,13 @@ from eegconn.nn import (
 from eegconn.seeding import derive_rng
 
 
-def conv2d_loop_oracle(x, w, b, pad, stride=1):
+def conv2d_loop_oracle(x, w, b, pad):
     """Six-nested-loop direct evaluation of padded cross-correlation."""
     bs, h, wd, c = x.shape
     kh, kw, _, r = w.shape
     xp = np.pad(x, ((0, 0), (pad, pad), (pad, pad), (0, 0)))
-    ho = (h + 2 * pad - kh) // stride + 1
-    wo = (wd + 2 * pad - kw) // stride + 1
+    ho = h + 2 * pad - kh + 1
+    wo = wd + 2 * pad - kw + 1
     out = np.zeros((bs, ho, wo, r))
     for n in range(bs):
         for i in range(ho):
@@ -40,7 +40,7 @@ def conv2d_loop_oracle(x, w, b, pad, stride=1):
                     for u in range(kh):
                         for v in range(kw):
                             for cc in range(c):
-                                acc += xp[n, i * stride + u, j * stride + v, cc] * w[u, v, cc, q]
+                                acc += xp[n, i + u, j + v, cc] * w[u, v, cc, q]
                     out[n, i, j, q] = acc
     return out
 
@@ -81,12 +81,10 @@ class TestConv2d:
         expected = conv2d_loop_oracle(x, layer.params["w"], layer.params["b"], 1)
         assert np.abs(layer.forward(x) - expected).max() < 1e-12
 
-    def test_strided_matches_loop_oracle(self, rng):
-        layer = Conv2d(2, 2, 3, stride=2)
-        layer.init(rng)
-        x = rng.standard_normal((2, 7, 7, 2))
-        expected = conv2d_loop_oracle(x, layer.params["w"], layer.params["b"], 1, stride=2)
-        assert np.abs(layer.forward(x) - expected).max() < 1e-12
+    @pytest.mark.parametrize("conv", [Conv2d, Conv1d])
+    def test_stride_two_rejected(self, conv):
+        with pytest.raises(ValidationError, match="stride"):
+            conv(2, 2, 3, stride=2)
 
     def test_padding_preserves_shape(self, rng):
         layer = Conv2d(5, 7, 3)
