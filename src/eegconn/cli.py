@@ -123,19 +123,28 @@ def cmd_extract(cfg: RunConfig) -> int:
 
 
 def load_features(cfg: RunConfig, manifest: CohortManifest) -> tuple[dict, tuple[str, ...]]:
-    """Read per-subject containers back into {sid: {domain: array}}."""
+    """Read per-subject containers back into {sid: {domain: array}}.
+
+    Fails before reading any container if a manifest subject lacks one,
+    naming every such subject.
+    """
     feat_dir = _features_dir(cfg)
+    paths = {
+        entry.subject_id: {d: feat_dir / f"{_safe_name(entry.subject_id)}_{d}.feat"
+                           for d in DOMAINS}
+        for entry in manifest.entries
+    }
+    missing = [sid for sid, per in paths.items() if not all(p.exists() for p in per.values())]
+    if missing:
+        raise ValidationError(
+            f"missing feature containers for {len(missing)} manifest subject(s): "
+            f"{', '.join(missing)}; run extract first"
+        )
     features: dict[str, dict[str, np.ndarray]] = {}
     band_names: tuple[str, ...] = ()
-    for entry in manifest.entries:
-        stem = _safe_name(entry.subject_id)
+    for sid, domain_paths in paths.items():
         per = {}
-        for domain in DOMAINS:
-            path = feat_dir / f"{stem}_{domain}.feat"
-            if not path.exists():
-                raise FileNotFoundError(
-                    f"missing {domain} features for {entry.subject_id!r}; run extract first"
-                )
+        for domain, path in domain_paths.items():
             values, header = read_container(path)
             if header["kind"] != FEATURE_KIND_BY_DOMAIN[domain]:
                 raise ValidationError(f"{path}: holds {header['kind']}, expected "
@@ -143,7 +152,7 @@ def load_features(cfg: RunConfig, manifest: CohortManifest) -> tuple[dict, tuple
             per[domain] = values
             if domain == "pdc":
                 band_names = _header_band_names(header) or band_names
-        features[entry.subject_id] = per
+        features[sid] = per
     return features, band_names or BandSpec().names
 
 
@@ -214,9 +223,14 @@ def read_fold_plan(path: Path) -> FoldPlan:
     if not lines or lines[0] != "subject_id,fold":
         raise ValidationError(f"{path}: not a fold plan file")
     assignments = {}
-    for line in lines[1:]:
+    for n, line in enumerate(lines[1:], start=2):
         sid, _, fold = line.partition(",")
-        assignments[sid] = int(fold)
+        try:
+            assignments[sid] = int(fold)
+        except ValueError:
+            raise ValidationError(f"{path}: line {n}: fold {fold!r} is not an integer") from None
+    if not assignments:
+        raise ValidationError(f"{path}: assigns no subject to a fold")
     return FoldPlan(k=max(assignments.values()) + 1, assignments=assignments, seed=-1)
 
 

@@ -9,7 +9,6 @@ from .layers import (  # noqa: F401
     Dropout,
     Flatten,
     Layer,
-    MaxPool1d,
     MaxPool2d,
     ReLU,
     Softmax,

@@ -195,7 +195,9 @@ class Conv1d(_Conv):
         return dx4[:, :, 0, :]
 
 
-class _Pool1d(Layer):
+class AvgPool1d(Layer):
+    kind = "avgpool1d"
+
     def __init__(self, size: int = 2, stride: int | None = None):
         super().__init__()
         self.size = size
@@ -208,19 +210,8 @@ class _Pool1d(Layer):
             raise ShapeError(f"pool window {self.size} exceeds length {in_shape[0]}")
         return ((in_shape[0] - self.size) // self.stride + 1, in_shape[1])
 
-    def _windows(self, x):
-        v = sliding_window_view(x, self.size, axis=1)  # (B, L-size+1, C, size)
-        return v[:, :: self.stride]
-
-    def config(self):
-        return {"size": self.size, "stride": self.stride}
-
-
-class AvgPool1d(_Pool1d):
-    kind = "avgpool1d"
-
     def forward(self, x, train=False):
-        v = self._windows(x)
+        v = sliding_window_view(x, self.size, axis=1)[:, :: self.stride]  # (B, Lo, C, size)
         self._cache = (x.shape, v.shape[1])
         return v.mean(axis=-1)
 
@@ -233,25 +224,8 @@ class AvgPool1d(_Pool1d):
             dx[:, idx, :] += share
         return dx
 
-
-class MaxPool1d(_Pool1d):
-    kind = "maxpool1d"
-
-    def forward(self, x, train=False):
-        v = self._windows(x)
-        self._amax = v.argmax(axis=-1)
-        self._cache = (x.shape, v.shape[1])
-        return v.max(axis=-1)
-
-    def backward(self, dout):
-        x_shape, lout = self._cache
-        b, _, c = x_shape
-        dx = np.zeros(x_shape)
-        pos = self.stride * np.arange(lout)[None, :, None] + self._amax
-        bi = np.arange(b)[:, None, None]
-        ci = np.arange(c)[None, None, :]
-        np.add.at(dx, (bi, pos, ci), dout)
-        return dx
+    def config(self):
+        return {"size": self.size, "stride": self.stride}
 
 
 class _Pool2d(Layer):
@@ -446,7 +420,7 @@ class Softmax(Layer):
 LAYER_KINDS: dict[str, type[Layer]] = {
     cls.kind: cls
     for cls in (
-        Conv2d, Conv1d, AvgPool1d, MaxPool1d, AvgPool2d, MaxPool2d,
+        Conv2d, Conv1d, AvgPool1d, AvgPool2d, MaxPool2d,
         Flatten, Dense, ReLU, Dropout, Softmax,
     )
 }

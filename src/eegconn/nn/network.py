@@ -34,57 +34,160 @@ def onehot(bits: np.ndarray, classes: int = 2) -> np.ndarray:
     return out
 
 
-class _LayerStack:
-    """Parameter plumbing shared by both network shapes.
+def _table(layers: list[Layer]) -> list[dict]:
+    return [{"kind": ly.kind, **ly.config()} for ly in layers]
 
-    A subclass names its layers through ``_all_layers`` (key prefix, layer)
-    and its seeded random streams through ``_streams`` (layer, weight-draw
-    labels, dropout labels).
+
+class Network:
+    """A layer stack ending in a softmax over two classes, optionally fed by branches.
+
+    Without branches the layers read the single input array.  With branches
+    (feature-level fusion) each branch reads its own input array and must end
+    flat, and the layers read the concatenation of the branch outputs.
+    ``input_shape`` is always the shape the layers read: pass it for a net
+    without branches; with branches it is the concatenated width.
     """
+
+    def __init__(self, layers: list[Layer], input_shape: tuple[int, ...] | None = None,
+                 seed: int = 0, name: str = "net", branches: list[list[Layer]] = (),
+                 input_shapes: list[tuple[int, ...]] = ()):
+        if len(branches) != len(input_shapes):
+            raise ShapeError(f"{len(branches)} branches but {len(input_shapes)} input shapes")
+        if bool(branches) == (input_shape is not None):
+            raise ValidationError(f"{name}: give an input shape or branches, not both or neither")
+        self.layers = list(layers)
+        self.branches = [list(b) for b in branches]
+        self.input_shapes = [tuple(int(s) for s in sh) for sh in input_shapes]
+        self.seed = int(seed)
+        self.name = name
+        self._widths = []
+        for bi, (stack, shape) in enumerate(zip(self.branches, self.input_shapes)):
+            shape = self._shape_after(stack, shape, f"branch {bi} ")
+            if len(shape) != 1:
+                raise ShapeError(f"{name}: branch {bi} must end flat, got shape {shape}")
+            self._widths.append(shape[0])
+        if self.branches:
+            input_shape = (sum(self._widths),)
+        self.input_shape = tuple(int(s) for s in input_shape)
+        self.output_shape = self._shape_after(self.layers, self.input_shape, "")
+
+    def _shape_after(self, layers, shape, where: str) -> tuple[int, ...]:
+        for i, layer in enumerate(layers):
+            try:
+                shape = layer.output_shape(shape)
+            except ShapeError as exc:
+                raise ShapeError(f"{self.name}: {where}layer {i} ({layer.kind}): {exc}") from None
+        return shape
+
+    @property
+    def concat_width(self) -> int:
+        return self.input_shape[0]
+
+    def _layers(self):
+        """Every layer with its parameter-key prefix, weight-draw labels and
+        dropout labels.  Prefixes and labels are part of the model-file format
+        and of every seed, so they must not change."""
+        if not self.branches:
+            for i, layer in enumerate(self.layers):
+                yield str(i), layer, ("init", i), ("dropout", i)
+            return
+        for bi, stack in enumerate(self.branches):
+            for i, layer in enumerate(stack):
+                yield f"b{bi}.{i}", layer, ("branch", bi, i), ("branch-dropout", bi, i)
+        for i, layer in enumerate(self.layers):
+            yield f"t.{i}", layer, ("trunk", i), ("trunk-dropout", i)
 
     def initialize(self, rng_seed: int | None = None):
         """Draw fresh parameters and wire per-layer dropout streams."""
         if rng_seed is not None:
             self.seed = int(rng_seed)
-        for layer, init_labels, _ in self._streams():
+        for _, layer, init_labels, _ in self._layers():
             layer.init(derive_rng(self.seed, self.name, *init_labels))
         return self.wire_dropout()
+
+    def wire_dropout(self):
+        """Give every dropout layer its seeded mask stream; parameters stay as they are."""
+        for _, layer, _, dropout_labels in self._layers():
+            if isinstance(layer, Dropout):
+                layer.rng = derive_rng(self.seed, self.name, *dropout_labels)
+        return self
+
+    # -- forward and backward -----------------------------------------------
+
+    def _run(self, layers, x, shape, where: str, train: bool, record: list | None):
+        if tuple(x.shape[1:]) != shape:
+            raise ShapeError(f"{self.name}: {where}input shape {x.shape[1:]} != expected {shape}")
+        for i, layer in enumerate(layers):
+            try:
+                x = layer.forward(x, train=train)
+            except (ShapeError, FloatingPointError) as exc:
+                raise ShapeError(f"{self.name}: {where}layer {i} ({layer.kind}): {exc}") from None
+            if record is not None:
+                record.append(x)
+        return x
+
+    def forward(self, x, train: bool = False, record: list | None = None) -> np.ndarray:
+        """Class probabilities for a batch: one array, or a list with one per branch.
+
+        ``record`` collects every layer's output in order, branches first.
+        """
+        if self.branches:
+            if len(x) != len(self.branches):
+                raise ShapeError(f"{self.name}: expected {len(self.branches)} inputs, got {len(x)}")
+            x = np.concatenate([
+                self._run(stack, xb, shape, f"branch {bi} ", train, record)
+                for bi, (stack, shape, xb) in enumerate(zip(self.branches, self.input_shapes, x))
+            ], axis=1)
+        return self._run(self.layers, x, self.input_shape, "", train, record)
+
+    def predict_proba(self, x) -> np.ndarray:
+        return self.forward(x, train=False)
 
     def predict(self, x):
         """Class bits and probability rows in one forward pass."""
         probs = self.predict_proba(x)
         return probs.argmax(axis=1), probs
 
-    def wire_dropout(self):
-        """Give every dropout layer its seeded mask stream; parameters stay as they are."""
-        for layer, _, dropout_labels in self._streams():
-            if isinstance(layer, Dropout):
-                layer.rng = derive_rng(self.seed, self.name, *dropout_labels)
-        return self
+    def loss_and_grads(self, x, bits: np.ndarray, train: bool = True) -> tuple[float, np.ndarray]:
+        """Forward, cross-entropy, and backprop of every parameter gradient.
 
-    def _check_grads_finite(self):
-        for prefix, layer in self._all_layers():
+        The softmax/cross-entropy pair is differentiated jointly as
+        (p - onehot)/B, which stays finite even for saturated outputs.
+        """
+        if not isinstance(self.layers[-1], Softmax):
+            raise ValidationError("loss_and_grads requires a softmax output layer")
+        probs = self.forward(x, train=train)
+        loss = cross_entropy(probs, bits)
+        d = (probs - onehot(bits)) / probs.shape[0]
+        for layer in reversed(self.layers[:-1]):
+            d = layer.backward(d)
+        offsets = np.cumsum([0] + self._widths)
+        for bi, stack in enumerate(self.branches):
+            db = d[:, offsets[bi] : offsets[bi + 1]]
+            for layer in reversed(stack):
+                db = layer.backward(db)
+        for prefix, layer, _, _ in self._layers():
             for name, g in layer.grads.items():
                 if not np.isfinite(g).all():
                     raise FloatingPointError(
                         f"{self.name}: non-finite gradient in layer {prefix} ({layer.kind}).{name}"
                     )
+        return loss, probs
 
     # -- parameter access ---------------------------------------------------
 
-    def param_dict(self) -> dict[str, np.ndarray]:
+    def _keyed(self, attr: str) -> dict[str, np.ndarray]:
         return {
             f"{prefix}.{name}": arr
-            for prefix, layer in self._all_layers()
-            for name, arr in layer.params.items()
+            for prefix, layer, _, _ in self._layers()
+            for name, arr in getattr(layer, attr).items()
         }
 
+    def param_dict(self) -> dict[str, np.ndarray]:
+        return self._keyed("params")
+
     def grad_dict(self) -> dict[str, np.ndarray]:
-        return {
-            f"{prefix}.{name}": arr
-            for prefix, layer in self._all_layers()
-            for name, arr in layer.grads.items()
-        }
+        return self._keyed("grads")
 
     def get_state(self) -> dict[str, np.ndarray]:
         return {key: arr.copy() for key, arr in self.param_dict().items()}
@@ -98,7 +201,7 @@ class _LayerStack:
         or with ``copy=False`` make them the layers' parameter arrays."""
         slots = [
             (f"{prefix}.{name}", layer, name)
-            for prefix, layer in self._all_layers()
+            for prefix, layer, _, _ in self._layers()
             for name in layer.params
         ]
         if {key for key, _, _ in slots} != set(state):
@@ -113,197 +216,32 @@ class _LayerStack:
             else:
                 layer.params[name] = state[key]
 
-
-class Network(_LayerStack):
-    """A sequential stack ending in a softmax over two classes."""
-
-    def __init__(self, layers: list[Layer], input_shape: tuple[int, ...],
-                 seed: int = 0, name: str = "net"):
-        self.layers = list(layers)
-        self.input_shape = tuple(int(s) for s in input_shape)
-        self.seed = int(seed)
-        self.name = name
-        self.output_shape = self._validate_shapes()
-
-    def _validate_shapes(self) -> tuple[int, ...]:
-        shape = self.input_shape
-        for i, layer in enumerate(self.layers):
-            try:
-                shape = layer.output_shape(shape)
-            except ShapeError as exc:
-                raise ShapeError(f"{self.name}: layer {i} ({layer.kind}): {exc}") from None
-        return shape
-
-    def _all_layers(self):
-        for i, layer in enumerate(self.layers):
-            yield str(i), layer
-
-    def _streams(self):
-        for i, layer in enumerate(self.layers):
-            yield layer, ("init", i), ("dropout", i)
-
-    def forward(self, x: np.ndarray, train: bool = False,
-                record: list | None = None) -> np.ndarray:
-        if tuple(x.shape[1:]) != self.input_shape:
-            raise ShapeError(
-                f"{self.name}: input shape {x.shape[1:]} != expected {self.input_shape}"
-            )
-        for i, layer in enumerate(self.layers):
-            try:
-                x = layer.forward(x, train=train)
-            except (ShapeError, FloatingPointError) as exc:
-                raise ShapeError(f"{self.name}: layer {i} ({layer.kind}): {exc}") from None
-            if record is not None:
-                record.append(x)
-        return x
-
-    def predict_proba(self, x: np.ndarray) -> np.ndarray:
-        return self.forward(x, train=False)
-
-    def backward(self, dout: np.ndarray) -> np.ndarray:
-        """Full reverse sweep from d(loss)/d(probabilities)."""
-        for layer in reversed(self.layers):
-            dout = layer.backward(dout)
-        return dout
-
-    def loss_and_grads(self, x: np.ndarray, bits: np.ndarray,
-                       train: bool = True) -> tuple[float, np.ndarray]:
-        """Forward, cross-entropy, and backprop of every parameter gradient.
-
-        The softmax/cross-entropy pair is differentiated jointly as
-        (p - onehot)/B, which stays finite even for saturated outputs.
-        """
-        if not isinstance(self.layers[-1], Softmax):
-            raise ValidationError("loss_and_grads requires a softmax output layer")
-        probs = self.forward(x, train=train)
-        loss = cross_entropy(probs, bits)
-        dlogits = (probs - onehot(bits)) / probs.shape[0]
-        d = dlogits
-        for layer in reversed(self.layers[:-1]):
-            d = layer.backward(d)
-        self._check_grads_finite()
-        return loss, probs
-
     def descriptor(self) -> dict:
-        return {
-            "type": "network",
-            "name": self.name,
-            "seed": self.seed,
-            "input_shape": list(self.input_shape),
-            "layers": [{"kind": ly.kind, **ly.config()} for ly in self.layers],
-        }
-
-
-class MultiBranchNetwork(_LayerStack):
-    """Parallel per-domain stacks concatenated into a shared trunk.
-
-    Each branch consumes its own input and must end flat (rank-1 output);
-    the trunk runs on the concatenation.  Used for feature-level fusion.
-    """
-
-    def __init__(self, branches: list[list[Layer]], trunk: list[Layer],
-                 input_shapes: list[tuple[int, ...]], seed: int = 0,
-                 name: str = "fusion"):
-        if len(branches) != len(input_shapes):
-            raise ShapeError(
-                f"{len(branches)} branches but {len(input_shapes)} input shapes"
-            )
-        self.branches = [list(b) for b in branches]
-        self.trunk = list(trunk)
-        self.input_shapes = [tuple(int(s) for s in sh) for sh in input_shapes]
-        self.seed = int(seed)
-        self.name = name
-        self._branch_widths: list[int] = []
-        self.output_shape = self._validate_shapes()
-
-    def _validate_shapes(self):
-        widths = []
-        for bi, (layers, shape) in enumerate(zip(self.branches, self.input_shapes)):
-            for i, layer in enumerate(layers):
-                try:
-                    shape = layer.output_shape(shape)
-                except ShapeError as exc:
-                    raise ShapeError(
-                        f"{self.name}: branch {bi} layer {i} ({layer.kind}): {exc}"
-                    ) from None
-            if len(shape) != 1:
-                raise ShapeError(
-                    f"{self.name}: branch {bi} must end flat, got shape {shape}"
-                )
-            widths.append(shape[0])
-        self._branch_widths = widths
-        shape = (sum(widths),)
-        for i, layer in enumerate(self.trunk):
-            try:
-                shape = layer.output_shape(shape)
-            except ShapeError as exc:
-                raise ShapeError(f"{self.name}: trunk layer {i} ({layer.kind}): {exc}") from None
-        return shape
-
-    @property
-    def concat_width(self) -> int:
-        return int(sum(self._branch_widths))
-
-    def forward(self, xs: list[np.ndarray], train: bool = False) -> np.ndarray:
-        if len(xs) != len(self.branches):
-            raise ShapeError(f"expected {len(self.branches)} inputs, got {len(xs)}")
-        outs = []
-        for bi, (layers, x) in enumerate(zip(self.branches, xs)):
-            if tuple(x.shape[1:]) != self.input_shapes[bi]:
-                raise ShapeError(
-                    f"{self.name}: branch {bi} input {x.shape[1:]} != {self.input_shapes[bi]}"
-                )
-            for layer in layers:
-                x = layer.forward(x, train=train)
-            outs.append(x)
-        z = np.concatenate(outs, axis=1)
-        for layer in self.trunk:
-            z = layer.forward(z, train=train)
-        return z
-
-    def predict_proba(self, xs: list[np.ndarray]) -> np.ndarray:
-        return self.forward(xs, train=False)
-
-    def loss_and_grads(self, xs: list[np.ndarray], bits: np.ndarray,
-                       train: bool = True) -> tuple[float, np.ndarray]:
-        if not isinstance(self.trunk[-1], Softmax):
-            raise ValidationError("loss_and_grads requires a softmax output layer")
-        probs = self.forward(xs, train=train)
-        loss = cross_entropy(probs, bits)
-        d = (probs - onehot(bits)) / probs.shape[0]
-        for layer in reversed(self.trunk[:-1]):
-            d = layer.backward(d)
-        offsets = np.cumsum([0] + self._branch_widths)
-        for bi, layers in enumerate(self.branches):
-            db = d[:, offsets[bi] : offsets[bi + 1]]
-            for layer in reversed(layers):
-                db = layer.backward(db)
-        self._check_grads_finite()
-        return loss, probs
-
-    def _all_layers(self):
-        for bi, layers in enumerate(self.branches):
-            for i, layer in enumerate(layers):
-                yield f"b{bi}.{i}", layer
-        for i, layer in enumerate(self.trunk):
-            yield f"t.{i}", layer
-
-    def _streams(self):
-        for bi, layers in enumerate(self.branches):
-            for i, layer in enumerate(layers):
-                yield layer, ("branch", bi, i), ("branch-dropout", bi, i)
-        for i, layer in enumerate(self.trunk):
-            yield layer, ("trunk", i), ("trunk-dropout", i)
-
-    def descriptor(self) -> dict:
+        """The architecture as a model-file entry: type "network" without
+        branches, "multibranch" with them."""
+        if not self.branches:
+            return {
+                "type": "network",
+                "name": self.name,
+                "seed": self.seed,
+                "input_shape": list(self.input_shape),
+                "layers": _table(self.layers),
+            }
         return {
             "type": "multibranch",
             "name": self.name,
             "seed": self.seed,
             "input_shapes": [list(sh) for sh in self.input_shapes],
-            "branches": [
-                [{"kind": ly.kind, **ly.config()} for ly in layers]
-                for layers in self.branches
-            ],
-            "trunk": [{"kind": ly.kind, **ly.config()} for ly in self.trunk],
+            "branches": [_table(stack) for stack in self.branches],
+            "trunk": _table(self.layers),
         }
+
+
+class MultiBranchNetwork(Network):
+    """A Network with branches, built from (branches, trunk, input_shapes);
+    the trunk becomes ``layers``.  Used for feature-level fusion."""
+
+    def __init__(self, branches: list[list[Layer]], trunk: list[Layer],
+                 input_shapes: list[tuple[int, ...]], seed: int = 0, name: str = "fusion"):
+        super().__init__(trunk, seed=seed, name=name, branches=branches,
+                         input_shapes=input_shapes)

@@ -39,7 +39,7 @@ def _build_layers(descs: list[dict]):
 
 
 def _entry_descriptor(obj) -> dict:
-    if isinstance(obj, (Network, MultiBranchNetwork)):
+    if isinstance(obj, Network):
         return obj.descriptor()
     if isinstance(obj, dict):
         return {"type": "arrays"}
@@ -47,7 +47,7 @@ def _entry_descriptor(obj) -> dict:
 
 
 def _entry_params(obj) -> dict[str, np.ndarray]:
-    if isinstance(obj, (Network, MultiBranchNetwork)):
+    if isinstance(obj, Network):
         return obj.param_dict()
     return {k: np.asarray(v, dtype=float) for k, v in obj.items()}
 
@@ -55,26 +55,24 @@ def _entry_params(obj) -> dict[str, np.ndarray]:
 def _rebuild(desc: dict):
     """The network an entry descriptor names, dropout wired and no weights
     drawn, or None for a plain array group."""
-    if desc["type"] == "network":
-        net = Network(
-            _build_layers(desc["layers"]),
-            input_shape=tuple(desc["input_shape"]),
-            seed=desc["seed"],
-            name=desc["name"],
-        )
-        return net.wire_dropout()
-    if desc["type"] == "multibranch":
-        net = MultiBranchNetwork(
-            [_build_layers(b) for b in desc["branches"]],
-            _build_layers(desc["trunk"]),
-            input_shapes=[tuple(s) for s in desc["input_shapes"]],
-            seed=desc["seed"],
-            name=desc["name"],
-        )
-        return net.wire_dropout()
     if desc["type"] == "arrays":
         return None
-    raise ValidationError(f"unknown entry type {desc['type']!r} in model file")
+    if desc["type"] not in ("network", "multibranch"):
+        raise ValidationError(f"unknown entry type {desc['type']!r} in model file")
+    # A "multibranch" entry loads as a MultiBranchNetwork, whose constructor
+    # only renames Network's arguments, so both types share this one call.
+    branched = desc["type"] == "multibranch"
+    net = object.__new__(MultiBranchNetwork if branched else Network)
+    Network.__init__(
+        net,
+        _build_layers(desc["trunk" if branched else "layers"]),
+        input_shape=desc.get("input_shape"),
+        seed=desc["seed"],
+        name=desc["name"],
+        branches=[_build_layers(b) for b in desc.get("branches", ())],
+        input_shapes=desc.get("input_shapes", ()),
+    )
+    return net.wire_dropout()
 
 
 def save_bundle(path: str | Path, entries: dict[str, object], meta: dict | None = None) -> None:
@@ -125,7 +123,7 @@ def _param_views(path, records: list[dict], payload: np.ndarray,
 
 
 def load_bundle(path: str | Path) -> tuple[dict[str, object], dict]:
-    """Read a model file back into {role: Network | MultiBranchNetwork | dict}.
+    """Read a model file back into {role: Network | dict}.
 
     The file is read once: the payload goes straight into one float64 buffer
     whose slices become the parameter arrays, and the sha256 is checked

@@ -58,14 +58,6 @@ class BandSpec:
 
 
 @dataclass(frozen=True)
-class TransferMatrix:
-    """Complex N x N transfer matrix evaluated at one frequency."""
-
-    freq: float
-    matrix: np.ndarray
-
-
-@dataclass(frozen=True)
 class PdcTensor:
     """N x N x B band-averaged PDC, entries in [0, 1].
 
@@ -98,34 +90,45 @@ class PdcTensor:
         return self.values.shape[0]
 
 
-def transfer_at(model: VarModel, freq: float) -> TransferMatrix:
-    """Evaluate the transfer matrix at one frequency (exact sum, no FFT).
+def _transfer(model: VarModel, freqs: np.ndarray) -> np.ndarray:
+    """Transfer matrices at each of ``freqs`` (exact sum, no FFT), shape (F, N, N).
 
     Frequencies up to the sampling rate are accepted; values above the
     Nyquist frequency mirror the lower half by complex conjugation.
     """
-    if not (0 <= freq <= model.rate):
-        raise ValidationError(f"frequency {freq} outside [0, {model.rate}] Hz")
-    lags = np.arange(1, model.order + 1)
-    phases = np.exp(-2j * np.pi * lags * freq / model.rate)
-    mat = np.eye(model.channels, dtype=complex) - np.tensordot(phases, model.coeffs, axes=(0, 0))
-    return TransferMatrix(freq=freq, matrix=mat)
+    bad = freqs[(freqs < 0) | (freqs > model.rate)]
+    if bad.size:
+        raise ValidationError(f"frequency {bad[0]} outside [0, {model.rate}] Hz")
+    order, n = model.order, model.channels
+    lags = np.arange(1, order + 1)
+    phases = np.exp(-2j * np.pi * lags * freqs[:, None] / model.rate)  # (F, L)
+    # one (1, L) @ (L, N*N) product per frequency: a single (F, L) GEMM or an
+    # einsum sums in another order and moves the last bit of some entries
+    lag_sum = phases[:, None, :] @ model.coeffs.reshape(order, n * n)
+    return np.eye(n, dtype=complex) - lag_sum.reshape(-1, n, n)
 
 
-def _pdc_from_transfer(mat: np.ndarray, freq: float) -> np.ndarray:
-    mag = np.abs(mat)
-    norms = np.sqrt((mag**2).sum(axis=0))
-    dead = np.flatnonzero(norms == 0.0)
+def _pdc(model: VarModel, freqs: np.ndarray) -> np.ndarray:
+    """PDC matrices at each of ``freqs``, shape (F, N, N)."""
+    mag = np.abs(_transfer(model, freqs))
+    norms = np.sqrt((mag**2).sum(axis=1))  # (F, N) column norms
+    dead = np.argwhere(norms == 0.0)
     if dead.size:
+        fi, col = dead[0]
         raise DegenerateColumnError(
-            f"transfer-matrix column {dead[0]} has zero norm at f = {freq} Hz"
+            f"transfer-matrix column {col} has zero norm at f = {freqs[fi]} Hz"
         )
-    return mag / norms
+    return mag / norms[:, None, :]
+
+
+def transfer_at(model: VarModel, freq: float) -> np.ndarray:
+    """The complex N x N transfer matrix at one frequency."""
+    return _transfer(model, np.array([float(freq)]))[0]
 
 
 def pdc_at(model: VarModel, freq: float) -> np.ndarray:
     """Partial directed coherence matrix at one frequency."""
-    return _pdc_from_transfer(transfer_at(model, freq).matrix, freq)
+    return _pdc(model, np.array([float(freq)]))[0]
 
 
 def band_grid(lo: float, hi: float, step: float) -> np.ndarray:
@@ -161,10 +164,7 @@ def band_pdc(
         freqs = band_grid(lo, hi, grid_step)
         if freqs.size == 0:
             raise ValidationError(f"band {name!r}: empty frequency grid at step {grid_step}")
-        acc = np.zeros((n, n))
-        for f in freqs:
-            acc += pdc_at(model, float(f))
-        out[:, :, b] = acc / freqs.size
+        out[:, :, b] = _pdc(model, freqs).sum(axis=0) / freqs.size
     if exclude_self:
         idx = np.arange(n)
         out[idx, idx, :] = 0.0

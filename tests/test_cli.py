@@ -251,6 +251,35 @@ class TestEval:
         assert err[0].startswith("error: ") and "sz000" in err[0] and "hc002" in err[0]
         assert not (out5 / "metrics.json").exists()
 
+    @pytest.mark.parametrize("plan", ["subject_id,fold\n", "subject_id,fold\nsz000,first\n"],
+                             ids=["header-only", "non-integer-fold"])
+    def test_bad_fold_plan_is_one_error_line(self, workspace, tmp_path, capsys, plan):
+        _, _, out, manifest = workspace
+        out7 = tmp_path / "out7"
+        shutil.copytree(out / "features", out7 / "features")
+        (out7 / "folds.csv").write_text(plan)
+        cfg7 = write_config(tmp_path / "r7.cfg", manifest, out7)
+        capsys.readouterr()
+        assert main(["eval", "--config", str(cfg7)]) == 2
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and err[0].startswith("error: ") and "folds.csv" in err[0]
+
+    @pytest.mark.parametrize("command", ["train", "eval"])
+    def test_missing_features_name_every_subject(self, workspace, tmp_path, capsys, command):
+        _, _, out, manifest = workspace
+        out8 = tmp_path / "out8"
+        shutil.copytree(out / "features", out8 / "features")
+        shutil.copy(out / "folds.csv", out8 / "folds.csv")
+        (out8 / "features" / "sz001_pdc.feat").unlink()
+        (out8 / "features" / "hc003_var.feat").unlink()
+        cfg8 = write_config(tmp_path / "r8.cfg", manifest, out8)
+        capsys.readouterr()
+        assert main([command, "--config", str(cfg8)]) == 2
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and err[0].startswith("error: ")
+        assert "sz001" in err[0] and "hc003" in err[0]
+        assert not (out8 / "models").exists() and not (out8 / "metrics.json").exists()
+
     def test_seed_override_changes_results(self, workspace, tmp_path):
         root, _, out, manifest = workspace
         out3 = tmp_path / "out3"

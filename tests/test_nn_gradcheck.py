@@ -12,7 +12,6 @@ from eegconn.nn import (
     Dense,
     Dropout,
     Flatten,
-    MaxPool1d,
     MaxPool2d,
     Network,
     ReLU,
@@ -80,9 +79,6 @@ class TestLayerGradients:
 
     def test_avgpool1d_overlapping(self, rng):
         check_layer(AvgPool1d(3, 1), rng.standard_normal((2, 7, 2)), rng)
-
-    def test_maxpool1d(self, rng):
-        check_layer(MaxPool1d(2, 2), rng.standard_normal((2, 8, 3)), rng)
 
     def test_avgpool2d(self, rng):
         check_layer(AvgPool2d(2, 2), rng.standard_normal((2, 6, 6, 2)), rng)

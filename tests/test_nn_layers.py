@@ -13,7 +13,6 @@ from eegconn.nn import (
     Dense,
     Dropout,
     Flatten,
-    MaxPool1d,
     MaxPool2d,
     Network,
     Softmax,
@@ -141,14 +140,6 @@ class TestPooling:
         layer.forward(x)
         dx = layer.backward(np.array([[[1.0], [3.0]]]))
         np.testing.assert_allclose(dx.ravel(), [0.5, 0.5, 1.5, 1.5])
-
-    def test_max1d_forward_and_routing(self):
-        layer = MaxPool1d(2, 2)
-        x = np.array([1.0, 3.0, 7.0, 5.0]).reshape(1, 4, 1)
-        out = layer.forward(x)
-        np.testing.assert_array_equal(out.ravel(), [3.0, 7.0])
-        dx = layer.backward(np.array([[[1.0], [2.0]]]))
-        np.testing.assert_array_equal(dx.ravel(), [0.0, 1.0, 2.0, 0.0])
 
     def test_avg2d_matches_manual(self, rng):
         x = rng.standard_normal((1, 4, 4, 2))

@@ -207,6 +207,17 @@ class TestBuildModel:
             shape = ly.output_shape(shape)
         assert shape == (1 * 1 * 4,)
 
+    def test_every_layer_kind_is_built_by_an_architecture(self):
+        from eegconn.nn.layers import LAYER_KINDS
+
+        nets = [build_stage2(seed=0)]
+        for pool2d in ("none", "avg", "max"):
+            spec = ModelSpec(kind="cnn2d_var", **{**TINY, "pool2d": pool2d})
+            nets += [build_domain_network(d, spec, seed=1) for d in DOMAINS]
+            nets.append(build_feature_fusion(spec, seed=2))
+        built = {ly.kind for net in nets for stack in [*net.branches, net.layers] for ly in stack}
+        assert built == set(LAYER_KINDS)
+
 
 @pytest.fixture(scope="module")
 def run():

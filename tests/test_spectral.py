@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from eegconn.errors import ValidationError
+from eegconn.errors import DegenerateColumnError, ValidationError
 from eegconn.seeding import derive_rng
 from eegconn.spectral import (
     BandSpec,
@@ -25,11 +25,11 @@ class TestTransfer:
     def test_zero_coeffs_gives_identity(self):
         model = model_of(np.zeros((2, 3, 3)))
         for f in (0.0, 5.0, 31.5, 64.0):
-            np.testing.assert_array_equal(transfer_at(model, f).matrix, np.eye(3))
+            np.testing.assert_array_equal(transfer_at(model, f), np.eye(3))
 
     def test_scalar_dc_value(self):
         model = model_of(np.full((1, 1, 1), 0.5))
-        assert transfer_at(model, 0.0).matrix[0, 0] == pytest.approx(0.5, abs=1e-15)
+        assert transfer_at(model, 0.0)[0, 0] == pytest.approx(0.5, abs=1e-15)
 
     def test_matches_independent_summation(self):
         model = random_stable_var(4, 2, derive_rng(31, "oracle"))
@@ -38,17 +38,17 @@ class TestTransfer:
             acc = np.eye(4, dtype=complex)
             for lag in range(1, 3):
                 acc = acc - model.coeffs[lag - 1] * np.exp(-2j * np.pi * lag * f / model.rate)
-            np.testing.assert_allclose(transfer_at(model, f).matrix, acc, atol=1e-12)
+            np.testing.assert_allclose(transfer_at(model, f), acc, atol=1e-12)
 
     def test_zero_frequency_identity(self):
         model = random_stable_var(5, 4, derive_rng(32, "dc"))
         expected = np.eye(5) - model.coeffs.sum(axis=0)
-        assert np.abs(transfer_at(model, 0.0).matrix - expected).max() < 1e-14
+        assert np.abs(transfer_at(model, 0.0) - expected).max() < 1e-14
 
     def test_conjugate_symmetry(self):
         model = random_stable_var(3, 3, derive_rng(33, "conj"))
-        a = transfer_at(model, 20.0).matrix
-        b = transfer_at(model, model.rate - 20.0).matrix
+        a = transfer_at(model, 20.0)
+        b = transfer_at(model, model.rate - 20.0)
         np.testing.assert_allclose(a, np.conj(b), atol=1e-12)
 
     def test_out_of_range_frequency(self):
@@ -75,7 +75,7 @@ class TestPdc:
     def test_zero_iff_transfer_zero(self):
         model = random_stable_var(4, 2, derive_rng(34, "zeros"))
         for f in (2.0, 40.0):
-            a = np.abs(transfer_at(model, f).matrix)
+            a = np.abs(transfer_at(model, f))
             p = pdc_at(model, f)
             np.testing.assert_array_equal(p == 0.0, a == 0.0)
 
@@ -122,7 +122,21 @@ class TestBandPdc:
         model = random_stable_var(3, 2, derive_rng(36, "single"))
         bands = BandSpec(bands=(("one", 10.0, 10.2),))
         t = band_pdc(model, bands, grid_step=0.25, exclude_self=False)
-        np.testing.assert_allclose(t.values[:, :, 0], pdc_at(model, 10.0), atol=1e-15)
+        np.testing.assert_array_equal(t.values[:, :, 0], pdc_at(model, 10.0))
+
+    def test_every_band_is_the_mean_of_pointwise_pdc(self):
+        model = random_stable_var(16, 5, derive_rng(39, "mean"))
+        t = band_pdc(model, exclude_self=False)
+        for b, (_, lo, hi) in enumerate(BandSpec().bands):
+            pointwise = [pdc_at(model, f) for f in band_grid(lo, hi, 0.25)]
+            np.testing.assert_array_equal(t.values[:, :, b], np.mean(pointwise, axis=0))
+
+    def test_zero_norm_column_names_first_frequency(self):
+        coeffs = np.zeros((1, 3, 3))
+        coeffs[0, 1, 1] = 1.0  # column 1 of A(f) vanishes at f = 0 exactly
+        bands = BandSpec(bands=(("low", 0.0, 4.0),))
+        with pytest.raises(DegenerateColumnError, match="column 1 has zero norm at f = 0.0 Hz"):
+            band_pdc(model_of(coeffs), bands, grid_step=1.0)
 
     def test_grid_refinement_converges(self):
         model = random_stable_var(3, 3, derive_rng(37, "conv"), target_radius=0.6)
