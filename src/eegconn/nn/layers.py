@@ -5,6 +5,10 @@ Conventions: batched float64 arrays, channels last.  2-D feature maps are
 Convolution is cross-correlation (no kernel flip), the usual deep-learning
 convention.  All forward passes cache what their backward pass needs; a
 backward call is only valid right after the matching forward.
+
+A layer's parameters are read-only zero placeholders of the right shapes
+until ``init`` draws them or a model file binds them, so an in-place update
+of a layer that was never initialized raises instead of training from zeros.
 """
 
 from __future__ import annotations
@@ -24,6 +28,11 @@ def softmax(logits: np.ndarray) -> np.ndarray:
     z = logits - logits.max(axis=-1, keepdims=True)
     e = np.exp(z)
     return e / e.sum(axis=-1, keepdims=True)
+
+
+def _unset(*shape: int) -> np.ndarray:
+    """A read-only zero placeholder of a parameter's shape; allocates nothing."""
+    return np.broadcast_to(0.0, shape)
 
 
 def _glorot(rng: np.random.Generator, shape: tuple[int, ...], fan_in: int, fan_out: int):
@@ -46,7 +55,12 @@ class Layer:
     def forward(self, x: np.ndarray, train: bool = False) -> np.ndarray:
         raise NotImplementedError
 
-    def backward(self, dout: np.ndarray) -> np.ndarray:
+    def backward(self, dout: np.ndarray, need_dx: bool = True) -> np.ndarray | None:
+        """Gradient w.r.t. the input; fills ``grads`` for layers with parameters.
+
+        With ``need_dx=False`` (the layer reads a network input) a layer with
+        parameters may skip the input gradient and return None.
+        """
         raise NotImplementedError
 
     def output_shape(self, in_shape: tuple[int, ...]) -> tuple[int, ...]:
@@ -78,7 +92,8 @@ def _conv_forward(x, w, bias, pad):
     return out, xp
 
 
-def _conv_backward(dout, xp, w, pad):
+def _conv_backward(dout, xp, w, pad, need_dx=True):
+    """(dx or None, dw, db); ``need_dx=False`` skips the input gradient."""
     kh, kw, c, r = w.shape
     ph, pw = pad
     dflat = dout.reshape(-1, r)
@@ -86,13 +101,15 @@ def _conv_backward(dout, xp, w, pad):
     b, ho, wo, _ = dout.shape
     h, wd = xp.shape[1] - 2 * ph, xp.shape[2] - 2 * pw
     dw = np.empty_like(w)
-    dxp = np.zeros_like(xp)
+    dxp = np.zeros_like(xp) if need_dx else None
     for u in range(kh):
         for v in range(kw):
             xs = np.ascontiguousarray(xp[:, u : u + ho, v : v + wo, :]).reshape(-1, c)
             dw[u, v] = xs.T @ dflat
-            dxp[:, u : u + ho, v : v + wo, :] += (dflat @ w[u, v].T).reshape(b, ho, wo, c)
-    return dxp[:, ph : ph + h, pw : pw + wd], dw, db
+            if need_dx:
+                dxp[:, u : u + ho, v : v + wo, :] += (dflat @ w[u, v].T).reshape(b, ho, wo, c)
+    dx = dxp[:, ph : ph + h, pw : pw + wd] if need_dx else None
+    return dx, dw, db
 
 
 class _Conv(Layer):
@@ -116,8 +133,8 @@ class _Conv(Layer):
         self.same_padding = same_padding
         self.pad = (kernel - 1) // 2 if same_padding else 0
         self.params = {
-            "w": np.zeros((kernel,) * self.spatial + (in_channels, filters)),
-            "b": np.zeros(filters),
+            "w": _unset(*(kernel,) * self.spatial, in_channels, filters),
+            "b": _unset(filters),
         }
 
     def init(self, rng):
@@ -160,8 +177,9 @@ class Conv2d(_Conv):
         out, self._cache = _conv_forward(x, self.params["w"], self.params["b"], (self.pad,) * 2)
         return out
 
-    def backward(self, dout):
-        dx, dw, db = _conv_backward(dout, self._cache, self.params["w"], (self.pad,) * 2)
+    def backward(self, dout, need_dx=True):
+        dx, dw, db = _conv_backward(dout, self._cache, self.params["w"], (self.pad,) * 2,
+                                    need_dx)
         self.grads = {"w": dw, "b": db}
         return dx
 
@@ -188,11 +206,12 @@ class Conv1d(_Conv):
         out, self._cache = _conv_forward(x4, w4, self.params["b"], (self.pad, 0))
         return out[:, :, 0, :]
 
-    def backward(self, dout):
+    def backward(self, dout, need_dx=True):
         w4 = self.params["w"][:, None, :, :]
-        dx4, dw4, db = _conv_backward(dout[:, :, None, :], self._cache, w4, (self.pad, 0))
+        dx4, dw4, db = _conv_backward(dout[:, :, None, :], self._cache, w4, (self.pad, 0),
+                                      need_dx)
         self.grads = {"w": dw4[:, 0], "b": db}
-        return dx4[:, :, 0, :]
+        return dx4[:, :, 0, :] if need_dx else None
 
 
 class AvgPool1d(Layer):
@@ -215,7 +234,7 @@ class AvgPool1d(Layer):
         self._cache = (x.shape, v.shape[1])
         return v.mean(axis=-1)
 
-    def backward(self, dout):
+    def backward(self, dout, need_dx=True):
         x_shape, lout = self._cache
         dx = np.zeros(x_shape)
         share = dout / self.size
@@ -259,7 +278,7 @@ class AvgPool2d(_Pool2d):
         self._cache = (x.shape, v.shape[1], v.shape[2])
         return v.mean(axis=(-2, -1))
 
-    def backward(self, dout):
+    def backward(self, dout, need_dx=True):
         x_shape, ho, wo = self._cache
         dx = np.zeros(x_shape)
         share = dout / (self.size * self.size)
@@ -282,7 +301,7 @@ class MaxPool2d(_Pool2d):
         self._cache = (x.shape, ho, wo)
         return flat.max(axis=-1)
 
-    def backward(self, dout):
+    def backward(self, dout, need_dx=True):
         x_shape, ho, wo = self._cache
         b, _, _, c = x_shape
         dx = np.zeros(x_shape)
@@ -305,7 +324,7 @@ class Flatten(Layer):
         self._cache = x.shape
         return x.reshape(x.shape[0], -1)
 
-    def backward(self, dout):
+    def backward(self, dout, need_dx=True):
         return dout.reshape(self._cache)
 
 
@@ -318,10 +337,7 @@ class Dense(Layer):
         super().__init__()
         self.in_features = in_features
         self.out_features = out_features
-        self.params = {
-            "w": np.zeros((in_features, out_features)),
-            "b": np.zeros(out_features),
-        }
+        self.params = {"w": _unset(in_features, out_features), "b": _unset(out_features)}
 
     def init(self, rng):
         self.params["w"] = _glorot(
@@ -340,10 +356,10 @@ class Dense(Layer):
         self._cache = x
         return x @ self.params["w"] + self.params["b"]
 
-    def backward(self, dout):
+    def backward(self, dout, need_dx=True):
         x = self._cache
         self.grads = {"w": x.T @ dout, "b": dout.sum(axis=0)}
-        return dout @ self.params["w"].T
+        return dout @ self.params["w"].T if need_dx else None
 
     def config(self):
         return {"in_features": self.in_features, "out_features": self.out_features}
@@ -359,7 +375,7 @@ class ReLU(Layer):
         self._mask = x > 0
         return np.where(self._mask, x, 0.0)
 
-    def backward(self, dout):
+    def backward(self, dout, need_dx=True):
         return np.where(self._mask, dout, 0.0)
 
 
@@ -392,7 +408,7 @@ class Dropout(Layer):
         self._mask = mask
         return x * mask / (1.0 - self.ratio)
 
-    def backward(self, dout):
+    def backward(self, dout, need_dx=True):
         if self._mask is None:
             return dout
         return dout * self._mask / (1.0 - self.ratio)
@@ -412,7 +428,7 @@ class Softmax(Layer):
         self._out = out
         return out
 
-    def backward(self, dout):
+    def backward(self, dout, need_dx=True):
         s = self._out
         return s * (dout - (dout * s).sum(axis=-1, keepdims=True))
 

@@ -38,6 +38,14 @@ def _table(layers: list[Layer]) -> list[dict]:
     return [{"kind": ly.kind, **ly.config()} for ly in layers]
 
 
+def _backprop(layers: list[Layer], d: np.ndarray, reads_input: bool):
+    """Backpropagate ``d`` through ``layers``; the input gradient, or None when
+    the stack reads a network input and its first layer may skip it."""
+    for i in range(len(layers) - 1, -1, -1):
+        d = layers[i].backward(d, need_dx=i > 0 or not reads_input)
+    return d
+
+
 class Network:
     """A layer stack ending in a softmax over two classes, optionally fed by branches.
 
@@ -152,20 +160,19 @@ class Network:
         """Forward, cross-entropy, and backprop of every parameter gradient.
 
         The softmax/cross-entropy pair is differentiated jointly as
-        (p - onehot)/B, which stays finite even for saturated outputs.
+        (p - onehot)/B, which stays finite even for saturated outputs.  The
+        first layer of a stack that reads a network input (the layers without
+        branches, or each branch) computes no input gradient.
         """
         if not isinstance(self.layers[-1], Softmax):
             raise ValidationError("loss_and_grads requires a softmax output layer")
         probs = self.forward(x, train=train)
         loss = cross_entropy(probs, bits)
         d = (probs - onehot(bits)) / probs.shape[0]
-        for layer in reversed(self.layers[:-1]):
-            d = layer.backward(d)
+        d = _backprop(self.layers[:-1], d, reads_input=not self.branches)
         offsets = np.cumsum([0] + self._widths)
         for bi, stack in enumerate(self.branches):
-            db = d[:, offsets[bi] : offsets[bi + 1]]
-            for layer in reversed(stack):
-                db = layer.backward(db)
+            _backprop(stack, d[:, offsets[bi] : offsets[bi + 1]], reads_input=True)
         for prefix, layer, _, _ in self._layers():
             for name, g in layer.grads.items():
                 if not np.isfinite(g).all():

@@ -46,10 +46,13 @@ def _entry_descriptor(obj) -> dict:
     raise ValidationError(f"cannot serialize entry of type {type(obj).__name__}")
 
 
-def _entry_params(obj) -> dict[str, np.ndarray]:
+def _entry_params(role: str, obj) -> dict[str, np.ndarray]:
     if isinstance(obj, Network):
         return obj.param_dict()
-    return {k: np.asarray(v, dtype=float) for k, v in obj.items()}
+    try:
+        return {k: np.asarray(v, dtype=float) for k, v in obj.items()}
+    except (TypeError, ValueError) as exc:
+        raise ValidationError(f"entry {role!r} holds a non-numeric array ({exc})") from None
 
 
 def _rebuild(desc: dict):
@@ -76,28 +79,37 @@ def _rebuild(desc: dict):
 
 
 def save_bundle(path: str | Path, entries: dict[str, object], meta: dict | None = None) -> None:
-    """Write named networks / parameter groups into one model file."""
+    """Write named networks / parameter groups into one model file.
+
+    The header is built, and every entry checked, before the file is opened;
+    the parameter arrays are then streamed into the file and the sha256 from
+    their own buffers, without a copy of the payload.
+    """
     roles = sorted(entries)
+    descriptors = [{"role": r, "descriptor": _entry_descriptor(entries[r])} for r in roles]
     manifest = []
-    blobs = []
+    arrays = []
     for role in roles:
-        params = _entry_params(entries[role])
+        params = _entry_params(role, entries[role])
         for key in sorted(params):
             arr = np.ascontiguousarray(params[key], dtype="<f8")
             manifest.append({"entry": role, "key": key, "shape": list(arr.shape)})
-            blobs.append(arr.tobytes())
+            arrays.append(arr)
     header = {
         "format_major": FORMAT_MAJOR,
         "format_minor": FORMAT_MINOR,
         "meta": meta or {},
-        "entries": [{"role": r, "descriptor": _entry_descriptor(entries[r])} for r in roles],
+        "entries": descriptors,
         "params": manifest,
     }
     header_bytes = json.dumps(header, sort_keys=True).encode()
-    body = MAGIC + struct.pack("<II", FORMAT_MAJOR, len(header_bytes)) + header_bytes
-    body += b"".join(blobs)
-    digest = hashlib.sha256(body).digest()
-    Path(path).write_bytes(body + digest)
+    sha = hashlib.sha256()
+    with open(path, "wb") as fh:
+        for chunk in (MAGIC, struct.pack("<II", FORMAT_MAJOR, len(header_bytes)), header_bytes,
+                      *arrays):
+            sha.update(chunk)
+            fh.write(chunk)
+        fh.write(sha.digest())
 
 
 def _param_views(path, records: list[dict], payload: np.ndarray,

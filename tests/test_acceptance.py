@@ -14,7 +14,10 @@ import numpy as np
 import pytest
 
 from conftest import numeric_grad_sampled, rel_err
+from eegconn.cli import core_from_bundle, load_features
 from eegconn.cli import main as cli_main
+from eegconn.config import parse_config
+from eegconn.eeg_io import load_manifest
 from eegconn.netmetrics import (
     clustering,
     cn_features,
@@ -23,12 +26,15 @@ from eegconn.netmetrics import (
     symmetrize,
     transitivity,
 )
-from eegconn.nn import cross_entropy
+from eegconn.nn import cross_entropy, load_bundle
 from eegconn.nn.layers import Dropout, Flatten
+from eegconn.pipeline import KINDS as KIND_TABLE
 from eegconn.pipeline import (
     ModelSpec,
+    band_indices,
     build_domain_network,
     build_feature_fusion,
+    time_classification,
 )
 from eegconn.seeding import derive_rng
 from eegconn.spectral import band_pdc, pdc_at
@@ -382,11 +388,27 @@ def test_criterion_9_latency(synthetic_runs):
 
 def test_decision_fusion_latency_is_compositional(synthetic_runs):
     # the vote ensemble runs the three domain forwards, so its latency should
-    # sit within 20 percent of the sum of the single-domain latencies
-    latency_csv = synthetic_runs["a"]["out"] / "report" / "latency.csv"
-    if not latency_csv.exists():
-        cli_main(["report", "--config", str(synthetic_runs["a"]["cfg"])])
-    rows = latency_csv.read_text().splitlines()[1:]
-    means = {ln.split(",")[0]: float(ln.split(",")[2]) for ln in rows}
-    total = means["cnn2d_var"] + means["cnn2d_pdc"] + means["cnn1d_cn"]
-    assert abs(means["fusion_decision"] - total) <= 0.2 * total
+    # sit within 20 percent of the sum of the single-domain latencies.  A slow
+    # phase of a shared host (seconds long) can land on one model of a
+    # sequential pass, so the four models alternate over many short rounds
+    # (the order reversed every other round) and the median of the per-round
+    # ratios is compared.
+    cfg = parse_config(synthetic_runs["a"]["cfg"])
+    manifest = load_manifest(cfg.manifest)
+    features, band_names = load_features(cfg, manifest)
+    sid = manifest.subject_ids()[0]
+    members = ("cnn2d_var", "cnn2d_pdc", "cnn1d_cn")
+    models = {}
+    for kind in (*members, "fusion_decision"):
+        entries, meta = load_bundle(synthetic_runs["a"]["out"] / "models" / f"{kind}_fold0.model")
+        models[kind] = (core_from_bundle(entries, meta),
+                        band_indices(meta.get("band_filter") or None, band_names),
+                        KIND_TABLE[kind].results[0].feature_set)
+    ratios = []
+    for r in range(41):
+        order = list(models) if r % 2 == 0 else list(reversed(models))
+        ms = {kind: time_classification(models[kind][0], kind, features, sid, repetitions=5,
+                                        band_idx=models[kind][1], feature_set=models[kind][2])
+              for kind in order}
+        ratios.append(ms["fusion_decision"] / sum(ms[m] for m in members))
+    assert abs(float(np.median(ratios)) - 1.0) <= 0.2, ratios

@@ -7,7 +7,9 @@ same change and says why in CHANGES.md.
 
 The hashes were taken with numpy 2.4.6 and OpenBLAS 0.3.31 (scipy-openblas,
 DYNAMIC_ARCH, Haswell kernels) under Python 3.11.  The run pins one BLAS
-thread because fusion_feature bundles differ between one and two threads.
+thread because fusion_feature bundles differ between one and two threads at
+the published sizes.  A second test runs the same config with one and with
+two BLAS threads and checks that every pinned file is byte-identical.
 """
 
 import hashlib
@@ -15,6 +17,8 @@ import os
 import subprocess
 import sys
 from pathlib import Path
+
+import pytest
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -123,13 +127,35 @@ def _sha256(path: Path) -> str:
     return hashlib.sha256(path.read_bytes()).hexdigest()
 
 
-def test_golden_run_hashes(tmp_path):
-    env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1",
+def _golden_run(root: Path, blas_threads: int) -> dict[str, str]:
+    """Run the golden config in a subprocess; the sha256 of every pinned file."""
+    threads = str(blas_threads)
+    env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads,
                PYTHONPATH=os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")])))
-    proc = subprocess.run([sys.executable, "-c", RUN, str(tmp_path)], env=env,
+    proc = subprocess.run([sys.executable, "-c", RUN, str(root)], env=env,
                           capture_output=True, text=True, timeout=600)
     assert proc.returncode == 0, proc.stderr
-    out = tmp_path / "out"
+    out = root / "out"
     got = {"metrics.json": _sha256(out / "metrics.json")}
     got.update({f"models/{p.name}": _sha256(p) for p in sorted((out / "models").glob("*.model"))})
-    assert got == GOLDEN
+    return got
+
+
+def test_golden_run_hashes(tmp_path):
+    assert _golden_run(tmp_path, 1) == GOLDEN
+
+
+@pytest.mark.skipif(len(os.sched_getaffinity(0)) < 2, reason="needs 2 usable CPUs")
+def test_blas_thread_count_changes_no_output(tmp_path):
+    # The two runs go one after the other, so no more threads run than there
+    # are cores.  README notes that fusion_feature bundles can differ between
+    # one and two BLAS threads at the published sizes; at this size they do
+    # not, so they are held to the same bytes, in their own assertion.
+    one = _golden_run(tmp_path / "one", 1)
+    two = _golden_run(tmp_path / "two", 2)
+    assert one.keys() == two.keys()
+    fused = {name for name in one if name.startswith("models/fusion_feature")}
+    assert fused
+    assert {k: v for k, v in one.items() if k not in fused} == \
+        {k: v for k, v in two.items() if k not in fused}
+    assert {k: one[k] for k in fused} == {k: two[k] for k in fused}

@@ -20,6 +20,7 @@ from eegconn.nn import (
     relu,
     softmax,
 )
+from eegconn.pipeline import ModelSpec, build_domain_network, build_feature_fusion, build_stage2
 from eegconn.seeding import derive_rng
 
 
@@ -63,6 +64,7 @@ def conv1d_loop_oracle(x, w, b, pad):
 class TestConv2d:
     def test_centered_delta_kernel_is_identity(self, rng):
         layer = Conv2d(1, 1, 3)
+        layer.params["w"] = np.zeros((3, 3, 1, 1))
         layer.params["w"][1, 1, 0, 0] = 1.0
         x = rng.standard_normal((2, 3, 3, 1))
         np.testing.assert_allclose(layer.forward(x), x, atol=1e-15)
@@ -108,6 +110,7 @@ class TestConv1d:
 
     def test_delta_kernel_identity(self, rng):
         layer = Conv1d(1, 1, 3)
+        layer.params["w"] = np.zeros((3, 1, 1))
         layer.params["w"][1, 0, 0] = 1.0
         x = rng.standard_normal((2, 6, 1))
         np.testing.assert_allclose(layer.forward(x), x, atol=1e-15)
@@ -274,3 +277,85 @@ class TestNetworkShapes:
         assert shape2 == (16, 16, 9)
         shape1 = Conv1d(5, 9, 3).output_shape((34, 5))
         assert shape1 == (34, 9)
+
+
+class TestUnsetParameters:
+    LAYERS = [lambda: Conv2d(2, 3, 3), lambda: Conv1d(2, 3, 3), lambda: Dense(4, 3)]
+
+    @pytest.mark.parametrize("make", LAYERS, ids=["conv2d", "conv1d", "dense"])
+    def test_placeholders_are_zero_and_read_only(self, make):
+        layer = make()
+        for arr in layer.params.values():
+            assert not arr.flags.writeable and not arr.any()
+        with pytest.raises(ValueError):
+            layer.params["w"][...] = 1.0
+
+    @pytest.mark.parametrize("make", LAYERS, ids=["conv2d", "conv1d", "dense"])
+    def test_init_gives_writable_arrays_of_the_same_shapes(self, make, rng):
+        layer = make()
+        shapes = {k: v.shape for k, v in layer.params.items()}
+        layer.init(rng)
+        for key, arr in layer.params.items():
+            assert arr.shape == shapes[key] and arr.flags.writeable and arr.flags.owndata
+
+    def test_set_state_into_an_uninitialized_net_raises(self):
+        fresh = Network([Dense(4, 2), Softmax()], input_shape=(4,), seed=0)
+        state = Network([Dense(4, 2), Softmax()], input_shape=(4,), seed=0).initialize().get_state()
+        with pytest.raises(ValueError):
+            fresh.set_state(state)
+
+
+class TestInputGradientRequests:
+    @staticmethod
+    def spy(net):
+        """Record need_dx per layer object for every backward call of ``net``."""
+        seen = {}
+        for _, layer, _, _ in net._layers():
+            def backward(dout, need_dx=True, _layer=layer, _orig=layer.backward):
+                seen[id(_layer)] = need_dx
+                return _orig(dout, need_dx=need_dx)
+            layer.backward = backward
+        return seen
+
+    @staticmethod
+    def first_layers(net):
+        stacks = net.branches or [net.layers]
+        return {id(stack[0]) for stack in stacks}
+
+    @pytest.mark.parametrize("build", [
+        lambda spec: build_domain_network("var", spec, seed=1),
+        lambda spec: build_domain_network("cn", spec, seed=1),
+        lambda spec: build_feature_fusion(spec, seed=1),
+        lambda spec: build_stage2(seed=1),
+    ], ids=["cnn2d", "cnn1d", "fusion_feature", "stage2"])
+    def test_only_input_layers_skip_the_input_gradient(self, build, rng):
+        spec = ModelSpec(kind="fusion_feature")
+        net = build(spec)
+        seen = self.spy(net)
+        if net.branches:
+            x = [rng.standard_normal((2, *shape)) for shape in net.input_shapes]
+        else:
+            x = rng.standard_normal((2, *net.input_shape))
+        net.loss_and_grads(x, np.array([0, 1]))
+        first = self.first_layers(net)
+        backpropped = [layer for _, layer, _, _ in net._layers() if layer is not net.layers[-1]]
+        assert set(seen) == {id(layer) for layer in backpropped}
+        for layer in backpropped:
+            assert seen[id(layer)] is (id(layer) not in first), layer.kind
+
+    @pytest.mark.parametrize("make,shape", [
+        (lambda: Conv2d(2, 3, 3), (2, 4, 4, 2)),
+        (lambda: Conv1d(2, 3, 3), (2, 5, 2)),
+        (lambda: Dense(4, 3), (2, 4)),
+    ], ids=["conv2d", "conv1d", "dense"])
+    def test_direct_backward_returns_dx_and_same_grads(self, make, shape, rng):
+        layer = make()
+        layer.init(rng)
+        x = rng.standard_normal(shape)
+        dout = rng.standard_normal(layer.forward(x).shape)
+        dx = layer.backward(dout)
+        assert dx.shape == x.shape
+        grads = {k: v.copy() for k, v in layer.grads.items()}
+        assert layer.backward(dout, need_dx=False) is None
+        for key, g in layer.grads.items():
+            np.testing.assert_array_equal(g, grads[key])

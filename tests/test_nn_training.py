@@ -1,3 +1,8 @@
+import hashlib
+import json
+import struct
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -12,7 +17,8 @@ from eegconn.nn import (
     save_bundle,
 )
 from eegconn.nn.layers import Conv1d, Conv2d, Dropout, Flatten
-from eegconn.nn.optim import AdamState, adam_step
+from eegconn.nn.optim import CHUNK, AdamState, adam_step
+from eegconn.nn.serialize import FORMAT_MAJOR, FORMAT_MINOR, MAGIC
 from eegconn.pipeline import ModelSpec, train_model
 from eegconn.seeding import derive_rng
 
@@ -54,6 +60,63 @@ class TestAdam:
         state2 = AdamState(lr=1.0, decay=0.5, step=9)
         adam_step({"w": w2}, {"w": np.array([1.0])}, state2)
         assert abs(w2[0]) < first
+
+    # one bias, smaller than a block, exactly one block, several blocks plus a tail
+    ORACLE_SIZES = {"bias": (1,), "small": (3, 7), "block": (CHUNK,), "many": (3 * CHUNK + 123,)}
+
+    @staticmethod
+    def textbook_step(params, grads, state):
+        """The per-array update, written as the formula reads."""
+        state.step += 1
+        t = state.step
+        lr_t = state.lr / (1.0 + state.decay * t)
+        c1 = 1.0 - state.beta1**t
+        c2 = 1.0 - state.beta2**t
+        for key, p in params.items():
+            g = grads[key]
+            m = state.m.setdefault(key, np.zeros_like(p))
+            v = state.v.setdefault(key, np.zeros_like(p))
+            m *= state.beta1
+            m += (1.0 - state.beta1) * g
+            v *= state.beta2
+            v += (1.0 - state.beta2) * g * g
+            p -= lr_t * (m / c1) / (np.sqrt(v / c2) + state.eps)
+
+    def test_blocked_update_is_bit_identical_to_textbook(self, rng):
+        params = {k: rng.standard_normal(shape) for k, shape in self.ORACLE_SIZES.items()}
+        expect = {k: p.copy() for k, p in params.items()}
+        state = AdamState(lr=0.05, decay=0.3)
+        ref = AdamState(lr=0.05, decay=0.3)
+        for _ in range(5):
+            grads = {k: rng.standard_normal(shape) * 10.0 ** rng.integers(-6, 6)
+                     for k, shape in self.ORACLE_SIZES.items()}
+            adam_step(params, grads, state)
+            self.textbook_step(expect, grads, ref)
+        for key in self.ORACLE_SIZES:
+            np.testing.assert_array_equal(params[key], expect[key], err_msg=key)
+            np.testing.assert_array_equal(state.m[key], ref.m[key], err_msg=key)
+            np.testing.assert_array_equal(state.v[key], ref.v[key], err_msg=key)
+
+    def test_steps_after_the_first_allocate_no_parameter_array(self, rng):
+        params = {k: rng.standard_normal(shape) for k, shape in self.ORACLE_SIZES.items()}
+        grads = {k: rng.standard_normal(shape) for k, shape in self.ORACLE_SIZES.items()}
+        state = AdamState(decay=0.3)
+        adam_step(params, grads, state)
+        one_array = params["block"].nbytes
+        tracemalloc.start()
+        try:
+            for _ in range(4):
+                tracemalloc.reset_peak()
+                base = tracemalloc.get_traced_memory()[0]
+                adam_step(params, grads, state)
+                assert tracemalloc.get_traced_memory()[1] - base < one_array
+        finally:
+            tracemalloc.stop()
+
+    def test_unwritable_parameter_raises(self):
+        w = np.broadcast_to(0.0, (4,))
+        with pytest.raises(ValueError):
+            adam_step({"w": w}, {"w": np.ones(4)}, AdamState())
 
 
 def tiny_net(seed=0):
@@ -207,6 +270,41 @@ class TestSerialization:
         entries, _ = load_bundle(path)
         xs = [rng.standard_normal((2, 4, 2)), rng.standard_normal((2, 2, 3))]
         np.testing.assert_array_equal(net.predict_proba(xs), entries["main"].predict_proba(xs))
+
+    def test_bytes_equal_the_concatenated_layout(self, tmp_path, rng):
+        net = self.conv_net()
+        arrays = {"ints": np.arange(24).reshape(4, 6)[:, ::2], "bias": np.array([0.25])}
+        assert not arrays["ints"].flags.c_contiguous
+        meta = {"model_kind": "fusion_score", "k": [1, 2]}
+        path = tmp_path / "m.model"
+        save_bundle(path, {"main": net, "stats": arrays}, meta=meta)
+
+        groups = {"main": net.param_dict(),
+                  "stats": {k: np.asarray(v, dtype=float) for k, v in arrays.items()}}
+        manifest, blobs = [], []
+        for role in sorted(groups):
+            for key in sorted(groups[role]):
+                arr = np.ascontiguousarray(groups[role][key], dtype="<f8")
+                manifest.append({"entry": role, "key": key, "shape": list(arr.shape)})
+                blobs.append(arr.tobytes())
+        header = json.dumps({
+            "format_major": FORMAT_MAJOR,
+            "format_minor": FORMAT_MINOR,
+            "meta": meta,
+            "entries": [{"role": "main", "descriptor": net.descriptor()},
+                        {"role": "stats", "descriptor": {"type": "arrays"}}],
+            "params": manifest,
+        }, sort_keys=True).encode()
+        body = MAGIC + struct.pack("<II", FORMAT_MAJOR, len(header)) + header + b"".join(blobs)
+        assert path.read_bytes() == body + hashlib.sha256(body).digest()
+
+    @pytest.mark.parametrize("bad", [[1.0, 2.0], {"w": "not a number"}],
+                             ids=["list-entry", "non-numeric-array"])
+    def test_unserializable_entry_writes_no_file(self, tmp_path, bad):
+        path = tmp_path / "m.model"
+        with pytest.raises(ValidationError):
+            save_bundle(path, {"main": self.conv_net(), "zbad": bad}, meta={})
+        assert not path.exists()
 
 
 class TestStateBinding:
