@@ -12,7 +12,7 @@ from pathlib import Path
 
 import numpy as np
 
-from eegconn.eeg_io import load_manifest, load_recording, standardize
+from eegconn.eeg_io import VALID_FORMATS, load_manifest, load_recording, standardize
 from eegconn.var_model import bic_order_select
 
 
@@ -20,8 +20,7 @@ def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--manifest", required=True)
     parser.add_argument("--max-order", type=int, default=10)
-    parser.add_argument("--format", default="csv_matrix",
-                        choices=("csv_matrix", "column_concat"))
+    parser.add_argument("--format", default="csv_matrix", choices=VALID_FORMATS)
     parser.add_argument("--channels", type=int, default=None)
     parser.add_argument("--rate", type=float, default=128.0)
     parser.add_argument("--raw", action="store_true", help="skip per-channel z-scoring")

@@ -56,20 +56,9 @@ def _safe_name(sid: str) -> str:
     return "".join(c if (c.isalnum() or c in "-_") else "_" for c in sid)
 
 
-def _features_dir(cfg: RunConfig) -> Path:
-    return Path(cfg.output_dir) / "features"
-
-
-def _models_dir(cfg: RunConfig) -> Path:
-    return Path(cfg.output_dir) / "models"
-
-
-def _curves_dir(cfg: RunConfig) -> Path:
-    return Path(cfg.output_dir) / "curves"
-
-
-def _report_dir(cfg: RunConfig) -> Path:
-    return Path(cfg.output_dir) / "report"
+def _out_dir(cfg: RunConfig, name: str) -> Path:
+    """One of the output subdirectories: features, models, curves or report."""
+    return Path(cfg.output_dir) / name
 
 
 def _load_manifest(cfg: RunConfig) -> CohortManifest:
@@ -89,7 +78,7 @@ def _expand_result_ids(kinds: list[str]) -> list[tuple[str, str, str]]:
 def cmd_extract(cfg: RunConfig) -> int:
     manifest = _load_manifest(cfg)
     base = Path(cfg.manifest).parent
-    feat_dir = _features_dir(cfg)
+    feat_dir = _out_dir(cfg, "features")
     feat_dir.mkdir(parents=True, exist_ok=True)
     bands = BandSpec()
     failures = 0
@@ -125,10 +114,11 @@ def cmd_extract(cfg: RunConfig) -> int:
 def load_features(cfg: RunConfig, manifest: CohortManifest) -> tuple[dict, tuple[str, ...]]:
     """Read per-subject containers back into {sid: {domain: array}}.
 
-    Fails before reading any container if a manifest subject lacks one,
-    naming every such subject.
+    Fails before reading any container if a manifest subject lacks one, and
+    after reading them all if any subject's arrays or bands differ from the
+    first subject's, naming every such subject.
     """
-    feat_dir = _features_dir(cfg)
+    feat_dir = _out_dir(cfg, "features")
     paths = {
         entry.subject_id: {d: feat_dir / f"{_safe_name(entry.subject_id)}_{d}.feat"
                            for d in DOMAINS}
@@ -141,7 +131,7 @@ def load_features(cfg: RunConfig, manifest: CohortManifest) -> tuple[dict, tuple
             f"{', '.join(missing)}; run extract first"
         )
     features: dict[str, dict[str, np.ndarray]] = {}
-    band_names: tuple[str, ...] = ()
+    bands: dict[str, dict[str, tuple[str, ...]]] = {}
     for sid, domain_paths in paths.items():
         per = {}
         for domain, path in domain_paths.items():
@@ -150,10 +140,32 @@ def load_features(cfg: RunConfig, manifest: CohortManifest) -> tuple[dict, tuple
                 raise ValidationError(f"{path}: holds {header['kind']}, expected "
                                       f"{FEATURE_KIND_BY_DOMAIN[domain]}")
             per[domain] = values
-            if domain == "pdc":
-                band_names = _header_band_names(header) or band_names
+            if domain != "var":
+                bands.setdefault(sid, {})[domain] = _header_band_names(header)
         features[sid] = per
-    return features, band_names or BandSpec().names
+    first = next(iter(features))
+    _check_containers_agree(features, bands, first)
+    return features, bands[first]["pdc"] or BandSpec().names
+
+
+def _check_containers_agree(features: dict, bands: dict, first: str) -> None:
+    """Fail with every subject whose arrays differ in shape from the first
+    subject's, or whose PDC or CN containers list other bands than its PDC."""
+    differ = []
+    for sid, per in features.items():
+        odd = [f"{d} {'x'.join(map(str, per[d].shape))}" for d in DOMAINS
+               if per[d].shape != features[first][d].shape]
+        odd += [f"{d} bands {','.join(names) or '-'}" for d, names in bands[sid].items()
+                if names != bands[first]["pdc"]]
+        if odd:
+            differ.append(f"{sid} ({', '.join(odd)})")
+    if differ:
+        ref = ", ".join(f"{d} {'x'.join(map(str, features[first][d].shape))}" for d in DOMAINS)
+        raise ValidationError(
+            f"feature containers of {len(differ)} subject(s) differ from those of {first} "
+            f"({ref}, bands {','.join(bands[first]['pdc']) or '-'}): {'; '.join(differ)}; "
+            "run extract again"
+        )
 
 
 def _header_band_names(header: dict) -> tuple[str, ...]:
@@ -186,6 +198,7 @@ def _bundle_entries(kind: str, fitted: FittedModel) -> tuple[dict, dict]:
 
 
 def core_from_bundle(entries: dict, meta: dict) -> FittedModel:
+    """The fitted model a bundle's entries and metadata describe."""
     stats = None
     if meta.get("standardized_inputs"):
         stats = {}
@@ -219,19 +232,34 @@ def write_fold_plan(path: Path, plan: FoldPlan, ordered_ids: list[str]) -> None:
 
 
 def read_fold_plan(path: Path) -> FoldPlan:
+    """The fold of every subject; folds number 0..k-1 and none is empty."""
     lines = path.read_text().splitlines()
     if not lines or lines[0] != "subject_id,fold":
         raise ValidationError(f"{path}: not a fold plan file")
-    assignments = {}
+    assignments: dict[str, int] = {}
+    line_of: dict[str, int] = {}
     for n, line in enumerate(lines[1:], start=2):
-        sid, _, fold = line.partition(",")
+        sid, _, text = line.partition(",")
         try:
-            assignments[sid] = int(fold)
+            fold = int(text)
         except ValueError:
-            raise ValidationError(f"{path}: line {n}: fold {fold!r} is not an integer") from None
+            raise ValidationError(f"{path}: line {n}: fold {text!r} is not an integer") from None
+        if sid in line_of:
+            raise ValidationError(f"{path}: line {n}: subject {sid!r} already has a fold "
+                                  f"on line {line_of[sid]}")
+        if fold < 0:
+            raise ValidationError(f"{path}: line {n}: fold {fold} is negative")
+        assignments[sid] = fold
+        line_of[sid] = n
     if not assignments:
         raise ValidationError(f"{path}: assigns no subject to a fold")
-    return FoldPlan(k=max(assignments.values()) + 1, assignments=assignments, seed=-1)
+    last = max(assignments, key=assignments.get)
+    k = assignments[last] + 1
+    empty = sorted(set(range(k)) - set(assignments.values()))
+    if empty:
+        raise ValidationError(f"{path}: line {line_of[last]}: fold {k - 1}, but no subject "
+                              f"has fold {', '.join(map(str, empty))}")
+    return FoldPlan(k=k, assignments=assignments)
 
 
 def _check_fold_plan(plan: FoldPlan, subject_ids: list[str], path: Path) -> None:
@@ -259,8 +287,8 @@ def cmd_train(cfg: RunConfig) -> int:
     out = Path(cfg.output_dir)
     out.mkdir(parents=True, exist_ok=True)
     write_fold_plan(out / "folds.csv", runner.plan, manifest.subject_ids())
-    _models_dir(cfg).mkdir(parents=True, exist_ok=True)
-    _curves_dir(cfg).mkdir(parents=True, exist_ok=True)
+    _out_dir(cfg, "models").mkdir(parents=True, exist_ok=True)
+    _out_dir(cfg, "curves").mkdir(parents=True, exist_ok=True)
 
     failures = 0
     for kind in model_kind_list(cfg):
@@ -293,13 +321,20 @@ def _save_result(cfg: RunConfig, manifest: CohortManifest, result: KindResult) -
             "fold": fold,
             **extra_meta,
         }
-        save_bundle(_models_dir(cfg) / f"{result.result_id}_fold{fold}.model", entries, meta)
+        save_bundle(_out_dir(cfg, "models") / f"{result.result_id}_fold{fold}.model", entries, meta)
         for role, curve in fold_outcome.curves.items():
-            _write_curve_csv(_curves_dir(cfg) / _curve_filename(result.result_id, role, fold),
-                             curve)
+            name = _curve_filename(result.result_id, role, fold)
+            _write_curve_csv(_out_dir(cfg, "curves") / name, curve)
 
 
 # -- eval ----------------------------------------------------------------------
+
+
+def load_model(path, band_names: tuple[str, ...]) -> tuple[FittedModel, dict, list[int] | None]:
+    """A saved model, its metadata, and the positions of its band filter in ``band_names``."""
+    entries, meta = load_bundle(path)
+    return (core_from_bundle(entries, meta), meta,
+            band_indices(meta.get("band_filter") or None, band_names))
 
 
 def cmd_eval(cfg: RunConfig) -> int:
@@ -310,19 +345,16 @@ def cmd_eval(cfg: RunConfig) -> int:
     labels = manifest.labels()
     ordered = manifest.subject_ids()
     _check_fold_plan(plan, ordered, plan_path)
-    models_dir = _models_dir(cfg)
+    models_dir = _out_dir(cfg, "models")
     rows = []
     failures = 0
     for result_id, kind, feature_set in _expand_result_ids(model_kind_list(cfg)):
         fold_metrics = []
         feature_label = feature_set
-        band_idx = None
         try:
             for fold in range(plan.k):
-                path = models_dir / f"{result_id}_fold{fold}.model"
-                entries, meta = load_bundle(path)
-                core = core_from_bundle(entries, meta)
-                band_idx = band_indices(meta.get("band_filter") or None, band_names)
+                core, meta, band_idx = load_model(models_dir / f"{result_id}_fold{fold}.model",
+                                                  band_names)
                 feature_label = meta.get("feature", feature_set)
                 test_ids = plan.test_ids(fold, ordered)
                 bits, _ = predict_with_core(core, kind, features, test_ids,
@@ -363,9 +395,6 @@ def cmd_eval(cfg: RunConfig) -> int:
 
 
 def cmd_predict(cfg: RunConfig, model_path: str, input_paths: list[str]) -> int:
-    entries, meta = load_bundle(model_path)
-    core = core_from_bundle(entries, meta)
-    kind = meta["model_kind"]
     per_domain: dict[str, np.ndarray] = {}
     sid = None
     band_names: tuple[str, ...] = ()
@@ -385,10 +414,9 @@ def cmd_predict(cfg: RunConfig, model_path: str, input_paths: list[str]) -> int:
             )
     if sid is None:
         raise ValidationError("predict needs at least one --input feature container")
-    features = {sid: per_domain}
-    band_idx = band_indices(meta.get("band_filter") or None, band_names or BandSpec().names)
-    bits, probs = predict_with_core(core, kind, features, [sid], band_idx,
-                                    meta.get("feature_set", "all"))
+    core, meta, band_idx = load_model(model_path, band_names or BandSpec().names)
+    bits, probs = predict_with_core(core, meta["model_kind"], {sid: per_domain}, [sid],
+                                    band_idx, meta.get("feature_set", "all"))
     class_names = tuple(meta["class_names"])
     result = {
         "subject_id": sid,
@@ -403,7 +431,7 @@ def cmd_predict(cfg: RunConfig, model_path: str, input_paths: list[str]) -> int:
 
 
 def _report_curves(cfg: RunConfig, report_dir: Path) -> int:
-    curves_dir = _curves_dir(cfg)
+    curves_dir = _out_dir(cfg, "curves")
     count = 0
     for csv_path in sorted(curves_dir.glob("*.csv")):
         lines = csv_path.read_text().splitlines()[1:]
@@ -423,20 +451,13 @@ def _report_feature_maps(cfg: RunConfig, manifest, features, band_names, report_
     sid = cfg.report_subject or manifest.subject_ids()[0]
     if sid not in features:
         raise ValidationError(f"report subject {sid!r} has no extracted features")
-    models_dir = _models_dir(cfg)
-    chosen = None
-    for kind in ("cnn2d_pdc", "cnn2d_var"):
-        path = models_dir / f"{kind}_fold0.model"
-        if path.exists():
-            chosen = (kind, path)
-            break
-    if chosen is None:
+    paths = {kind: _out_dir(cfg, "models") / f"{kind}_fold0.model"
+             for kind in ("cnn2d_pdc", "cnn2d_var")}
+    kind = next((kind for kind, path in paths.items() if path.exists()), None)
+    if kind is None:
         return 0
-    kind, path = chosen
-    entries, meta = load_bundle(path)
-    fitted = core_from_bundle(entries, meta)
+    fitted, _, band_idx = load_model(paths[kind], band_names)
     net: Network = fitted.core
-    band_idx = band_indices(meta.get("band_filter") or None, band_names)
     x = standardized_inputs(kind, features, [sid], band_idx, fitted.stats)
     record: list[np.ndarray] = []
     net.forward(x, train=False, record=record)
@@ -464,15 +485,13 @@ def _report_feature_maps(cfg: RunConfig, manifest, features, band_names, report_
 
 def _report_latency(cfg: RunConfig, features, band_names, manifest, report_dir: Path) -> list[dict]:
     sid = cfg.report_subject or manifest.subject_ids()[0]
-    models_dir = _models_dir(cfg)
+    models_dir = _out_dir(cfg, "models")
     rows = []
     for result_id, kind, feature_set in _expand_result_ids(model_kind_list(cfg)):
         path = models_dir / f"{result_id}_fold0.model"
         if not path.exists():
             continue
-        entries, meta = load_bundle(path)
-        core = core_from_bundle(entries, meta)
-        band_idx = band_indices(meta.get("band_filter") or None, band_names)
+        core, meta, band_idx = load_model(path, band_names)
         ms = time_classification(core, kind, features, sid,
                                  repetitions=cfg.latency_repetitions,
                                  band_idx=band_idx, feature_set=feature_set)
@@ -491,7 +510,7 @@ def _report_latency(cfg: RunConfig, features, band_names, manifest, report_dir: 
 def cmd_report(cfg: RunConfig) -> int:
     manifest = _load_manifest(cfg)
     features, band_names = load_features(cfg, manifest)
-    report_dir = _report_dir(cfg)
+    report_dir = _out_dir(cfg, "report")
     report_dir.mkdir(parents=True, exist_ok=True)
     n_curves = _report_curves(cfg, report_dir)
     print(f"learning-curve SVGs: {n_curves}")
@@ -501,6 +520,8 @@ def cmd_report(cfg: RunConfig) -> int:
 
 
 # -- entry point ---------------------------------------------------------------
+
+COMMANDS = {"extract": cmd_extract, "train": cmd_train, "eval": cmd_eval, "report": cmd_report}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -532,26 +553,15 @@ def main(argv: list[str] | None = None) -> int:
         cfg = parse_config(args.config)
         if args.seed is not None:
             cfg.seed = args.seed
-        if args.command == "extract":
-            return cmd_extract(cfg)
-        if args.command == "train":
-            return cmd_train(cfg)
-        if args.command == "eval":
-            return cmd_eval(cfg)
         if args.command == "predict":
             return cmd_predict(cfg, args.model, args.input)
-        if args.command == "report":
-            return cmd_report(cfg)
-    except EegConnError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except FileNotFoundError as exc:
+        return COMMANDS[args.command](cfg)
+    except (EegConnError, FileNotFoundError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except Exception:  # noqa: BLE001 - last-resort diagnostics for the CLI
         traceback.print_exc()
         return 3
-    return 0
 
 
 if __name__ == "__main__":

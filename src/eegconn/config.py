@@ -10,7 +10,9 @@ from __future__ import annotations
 from dataclasses import dataclass, fields
 from pathlib import Path
 
+from .eeg_io import VALID_FORMATS
 from .errors import ConfigError
+from .pipeline import MODEL_KINDS, POOL2D_MODES
 
 _BOOL = {"true": True, "false": False, "1": True, "0": False, "yes": True, "no": False}
 
@@ -87,8 +89,9 @@ def parse_config(path: str | Path) -> RunConfig:
 
 
 def validate_config(cfg: RunConfig) -> None:
-    if cfg.data_format not in ("csv_matrix", "column_concat"):
-        raise ConfigError(f"data_format must be csv_matrix or column_concat, got {cfg.data_format!r}")
+    if cfg.data_format not in VALID_FORMATS:
+        raise ConfigError(f"data_format must be {' or '.join(VALID_FORMATS)}, "
+                          f"got {cfg.data_format!r}")
     if cfg.folds < 2:
         raise ConfigError(f"folds must be >= 2, got {cfg.folds}")
     if not (0 < cfg.val_fraction < 1):
@@ -97,8 +100,8 @@ def validate_config(cfg: RunConfig) -> None:
         raise ConfigError(f"var_order must be >= 1, got {cfg.var_order}")
     if cfg.band_grid_step <= 0:
         raise ConfigError(f"band_grid_step must be positive, got {cfg.band_grid_step}")
-    if cfg.pool2d not in ("none", "avg", "max"):
-        raise ConfigError(f"pool2d must be none/avg/max, got {cfg.pool2d!r}")
+    if cfg.pool2d not in POOL2D_MODES:
+        raise ConfigError(f"pool2d must be {'/'.join(POOL2D_MODES)}, got {cfg.pool2d!r}")
     if cfg.epochs < 0:
         raise ConfigError(f"epochs must be >= 0, got {cfg.epochs}")
     if not cfg.learning_rate > 0:
@@ -109,8 +112,6 @@ def validate_config(cfg: RunConfig) -> None:
         raise ConfigError(f"batch_size must be >= 0 (0 = full batch), got {cfg.batch_size}")
     if cfg.latency_repetitions < 1:
         raise ConfigError(f"latency_repetitions must be >= 1, got {cfg.latency_repetitions}")
-    from .pipeline import MODEL_KINDS  # local import to avoid a cycle
-
     for kind in model_kind_list(cfg):
         if kind not in MODEL_KINDS:
             raise ConfigError(f"unknown model kind {kind!r} (choices: {MODEL_KINDS})")

@@ -59,10 +59,6 @@ class EegRecording:
     def samples(self) -> int:
         return self.data.shape[0]
 
-    @property
-    def channels(self) -> int:
-        return self.data.shape[1]
-
 
 @dataclass(frozen=True)
 class ManifestEntry:

@@ -149,10 +149,6 @@ class CnFeatureVector:
             raise ShapeError(f"feature column length {v.shape[0]} is not 2N+2")
         object.__setattr__(self, "values", v)
 
-    @property
-    def channels(self) -> int:
-        return (self.values.shape[0] - 2) // 2
-
 
 def band_features(net: WeightedNetwork) -> np.ndarray:
     """One feature column: [k_1..k_N, E, C_1..C_N, T]."""

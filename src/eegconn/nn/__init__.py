@@ -12,7 +12,6 @@ from .layers import (  # noqa: F401
     MaxPool2d,
     ReLU,
     Softmax,
-    relu,
     softmax,
 )
 from .network import MultiBranchNetwork, Network, cross_entropy  # noqa: F401

@@ -19,10 +19,6 @@ from numpy.lib.stride_tricks import sliding_window_view
 from ..errors import ShapeError, ValidationError
 
 
-def relu(x: np.ndarray) -> np.ndarray:
-    return np.maximum(x, 0.0)
-
-
 def softmax(logits: np.ndarray) -> np.ndarray:
     """Row-wise softmax with max subtraction for overflow safety."""
     z = logits - logits.max(axis=-1, keepdims=True)
@@ -390,7 +386,6 @@ class Dropout(Layer):
             raise ValidationError(f"dropout ratio must be in [0, 1), got {ratio}")
         self.ratio = ratio
         self.rng: np.random.Generator | None = None
-        self.fixed_mask: np.ndarray | None = None  # for gradient checks
 
     def output_shape(self, in_shape):
         return in_shape
@@ -399,12 +394,9 @@ class Dropout(Layer):
         if not train or self.ratio == 0.0:
             self._mask = None
             return x
-        if self.fixed_mask is not None:
-            mask = self.fixed_mask
-        else:
-            if self.rng is None:
-                raise ValidationError("dropout used in train mode without an RNG")
-            mask = self.rng.random(x.shape) >= self.ratio
+        if self.rng is None:
+            raise ValidationError("dropout used in train mode without an RNG")
+        mask = self.rng.random(x.shape) >= self.ratio
         self._mask = mask
         return x * mask / (1.0 - self.ratio)
 

@@ -87,10 +87,6 @@ class Network:
                 raise ShapeError(f"{self.name}: {where}layer {i} ({layer.kind}): {exc}") from None
         return shape
 
-    @property
-    def concat_width(self) -> int:
-        return self.input_shape[0]
-
     def _layers(self):
         """Every layer with its parameter-key prefix, weight-draw labels and
         dropout labels.  Prefixes and labels are part of the model-file format
@@ -105,10 +101,8 @@ class Network:
         for i, layer in enumerate(self.layers):
             yield f"t.{i}", layer, ("trunk", i), ("trunk-dropout", i)
 
-    def initialize(self, rng_seed: int | None = None):
+    def initialize(self):
         """Draw fresh parameters and wire per-layer dropout streams."""
-        if rng_seed is not None:
-            self.seed = int(rng_seed)
         for _, layer, init_labels, _ in self._layers():
             layer.init(derive_rng(self.seed, self.name, *init_labels))
         return self.wire_dropout()

@@ -20,6 +20,7 @@ import numpy as np
 
 from .eeg_io import CohortManifest
 from .errors import ShapeError, TrainingDivergedError, ValidationError
+from .netmetrics import feature_length
 from .nn.layers import (
     AvgPool1d,
     AvgPool2d,
@@ -41,6 +42,13 @@ DOMAINS = ("var", "pdc", "cn")
 
 METRIC_NAMES = ("accuracy", "sensitivity", "specificity", "modified_accuracy")
 
+POOL2D_MODES = ("none", "avg", "max")  # "avg" or "max" reproduces the pooling ablation
+
+CONV2D_KERNEL = 3
+CONV1D_KERNEL = 3
+POOL1D_SIZE = 2
+POOL1D_STRIDE = 2
+
 
 @dataclass(frozen=True)
 class ModelSpec:
@@ -51,16 +59,12 @@ class ModelSpec:
     lags: int = 5
     n_bands: int = 5
     conv2d_filters: tuple[int, int] = (128, 64)
-    conv2d_kernel: int = 3
     conv1d_filters: int = 8
-    conv1d_kernel: int = 3
-    pool1d_size: int = 2
-    pool1d_stride: int = 2
     dense2d: int = 64
     dense1d: int = 32
     fusion_dense: int = 64
     dropout: float = 0.5
-    pool2d: str = "none"  # "avg" or "max" reproduces the pooling ablation
+    pool2d: str = "none"  # one of POOL2D_MODES
     epochs: int = 500
     learning_rate: float = 1e-4
     lr_decay: float = 1e-6
@@ -69,12 +73,8 @@ class ModelSpec:
     def __post_init__(self):
         if self.kind not in MODEL_KINDS:
             raise ValidationError(f"unknown model kind {self.kind!r}")
-        if self.pool2d not in ("none", "avg", "max"):
-            raise ValidationError(f"pool2d must be none/avg/max, got {self.pool2d!r}")
-
-    @property
-    def cn_length(self) -> int:
-        return 2 * self.channels + 2
+        if self.pool2d not in POOL2D_MODES:
+            raise ValidationError(f"pool2d must be {'/'.join(POOL2D_MODES)}, got {self.pool2d!r}")
 
     def input_shape(self, domain: str) -> tuple[int, ...]:
         if domain == "var":
@@ -82,7 +82,7 @@ class ModelSpec:
         if domain == "pdc":
             return (self.channels, self.channels, self.n_bands)
         if domain == "cn":
-            return (self.cn_length, self.n_bands)
+            return (feature_length(self.channels), self.n_bands)
         raise ValidationError(f"unknown feature domain {domain!r}")
 
 
@@ -93,22 +93,19 @@ def _shape_after(layers, shape):
 
 
 def _conv_stack_2d(spec: ModelSpec, in_channels: int):
-    f1, f2 = spec.conv2d_filters
-    layers = [Conv2d(in_channels, f1, spec.conv2d_kernel), ReLU()]
-    if spec.pool2d != "none":
-        layers.append(AvgPool2d(2) if spec.pool2d == "avg" else MaxPool2d(2))
-    layers += [Conv2d(f1, f2, spec.conv2d_kernel), ReLU()]
-    if spec.pool2d != "none":
-        layers.append(AvgPool2d(2) if spec.pool2d == "avg" else MaxPool2d(2))
-    layers.append(Flatten())
-    return layers
+    layers = []
+    for c_in, c_out in zip((in_channels, *spec.conv2d_filters), spec.conv2d_filters):
+        layers += [Conv2d(c_in, c_out, CONV2D_KERNEL), ReLU()]
+        if spec.pool2d != "none":
+            layers.append(AvgPool2d(2) if spec.pool2d == "avg" else MaxPool2d(2))
+    return layers + [Flatten()]
 
 
 def _conv_stack_1d(spec: ModelSpec, in_channels: int):
     return [
-        Conv1d(in_channels, spec.conv1d_filters, spec.conv1d_kernel),
+        Conv1d(in_channels, spec.conv1d_filters, CONV1D_KERNEL),
         ReLU(),
-        AvgPool1d(spec.pool1d_size, spec.pool1d_stride),
+        AvgPool1d(POOL1D_SIZE, POOL1D_STRIDE),
         Flatten(),
     ]
 
@@ -175,20 +172,20 @@ class EnsembleModel:
         if self.mode == "score" and self.stage2 is None:
             raise ValidationError("score fusion requires a stage-2 network")
 
-    def member_probs(self, inputs: dict[str, np.ndarray]) -> np.ndarray:
-        """Stacked member probabilities, shape (B, 3, 2), domain order var/pdc/cn."""
-        rows = [self.members[d].predict_proba(inputs[d]) for d in DOMAINS]
-        return np.stack(rows, axis=1)
-
     def predict(self, inputs: dict[str, np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
         """Class bits and probability rows in one member evaluation."""
-        member = self.member_probs(inputs)
+        member = member_probs(self.members, inputs)
         if self.mode == "score":
             out = self.stage2.predict_proba(member.reshape(len(member), -1))
             return out.argmax(axis=1), out
         votes = member.argmax(axis=2)
         bits = (votes.sum(axis=1) >= 2).astype(int)  # majority of three binary votes
         return bits, member.mean(axis=1)  # decision mode reports the mean score
+
+
+def member_probs(members: dict[str, Network], inputs: dict[str, np.ndarray]) -> np.ndarray:
+    """Stacked member probabilities, shape (B, 3, 2), domain order var/pdc/cn."""
+    return np.stack([members[d].predict_proba(inputs[d]) for d in DOMAINS], axis=1)
 
 
 # -- fold plans --------------------------------------------------------------
@@ -198,7 +195,6 @@ class EnsembleModel:
 class FoldPlan:
     k: int
     assignments: dict[str, int]
-    seed: int
 
     def test_ids(self, fold: int, ordered_ids: list[str]) -> list[str]:
         return [s for s in ordered_ids if self.assignments[s] == fold]
@@ -221,7 +217,7 @@ def stratified_kfold(manifest: CohortManifest, k: int = 5, seed: int = 0) -> Fol
         order = rng.permutation(len(ids))
         for pos, idx in enumerate(order):
             assignments[ids[idx]] = pos % k
-    return FoldPlan(k=k, assignments=assignments, seed=seed)
+    return FoldPlan(k=k, assignments=assignments)
 
 
 def stratified_split(ids: list[str], labels: dict[str, str], class_names: tuple[str, str],
@@ -445,7 +441,6 @@ class FoldOutcome:
     train_ids: list[str]
     val_ids: list[str]
     predicted: dict[str, str]
-    probabilities: dict[str, list[float]]
     curves: dict[str, list[tuple[float, float]]]
     metrics: dict
 
@@ -464,9 +459,10 @@ class KindResult:
 class ExperimentRunner:
     """Trains every requested classifier kind over a shared fold plan.
 
-    The three domain CNNs are cached per fold so that single-domain kinds
-    and the fusion ensembles reuse identical trained members (identical
-    seeds make this exact, not approximate).
+    Every net, member or not, trains through :meth:`train_net`.  The three
+    domain CNNs are cached per fold so that single-domain kinds and the
+    fusion ensembles reuse identical trained members (identical seeds make
+    this exact, not approximate).
     """
 
     def __init__(self, features, manifest: CohortManifest, spec: ModelSpec,
@@ -527,30 +523,32 @@ class ExperimentRunner:
             )
         return self._stats_cache[fold]
 
-    def _domain_inputs(self, domain: str, sids: list[str], fold: int) -> np.ndarray:
-        x = domain_matrix(self.features, sids, domain, self.band_idx)
-        stats = self.fold_stats(fold)
-        return apply_input_stats(x, stats.get(domain) if stats else None)
+    def fold_inputs(self, row: "ModelKind", sids: list[str], fold: int):
+        """The kind's input for a batch of subjects, standardized by the fold's stats."""
+        return row.inputs(self.features, sids, self.band_idx, self.fold_stats(fold))
 
-    # member training --------------------------------------------------------
+    # net training -----------------------------------------------------------
+
+    def train_net(self, label: str, fold: int, build: Callable[[int], Network],
+                  inputs: Callable[[list[str]], object]) -> tuple[Network, TrainResult]:
+        """Build a net from the (label, fold) init seed and train it on the fold's
+        training split, keeping the epoch with the least validation loss.
+
+        ``inputs`` maps a list of subject ids to the net's input batch.
+        """
+        train_ids, val_ids, _ = self.fold_split(fold)
+        net = build(derive_seed(self.master_seed, "init", label, fold))
+        res = train_model(net, inputs(train_ids), self.bits_of(train_ids),
+                          inputs(val_ids), self.bits_of(val_ids), self.spec,
+                          seed=derive_seed(self.master_seed, "train", label, fold))
+        return net, res
 
     def trained_member(self, domain: str, fold: int) -> tuple[Network, TrainResult]:
         key = (domain, fold)
         if key not in self._member_cache:
-            train_ids, val_ids, _ = self.fold_split(fold)
-            net = build_domain_network(
-                domain, self.spec, seed=derive_seed(self.master_seed, "init", domain, fold)
-            )
-            res = train_model(
-                net,
-                self._domain_inputs(domain, train_ids, fold),
-                self.bits_of(train_ids),
-                self._domain_inputs(domain, val_ids, fold),
-                self.bits_of(val_ids),
-                self.spec,
-                seed=derive_seed(self.master_seed, "train", domain, fold),
-            )
-            self._member_cache[key] = (net, res)
+            self._member_cache[key] = self.train_net(
+                domain, fold, lambda seed: build_domain_network(domain, self.spec, seed),
+                lambda sids: self.fold_inputs(MEMBER_KINDS[domain], sids, fold))
         return self._member_cache[key]
 
     # per-result execution ---------------------------------------------------
@@ -563,13 +561,12 @@ class ExperimentRunner:
         for fold in range(self.k):
             train_ids, val_ids, test_ids = self.fold_split(fold)
             fitted, curves = row.fit(self, row, fold, result.feature_set)
-            bits, probs = predict_with_core(fitted, kind, self.features, test_ids,
-                                            self.band_idx, result.feature_set)
+            bits, _ = predict_with_core(fitted, kind, self.features, test_ids,
+                                        self.band_idx, result.feature_set)
             predicted = self.names_of_bits(bits)
             folds.append(FoldOutcome(
                 fold=fold, test_ids=test_ids, train_ids=train_ids, val_ids=val_ids,
                 predicted=dict(zip(test_ids, predicted)),
-                probabilities={s: [float(p) for p in ps] for s, ps in zip(test_ids, probs)},
                 curves=curves,
                 metrics=evaluate(predicted, [self.labels[s] for s in test_ids],
                                  self.positive_class),
@@ -577,9 +574,6 @@ class ExperimentRunner:
             models.append(fitted)
         report = MetricsReport.from_folds([f.metrics for f in folds])
         return KindResult(kind, *result, folds=folds, report=report, models=models)
-
-    def run(self, kinds: list[str]) -> list[KindResult]:
-        return [self.run_result(kind, result) for kind in kinds for result in KINDS[kind].results]
 
 
 # -- the model-kind table -----------------------------------------------------
@@ -628,19 +622,10 @@ def _fit_member(runner: ExperimentRunner, row: "ModelKind", fold: int, feature_s
 
 def _fit_feature_fusion(runner: ExperimentRunner, row: "ModelKind", fold: int,
                         feature_set: str):
-    train_ids, val_ids, _ = runner.fold_split(fold)
-    stats = runner.fold_stats(fold)
-    net = build_feature_fusion(
-        runner.spec, seed=derive_seed(runner.master_seed, "init", "fusion_feature", fold)
-    )
-    res = train_model(
-        net, row.inputs(runner.features, train_ids, runner.band_idx, stats),
-        runner.bits_of(train_ids),
-        row.inputs(runner.features, val_ids, runner.band_idx, stats),
-        runner.bits_of(val_ids), runner.spec,
-        seed=derive_seed(runner.master_seed, "train", "fusion_feature", fold),
-    )
-    return FittedModel(net, stats), {"main": res.curve}
+    net, res = runner.train_net("fusion_feature", fold,
+                                lambda seed: build_feature_fusion(runner.spec, seed),
+                                lambda sids: runner.fold_inputs(row, sids, fold))
+    return FittedModel(net, runner.fold_stats(fold)), {"main": res.curve}
 
 
 def _fit_decision_fusion(runner: ExperimentRunner, row: "ModelKind", fold: int,
@@ -653,22 +638,14 @@ def _fit_decision_fusion(runner: ExperimentRunner, row: "ModelKind", fold: int,
 def _fit_score_fusion(runner: ExperimentRunner, row: "ModelKind", fold: int,
                       feature_set: str):
     members, curves = _trained_members(runner, row, fold)
-    train_ids, val_ids, _ = runner.fold_split(fold)
-    stats = runner.fold_stats(fold)
-    stage2 = build_stage2(seed=derive_seed(runner.master_seed, "init", "stage2", fold))
-    ens = EnsembleModel(mode="score", members=members, stage2=stage2)
 
-    def member_probs(sids):
-        inputs = row.inputs(runner.features, sids, runner.band_idx, stats)
-        return ens.member_probs(inputs).reshape(len(sids), 6)
+    def stage2_inputs(sids):
+        return member_probs(members, runner.fold_inputs(row, sids, fold)).reshape(len(sids), 6)
 
-    res = train_model(
-        stage2, member_probs(train_ids), runner.bits_of(train_ids),
-        member_probs(val_ids), runner.bits_of(val_ids), runner.spec,
-        seed=derive_seed(runner.master_seed, "train", "stage2", fold),
-    )
+    stage2, res = runner.train_net("stage2", fold, build_stage2, stage2_inputs)
     curves["stage2"] = res.curve
-    return FittedModel(ens, stats), curves
+    return FittedModel(EnsembleModel(mode="score", members=members, stage2=stage2),
+                       runner.fold_stats(fold)), curves
 
 
 def _fit_svm(runner: ExperimentRunner, row: "ModelKind", fold: int, feature_set: str):
@@ -758,6 +735,9 @@ KINDS: dict[str, ModelKind] = {
 }
 
 MODEL_KINDS = tuple(KINDS)
+
+# the single-domain CNN kind of each domain, whose net is the ensembles' member
+MEMBER_KINDS = {row.domains[0]: row for row in KINDS.values() if row.fit is _fit_member}
 
 
 # -- prediction and timing ----------------------------------------------------

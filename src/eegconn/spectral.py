@@ -121,11 +121,6 @@ def _pdc(model: VarModel, freqs: np.ndarray) -> np.ndarray:
     return mag / norms[:, None, :]
 
 
-def transfer_at(model: VarModel, freq: float) -> np.ndarray:
-    """The complex N x N transfer matrix at one frequency."""
-    return _transfer(model, np.array([float(freq)]))[0]
-
-
 def pdc_at(model: VarModel, freq: float) -> np.ndarray:
     """Partial directed coherence matrix at one frequency."""
     return _pdc(model, np.array([float(freq)]))[0]

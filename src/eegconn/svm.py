@@ -27,23 +27,12 @@ class LinearSvm:
         z = (x - self.feat_mean) / self.feat_scale
         return z @ self.weights + self.bias
 
-    def predict_bits(self, x: np.ndarray) -> np.ndarray:
-        """Class indices (0/1); a zero score deterministically maps to 0."""
-        return (self.decision(x) > 0).astype(int)
-
     def predict(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Class bits and (1 - p, p) rows, p the logistic of the decision score."""
+        """Class bits and (1 - p, p) rows, p the logistic of the decision score;
+        a zero score maps to class 0."""
         scores = self.decision(x)
         pos = 1.0 / (1.0 + np.exp(-scores))
         return (scores > 0).astype(int), np.stack([1 - pos, pos], axis=1)
-
-    def margin(self, x: np.ndarray, bits: np.ndarray) -> float:
-        """Smallest geometric margin over the set (signed, w-normalized)."""
-        y = 2.0 * np.asarray(bits, dtype=float) - 1.0
-        norm = float(np.linalg.norm(self.weights))
-        if norm == 0:
-            return 0.0
-        return float((y * self.decision(x)).min() / norm)
 
     def param_arrays(self) -> dict[str, np.ndarray]:
         return {

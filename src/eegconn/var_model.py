@@ -69,15 +69,6 @@ class VarModel:
     def channels(self) -> int:
         return self.coeffs.shape[1]
 
-    def stacked(self) -> np.ndarray:
-        """Coefficients as the (N*L, N) regression matrix beta.
-
-        Row block l (size N) holds A(l) transposed, matching the design
-        built by :func:`build_design`.
-        """
-        lags, n, _ = self.coeffs.shape
-        return self.coeffs.transpose(0, 2, 1).reshape(lags * n, n)
-
 
 @dataclass(frozen=True)
 class RegressionDesign:
@@ -89,8 +80,6 @@ class RegressionDesign:
 
     x: np.ndarray
     y: np.ndarray
-    order: int
-    channels: int
 
 
 def build_design(rec: EegRecording, order: int) -> RegressionDesign:
@@ -107,7 +96,7 @@ def build_design(rec: EegRecording, order: int) -> RegressionDesign:
     for lag in range(1, order + 1):
         x[:, (lag - 1) * n : lag * n] = rec.data[order - lag : t - lag]
     y = rec.data[order:]
-    return RegressionDesign(x=x, y=y, order=order, channels=n)
+    return RegressionDesign(x=x, y=y)
 
 
 def fit_var(rec: EegRecording, order: int) -> VarModel:
@@ -170,14 +159,6 @@ def var_feature_tensor(model: VarModel) -> np.ndarray:
     return np.ascontiguousarray(model.coeffs.transpose(1, 2, 0))
 
 
-def coeffs_from_tensor(tensor: np.ndarray) -> np.ndarray:
-    """Inverse of :func:`var_feature_tensor`: N x N x L back to (L, N, N)."""
-    tensor = np.asarray(tensor, dtype=float)
-    if tensor.ndim != 3 or tensor.shape[0] != tensor.shape[1]:
-        raise ShapeError(f"expected N x N x L tensor, got {tensor.shape}")
-    return np.ascontiguousarray(tensor.transpose(2, 0, 1))
-
-
 def companion_spectral_radius(coeffs: np.ndarray) -> float:
     """Largest eigenvalue modulus of the companion matrix (< 1 means stable)."""
     coeffs = np.asarray(coeffs, dtype=float)
@@ -222,18 +203,3 @@ def simulate_var(
         data=out[lags + burn_in :], rate=rate, subject_id=subject_id, label=label
     )
 
-
-def random_stable_var(
-    n: int,
-    order: int,
-    rng: np.random.Generator,
-    target_radius: float = 0.9,
-    rate: float = 128.0,
-) -> VarModel:
-    """Draw random coefficients and shrink them until the model is stable."""
-    coeffs = rng.normal(scale=0.5, size=(order, n, n))
-    radius = companion_spectral_radius(coeffs)
-    while radius >= target_radius:
-        coeffs *= 0.8 * target_radius / radius
-        radius = companion_spectral_radius(coeffs)
-    return VarModel(coeffs=coeffs, noise_cov=np.eye(n), rate=rate)

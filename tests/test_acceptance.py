@@ -42,10 +42,10 @@ from eegconn.synthetic import make_synthetic_cohort
 from eegconn.var_model import (
     build_design,
     fit_var,
-    random_stable_var,
     simulate_var,
     var_feature_tensor,
 )
+from oracles import FrozenDraws, random_stable_var, stacked
 from test_netmetrics import efficiency_oracle, floyd_warshall_oracle, triangle_oracle
 from test_nn_gradcheck import check_layer
 
@@ -76,7 +76,7 @@ def test_criterion_1_var_recovery():
     err = float(np.abs(model.coeffs - coeffs).max())
 
     design = build_design(rec, 2)
-    resid = design.y - design.x @ model.stacked()
+    resid = design.y - design.x @ stacked(model)
     gram = design.x.T @ resid
     scale = np.linalg.norm(design.x, axis=0)[:, None] * np.linalg.norm(resid, axis=0)[None, :]
     orth = float(np.abs(gram / np.maximum(scale, 1e-300)).max())
@@ -175,7 +175,7 @@ def test_criterion_4_gradient_checks(rng):
     relu_in[np.abs(relu_in) < 1e-2] += 0.05
     check_layer(ReLU(), relu_in, rng)
     drop = Dropout(0.5)
-    drop.fixed_mask = rng.random((3, 6)) >= 0.5
+    drop.rng = FrozenDraws(rng.random((3, 6)))
     check_layer(drop, rng.standard_normal((3, 6)), rng, train=True)
 
     # full architectures at published sizes, sampled coordinates
@@ -265,13 +265,13 @@ def test_criterion_5_shape_conformance():
     ok = (
         flat2d == (16384,)
         and flat1d == (136,)
-        and fusion.concat_width == 32904
+        and fusion.input_shape[0] == 32904
         and var_t.shape == (16, 16, 5)
         and pdc.values.shape == (16, 16, 5)
         and cn.values.shape == (34, 5)
     )
     report(5, "shape conformance", ok,
-           f"flat2d={flat2d[0]} flat1d={flat1d[0]} concat={fusion.concat_width} "
+           f"flat2d={flat2d[0]} flat1d={flat1d[0]} concat={fusion.input_shape[0]} "
            f"var={var_t.shape} pdc={pdc.values.shape} cn={cn.values.shape}")
 
 

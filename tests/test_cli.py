@@ -251,18 +251,31 @@ class TestEval:
         assert err[0].startswith("error: ") and "sz000" in err[0] and "hc002" in err[0]
         assert not (out5 / "metrics.json").exists()
 
-    @pytest.mark.parametrize("plan", ["subject_id,fold\n", "subject_id,fold\nsz000,first\n"],
-                             ids=["header-only", "non-integer-fold"])
-    def test_bad_fold_plan_is_one_error_line(self, workspace, tmp_path, capsys, plan):
+    @pytest.mark.parametrize("edit, message", [
+        (lambda lines: lines[:1], "assigns no subject to a fold"),
+        (lambda lines: [lines[0], "sz000,first"], "line 2: fold 'first' is not an integer"),
+        (lambda lines: [lines[0], lines[1].rpartition(",")[0] + ",-1", *lines[2:]],
+         "line 2: fold -1 is negative"),
+        (lambda lines: [*lines, lines[1]], "line 15: subject 'sz000' already has a fold on line 2"),
+        (lambda lines: [ln[:-2] + ",3" if ln.endswith(",1") else ln for ln in lines],
+         "fold 3, but no subject has fold 1, 2"),
+    ], ids=["header-only", "non-integer-fold", "negative-fold", "duplicate-subject",
+            "fold-without-subjects"])
+    def test_bad_fold_plan_is_one_error_line(self, workspace, tmp_path, capsys, edit, message):
         _, _, out, manifest = workspace
         out7 = tmp_path / "out7"
         shutil.copytree(out / "features", out7 / "features")
-        (out7 / "folds.csv").write_text(plan)
-        cfg7 = write_config(tmp_path / "r7.cfg", manifest, out7)
+        shutil.copytree(out / "models", out7 / "models")
+        lines = (out / "folds.csv").read_text().splitlines()
+        assert len(lines) == 14  # the complete plan: header and 13 subjects
+        (out7 / "folds.csv").write_text("\n".join(edit(lines)) + "\n")
+        cfg7 = write_config(tmp_path / "r7.cfg", manifest, out7, model_kinds="svm_linear")
         capsys.readouterr()
         assert main(["eval", "--config", str(cfg7)]) == 2
         err = capsys.readouterr().err.strip().splitlines()
         assert len(err) == 1 and err[0].startswith("error: ") and "folds.csv" in err[0]
+        assert message in err[0]
+        assert not (out7 / "metrics.json").exists()
 
     @pytest.mark.parametrize("command", ["train", "eval"])
     def test_missing_features_name_every_subject(self, workspace, tmp_path, capsys, command):
@@ -279,6 +292,27 @@ class TestEval:
         assert len(err) == 1 and err[0].startswith("error: ")
         assert "sz001" in err[0] and "hc003" in err[0]
         assert not (out8 / "models").exists() and not (out8 / "metrics.json").exists()
+
+    @pytest.mark.parametrize("command", ["train", "eval"])
+    def test_mixed_containers_name_every_subject(self, workspace, tmp_path, capsys, command):
+        _, _, out, manifest = workspace
+        out9 = tmp_path / "out9"
+        feat = out9 / "features"
+        shutil.copytree(out / "features", feat)
+        shutil.copy(out / "folds.csv", out9 / "folds.csv")
+        var, _ = read_container(feat / "sz001_var.feat")  # 4 x 4 x 2 lags
+        write_container(feat / "sz001_var.feat", "VAR", np.concatenate([var, var[..., :1]], 2),
+                        "sz001", "SZ")
+        cn, _ = read_container(feat / "hc003_cn.feat")
+        renamed = BandSpec(tuple((f"b{i}", i + 1.0, i + 2.0) for i in range(cn.shape[1])))
+        write_container(feat / "hc003_cn.feat", "CN", cn, "hc003", "HC", bands=renamed)
+        cfg9 = write_config(tmp_path / "r9.cfg", manifest, out9)
+        capsys.readouterr()
+        assert main([command, "--config", str(cfg9)]) == 2
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and err[0].startswith("error: ")
+        assert "sz001 (var 4x4x3)" in err[0] and "hc003 (cn bands b0,b1,b2,b3,b4)" in err[0]
+        assert not (out9 / "models").exists() and not (out9 / "metrics.json").exists()
 
     def test_seed_override_changes_results(self, workspace, tmp_path):
         root, _, out, manifest = workspace

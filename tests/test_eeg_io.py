@@ -23,7 +23,7 @@ class TestLoadRecording:
     def test_csv_matrix_shape_passthrough(self, tmp_path):
         p = write(tmp_path / "a.csv", "1,2\n3,4\n5,6\n7,8\n")
         rec = load_recording(p, "csv_matrix", rate=128.0)
-        assert rec.channels == 2 and rec.samples == 4
+        assert rec.data.shape[1] == 2 and rec.samples == 4
         assert rec.data[3, 1] == 8.0
 
     def test_whitespace_delimited(self, tmp_path):
@@ -37,7 +37,7 @@ class TestLoadRecording:
         p = tmp_path / "flat.txt"
         np.savetxt(p, values, fmt="%.17g")
         rec = load_recording(p, "column_concat", channels=16, rate=128.0)
-        assert rec.channels == 16 and rec.samples == 7680
+        assert rec.data.shape[1] == 16 and rec.samples == 7680
         # channel-major: the first 7680 values are channel 1
         np.testing.assert_allclose(rec.data[:, 0], values[:7680])
 

@@ -20,6 +20,7 @@ from eegconn.nn import (
 )
 from eegconn.nn.network import onehot
 from eegconn.pipeline import ModelSpec, build_domain_network
+from oracles import FrozenDraws
 
 TOL = 1e-4
 
@@ -88,7 +89,7 @@ class TestLayerGradients:
 
     def test_dropout_with_frozen_mask(self, rng):
         layer = Dropout(0.5)
-        layer.fixed_mask = rng.random((3, 6)) >= 0.5
+        layer.rng = FrozenDraws(rng.random((3, 6)))
         check_layer(layer, rng.standard_normal((3, 6)), rng, train=True)
 
 
@@ -132,10 +133,6 @@ class TestSoftmaxCrossEntropyComposite:
 
 def check_full_network(net, inputs, bits, rng, n_coords=3):
     """Sampled-coordinate finite differences through the whole stack."""
-    for layer in net.layers:
-        if isinstance(layer, Dropout):
-            layer.fixed_mask = None  # eval path below; masks off
-
     def loss():
         return cross_entropy(net.forward(inputs, train=False), bits)
 
@@ -173,7 +170,7 @@ class TestFullArchitectures:
         x = rng.standard_normal((4, 6))
         bits = rng.integers(0, 2, size=4)
         drop = net.layers[2]
-        drop.fixed_mask = rng.random((4, 4)) >= 0.5
+        drop.rng = FrozenDraws(rng.random((4, 4)))
 
         def loss():
             return cross_entropy(net.forward(x, train=True), bits)

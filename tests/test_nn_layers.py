@@ -15,9 +15,9 @@ from eegconn.nn import (
     Flatten,
     MaxPool2d,
     Network,
+    ReLU,
     Softmax,
     cross_entropy,
-    relu,
     softmax,
 )
 from eegconn.pipeline import ModelSpec, build_domain_network, build_feature_fusion, build_stage2
@@ -190,7 +190,7 @@ class TestDense:
 
 class TestActivations:
     def test_relu_definition(self):
-        np.testing.assert_array_equal(relu(np.array([-1.0, 2.0])), [0.0, 2.0])
+        np.testing.assert_array_equal(ReLU().forward(np.array([-1.0, 0.0, 2.0])), [0.0, 0.0, 2.0])
 
     def test_softmax_symmetry(self):
         np.testing.assert_allclose(softmax(np.array([0.0, 0.0])), [0.5, 0.5])

@@ -7,6 +7,7 @@ from eegconn.eeg_io import CohortManifest, ManifestEntry
 from eegconn.errors import ValidationError
 from eegconn.pipeline import (
     DOMAINS,
+    KINDS,
     EnsembleModel,
     ExperimentRunner,
     MetricsReport,
@@ -15,6 +16,7 @@ from eegconn.pipeline import (
     build_feature_fusion,
     build_stage2,
     evaluate,
+    member_probs,
     stratified_kfold,
     stratified_split,
     time_classification,
@@ -192,7 +194,7 @@ class TestBuildModel:
         assert net.output_shape == (2,)
         fusion = build_feature_fusion(spec, seed=2)
         # concat width: 4*4*4 (2d stack on var) + 4*4*4 (pdc) + 5*3 (pooled cn)
-        assert fusion.concat_width == 64 + 64 + 15
+        assert fusion.input_shape[0] == 64 + 64 + 15
 
     def test_pool2d_ablation_changes_flatten(self):
         spec = ModelSpec(kind="cnn2d_var", **{**TINY, "pool2d": "avg"})
@@ -228,7 +230,8 @@ def run():
                               val_fraction=0.2, svm_steps=600)
     kinds = ["cnn2d_var", "cnn2d_pdc", "cnn1d_cn", "fusion_feature",
              "fusion_score", "fusion_decision", "svm_linear"]
-    return runner, runner.run(kinds), manifest
+    results = [runner.run_result(kind, row) for kind in kinds for row in KINDS[kind].results]
+    return runner, results, manifest
 
 
 class TestExperimentRunner:
@@ -298,7 +301,7 @@ class TestEnsembleVote:
             "pdc": rng.random((4, 4, 4, 3)),
             "cn": rng.standard_normal((4, 10, 3)),
         }
-        votes = ens.member_probs(inputs).argmax(axis=2)
+        votes = member_probs(members, inputs).argmax(axis=2)
         expected = [1 if row.tolist().count(1) >= 2 else 0 for row in votes]
         bits, _ = ens.predict(inputs)
         np.testing.assert_array_equal(bits, expected)

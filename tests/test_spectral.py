@@ -11,9 +11,9 @@ from eegconn.spectral import (
     band_grid,
     band_pdc,
     pdc_at,
-    transfer_at,
 )
-from eegconn.var_model import VarModel, random_stable_var
+from eegconn.var_model import VarModel
+from oracles import random_stable_var, transfer_at
 
 
 def model_of(coeffs, rate=128.0):

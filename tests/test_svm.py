@@ -10,16 +10,16 @@ class TestTrainSvm:
         x = np.array([[0.0, 0.0]] * 20 + [[1.0, 1.0]] * 20)
         bits = np.array([0] * 20 + [1] * 20)
         svm = train_svm(x, bits)
-        assert (svm.predict_bits(x) == bits).all()
+        assert (svm.predict(x)[0] == bits).all()
 
     def test_identical_features_default_to_majority(self):
         x = np.ones((30, 4))
         bits = np.array([1] * 20 + [0] * 10)
         svm = train_svm(x, bits)
-        assert (svm.predict_bits(x) == 1).all()
+        assert (svm.predict(x)[0] == 1).all()
         # and the mirrored cohort goes the other way
         svm2 = train_svm(x, 1 - bits)
-        assert (svm2.predict_bits(x) == 0).all()
+        assert (svm2.predict(x)[0] == 0).all()
 
     def test_margin_grows_as_regularization_vanishes(self, rng):
         x = np.vstack([rng.standard_normal((25, 2)) + 3.0,
@@ -28,7 +28,9 @@ class TestTrainSvm:
         margins = []
         for l2 in (1.0, 1e-2, 1e-4):
             svm = train_svm(x, bits, l2=l2, steps=4000)
-            margins.append(svm.margin(x, bits))
+            # smallest geometric margin over the set, signed
+            y = 2.0 * bits - 1.0
+            margins.append((y * svm.decision(x)).min() / np.linalg.norm(svm.weights))
         assert margins[0] < margins[-1]
         assert margins[-1] > 0  # separable data ends up separated
 
@@ -42,12 +44,12 @@ class TestTrainSvm:
         bits = (x[:, 1] > 0).astype(int)
         svm = train_svm(x, bits)
         assert np.isfinite(svm.weights).all()
-        assert (svm.predict_bits(x) == bits).mean() == 1.0
+        assert (svm.predict(x)[0] == bits).mean() == 1.0
 
     def test_param_arrays_roundtrip(self, rng):
         x = rng.standard_normal((20, 3))
         bits = (x[:, 0] > 0).astype(int)
         svm = train_svm(x, bits)
         clone = LinearSvm.from_param_arrays(svm.param_arrays())
-        np.testing.assert_array_equal(clone.predict_bits(x), svm.predict_bits(x))
+        np.testing.assert_array_equal(clone.predict(x)[0], svm.predict(x)[0])
         np.testing.assert_allclose(clone.decision(x), svm.decision(x), atol=1e-15)
