@@ -145,7 +145,7 @@ def load_features(cfg: RunConfig, manifest: CohortManifest) -> tuple[dict, tuple
         features[sid] = per
     first = next(iter(features))
     _check_containers_agree(features, bands, first)
-    return features, bands[first]["pdc"] or BandSpec().names
+    return features, bands[first]["pdc"]
 
 
 def _check_containers_agree(features: dict, bands: dict, first: str) -> None:

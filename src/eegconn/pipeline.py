@@ -437,10 +437,6 @@ def train_model(model, train_inputs, train_bits, val_inputs, val_bits,
 @dataclass
 class FoldOutcome:
     fold: int
-    test_ids: list[str]
-    train_ids: list[str]
-    val_ids: list[str]
-    predicted: dict[str, str]
     curves: dict[str, list[tuple[float, float]]]
     metrics: dict
 
@@ -559,18 +555,13 @@ class ExperimentRunner:
         folds: list[FoldOutcome] = []
         models: list[FittedModel] = []
         for fold in range(self.k):
-            train_ids, val_ids, test_ids = self.fold_split(fold)
+            test_ids = self.fold_split(fold)[2]
             fitted, curves = row.fit(self, row, fold, result.feature_set)
             bits, _ = predict_with_core(fitted, kind, self.features, test_ids,
                                         self.band_idx, result.feature_set)
-            predicted = self.names_of_bits(bits)
-            folds.append(FoldOutcome(
-                fold=fold, test_ids=test_ids, train_ids=train_ids, val_ids=val_ids,
-                predicted=dict(zip(test_ids, predicted)),
-                curves=curves,
-                metrics=evaluate(predicted, [self.labels[s] for s in test_ids],
-                                 self.positive_class),
-            ))
+            folds.append(FoldOutcome(fold, curves, evaluate(
+                self.names_of_bits(bits), [self.labels[s] for s in test_ids],
+                self.positive_class)))
             models.append(fitted)
         report = MetricsReport.from_folds([f.metrics for f in folds])
         return KindResult(kind, *result, folds=folds, report=report, models=models)

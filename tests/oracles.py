@@ -2,6 +2,10 @@
 
 from __future__ import annotations
 
+import hashlib
+import json
+import struct
+
 import numpy as np
 
 from eegconn.spectral import _transfer
@@ -50,3 +54,24 @@ class FrozenDraws:
     def random(self, shape) -> np.ndarray:
         assert tuple(shape) == self.draws.shape
         return self.draws
+
+
+def resign(path, magic: bytes, mutate=None, *, major=None, extra_payload=b"",
+           as_magic=None, header_len=None) -> None:
+    """Rewrite a feature container or model bundle with a valid sha256 trailer.
+
+    ``mutate`` edits the parsed header in place, or returns the bytes to
+    write as the header instead.  ``major``, ``as_magic`` and ``header_len``
+    replace those prefix fields; ``extra_payload`` is appended to the payload.
+    """
+    body = path.read_bytes()[:-32]
+    file_major, hlen = struct.unpack_from("<II", body, len(magic))
+    off = len(magic) + 8
+    header = json.loads(body[off : off + hlen].decode())
+    raw = mutate(header) if mutate is not None else None
+    hb = raw if isinstance(raw, bytes) else json.dumps(header, sort_keys=True).encode()
+    new = ((as_magic or magic)
+           + struct.pack("<II", file_major if major is None else major,
+                         len(hb) if header_len is None else header_len)
+           + hb + body[off + hlen :] + extra_payload)
+    path.write_bytes(new + hashlib.sha256(new).digest())

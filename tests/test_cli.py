@@ -6,13 +6,14 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from oracles import resign
 
-from eegconn import pipeline
+from eegconn import container, pipeline
 from eegconn.cli import main
 from eegconn.config import parse_config
 from eegconn.container import read_container, write_container
 from eegconn.errors import ConfigError, TrainingDivergedError
-from eegconn.nn import save_bundle
+from eegconn.nn import save_bundle, serialize
 from eegconn.pipeline import ModelSpec, build_domain_network
 from eegconn.spectral import BandSpec
 from eegconn.synthetic import make_synthetic_cohort
@@ -400,6 +401,79 @@ class TestPredict:
             "--input", str(out / "features" / "hc002_cn.feat"),
         ])
         assert rc == 2
+
+
+class TestMalformedFiles:
+    """A malformed container or bundle gives one error line and exit 2; in
+    eval, where result rows are isolated, one FAILED line and exit 1."""
+
+    def test_container_in_train(self, workspace, tmp_path, capsys):
+        _, _, out, manifest = workspace
+        out10 = tmp_path / "out10"
+        shutil.copytree(out / "features", out10 / "features")
+        resign(out10 / "features" / "hc003_cn.feat", container.MAGIC, lambda h: h.pop("shape"))
+        cfg10 = write_config(tmp_path / "r10.cfg", manifest, out10)
+        capsys.readouterr()
+        assert main(["train", "--config", str(cfg10)]) == 2
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and err[0].startswith("error: ")
+        assert "hc003_cn.feat: header key 'shape'" in err[0]
+        assert not (out10 / "models").exists()
+
+    @pytest.mark.parametrize("edit, message", [
+        (lambda h: h.update(bands=[list(b) for b in BandSpec().bands]), "5 bands for shape"),
+        (lambda h: h.pop("shape"), "header key 'shape'"),
+        (lambda h: b"{not json", "unreadable header"),
+    ], ids=["5-bands-over-2", "no-shape", "header-not-json"])
+    def test_container_in_predict(self, workspace, tmp_path, capsys, edit, message):
+        _, cfg, out, _ = workspace
+        pdc, _ = read_container(out / "features" / "sz000_pdc.feat")
+        feat = tmp_path / "sz000_pdc.feat"
+        write_container(feat, "PDC", pdc[..., 3:], "sz000", "SZ",
+                        bands=BandSpec(BandSpec().bands[3:]))
+        resign(feat, container.MAGIC, edit)
+        model = tmp_path / "pdc_gamma.model"
+        save_bundle(model, {"main": build_domain_network(
+            "pdc", ModelSpec(kind="cnn2d_pdc", channels=4, n_bands=1), seed=5)}, meta={
+            "model_kind": "cnn2d_pdc", "feature": "PDC", "feature_set": "all",
+            "class_names": ["HC", "SZ"], "band_filter": ["gamma"],
+            "standardized_inputs": False,
+        })
+        capsys.readouterr()
+        assert main(["predict", "--config", str(cfg), "--model", str(model),
+                     "--input", str(feat)]) == 2
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and err[0].startswith(f"error: {feat}: ") and message in err[0]
+
+    @pytest.mark.parametrize("key", ["params", "meta"])
+    def test_bundle_in_predict(self, workspace, tmp_path, capsys, key):
+        _, cfg, out, _ = workspace
+        model = tmp_path / "cnn2d_var_fold0.model"
+        shutil.copy(out / "models" / model.name, model)
+        resign(model, serialize.MAGIC, lambda h: h.pop(key))
+        capsys.readouterr()
+        assert main(["predict", "--config", str(cfg), "--model", str(model),
+                     "--input", str(out / "features" / "sz000_var.feat")]) == 2
+        err = capsys.readouterr().err.strip().splitlines()
+        assert err == [f"error: {model}: header key {key!r} is missing or of the wrong type"]
+
+    def test_bundle_in_eval_fails_its_row(self, workspace, tmp_path, capsys):
+        _, _, out, manifest = workspace
+        out11 = tmp_path / "out11"
+        shutil.copytree(out / "features", out11 / "features")
+        shutil.copytree(out / "models", out11 / "models")
+        shutil.copy(out / "folds.csv", out11 / "folds.csv")
+        model = out11 / "models" / "cnn2d_var_fold1.model"
+        resign(model, serialize.MAGIC, lambda h: h.pop("params"))
+        cfg11 = write_config(tmp_path / "r11.cfg", manifest, out11,
+                             model_kinds="cnn2d_var,cnn1d_cn")
+        capsys.readouterr()
+        assert main(["eval", "--config", str(cfg11)]) == 1
+        err = capsys.readouterr().err.strip().splitlines()
+        assert err == [f"cnn2d_var: FAILED ({model}: header key 'params' is missing or of the "
+                       "wrong type)"]
+        rows = json.loads((out11 / "metrics.json").read_text())["rows"]
+        assert [row["model"] for row in rows] == ["cnn1d_cn"]
 
 
 class TestReport:

@@ -1,9 +1,9 @@
 """Golden run: extract -> train -> eval on a tiny fixed cohort, pinned by sha256.
 
 The run covers all seven model kinds (ten result rows) over 3 folds, and
-pins the sha256 of metrics.json and of every model bundle.  A refactor must
-leave every hash as it is; a deliberate numeric change re-pins them in the
-same change and says why in CHANGES.md.
+pins the sha256 of metrics.json, of every model bundle and of every feature
+container.  A refactor must leave every hash as it is; a deliberate numeric
+change re-pins them in the same change and says why in CHANGES.md.
 
 The hashes were taken with numpy 2.4.6 and OpenBLAS 0.3.31 (scipy-openblas,
 DYNAMIC_ARCH, Haswell kernels) under Python 3.11.  The run pins one BLAS
@@ -120,6 +120,78 @@ GOLDEN = {
         "b2c2c1a9b2b9541da1dfbeff531b80109f34c18a3ac4f4b4368225d9d305bbaf",
     "models/svm_var_fold2.model":
         "72355d0c430bc56d9aa351f4a5e96c6bb47dae4a5a0601c09e1101ee77f3916d",
+    "features/hc000_cn.feat":
+        "2b9cf5f36b329e9a6fc4f11cf1102269af3969b075462827937597b3a16110e6",
+    "features/hc000_pdc.feat":
+        "5e1e38513a99fd4cba043732a097d433365beadbd010eb508e7a11c49ae5a25c",
+    "features/hc000_var.feat":
+        "9bd65c45f31292c29d9947688f78d0b6c0921ac8980f5f0b309d4ad44d07abd9",
+    "features/hc001_cn.feat":
+        "21ae3bdcb8f864474aff688b1a02d900950e35b8a15c694b88490b5914206373",
+    "features/hc001_pdc.feat":
+        "597ea57184767d34fafb4ced6ea952d057ec868f9535ff6128b19b57b9371844",
+    "features/hc001_var.feat":
+        "647ed9908fa9df239576d10ccda77a152633a332283a8d7a7968cf7bdd6b6792",
+    "features/hc002_cn.feat":
+        "6b50680153cf779ef60c815622c9147845aecc3c74ca32b4f3152dde82ca0715",
+    "features/hc002_pdc.feat":
+        "39b43aa2e10aeb2f92f485fbfc407fbfaeb8821336a6d0591c1e3b10c85bab08",
+    "features/hc002_var.feat":
+        "9d41786d4f40591f106ad8e8f66333dd01ff2797866665ea630b12d92812fb6c",
+    "features/hc003_cn.feat":
+        "eabc6bb7398fe178b7654f29b4f0681867d327c8054d7a4bd16872bc1183b82f",
+    "features/hc003_pdc.feat":
+        "cdb505f0dde0727850fea96b33348aa6078dd85b086d2ff3c36d97ab32e91175",
+    "features/hc003_var.feat":
+        "8430d69cec42288c281fb24dfa00552c0ea06c00111fbb304148be0befef565c",
+    "features/hc004_cn.feat":
+        "045aacf30e871c67226a4e3ce1b862ec51b5242a7049e5fc3de4d5cbd3d382cf",
+    "features/hc004_pdc.feat":
+        "6827b3b7ea8053c8b5947502f5eb9d95aaadf3d9567a67c6a70a1f6688baee58",
+    "features/hc004_var.feat":
+        "c78e53d6ee595ca6b9aad50293dabc34a26508372b726dc18abaf0a199e7a573",
+    "features/hc005_cn.feat":
+        "dafcd07c58afd79682a0111287da21ee0c22bf4a151b23cd2240c0cd085a579c",
+    "features/hc005_pdc.feat":
+        "0e06dcead6850a2d97f478341690340b05b65d468f990b54d81807cf6f61f7a0",
+    "features/hc005_var.feat":
+        "91342c8072868217543834f6bf4a47c7dd7f405ce4f468d243dec4e54c33cbc4",
+    "features/sz000_cn.feat":
+        "a5634a59bc0a8e518e3b4475d5be81f2f6e009c354aa41c3c16c4b237f03d1d6",
+    "features/sz000_pdc.feat":
+        "acc796da720827f7e64cfe08104f3ef4d45554473600f086251af88052683f3e",
+    "features/sz000_var.feat":
+        "0a6640ca0c00b12ed999fc4ec1801427a042f910aa4e0e0284b3fcce96be9e4f",
+    "features/sz001_cn.feat":
+        "42823b64172a8b2a5482f202229aacf42106ef18b7664503621d8cd1eb513d85",
+    "features/sz001_pdc.feat":
+        "f04020e1abd312c625b5c435d98b364da55d443dd39984cf8a30f14e7a55c8f0",
+    "features/sz001_var.feat":
+        "db7afe3fe9225a0e2bc535a748ed7576dd23e10a5b50ad5abb4b6606b7d0d2fd",
+    "features/sz002_cn.feat":
+        "e6c18f57bfe89a4665393973c8a919d7a5eb4f4b3ff3ce579c5dd134b1a6abf6",
+    "features/sz002_pdc.feat":
+        "cc3828e14cb8808132d786b1e5bd60f1eae9be9d53b0b872b1e79b1a0818085c",
+    "features/sz002_var.feat":
+        "aabd569a0a159be545304986f1738f45dd7b5bf6e25483b2dec826401cb8a8c6",
+    "features/sz003_cn.feat":
+        "d32002e6acb65cfcfce74edd03e4774601cd667b7f931b38f3533f87f96cea9b",
+    "features/sz003_pdc.feat":
+        "4302a3644ca38b8162ffbca8268b81f5e5e0f77d2e80e24e3d5817c0803d15a5",
+    "features/sz003_var.feat":
+        "aef4381b10e6a806851abd0e1b411190e523ebde8bf7244231b4b56c60469104",
+    "features/sz004_cn.feat":
+        "6b130ce0718203b44e8e6eb5068f277c1873a496dc011c16298c4b4d460b508b",
+    "features/sz004_pdc.feat":
+        "0e70d1e8f9c8d7fa910ea0f991dcebe930536d59b398226825906593a9039795",
+    "features/sz004_var.feat":
+        "9efe6913f64df110ad398b9f6515b5c9886d086f17022d0a800bef1ea057954e",
+    "features/sz005_cn.feat":
+        "b7b04ecbf7d3f037a4c2fd1838499bcb576c24d075cb4e56ad14460be9cfd5c1",
+    "features/sz005_pdc.feat":
+        "39be50e0d395285d340c0c117e6cb09c3743de6e48275f504da33c7d7e1030b8",
+    "features/sz005_var.feat":
+        "dab7b2c3ae26cfee35109d9c6d870d2526b62c909c0fa67718d206a936715762",
 }
 
 
@@ -137,7 +209,9 @@ def _golden_run(root: Path, blas_threads: int) -> dict[str, str]:
     assert proc.returncode == 0, proc.stderr
     out = root / "out"
     got = {"metrics.json": _sha256(out / "metrics.json")}
-    got.update({f"models/{p.name}": _sha256(p) for p in sorted((out / "models").glob("*.model"))})
+    for folder, suffix in (("models", "model"), ("features", "feat")):
+        got.update({f"{folder}/{p.name}": _sha256(p)
+                    for p in sorted((out / folder).glob(f"*.{suffix}"))})
     return got
 
 

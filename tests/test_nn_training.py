@@ -1,10 +1,12 @@
 import hashlib
 import json
+import re
 import struct
 import tracemalloc
 
 import numpy as np
 import pytest
+from oracles import resign
 
 from eegconn.errors import ChecksumError, ShapeError, TrainingDivergedError, ValidationError
 from eegconn.nn import (
@@ -348,26 +350,6 @@ class TestStateBinding:
         assert (net.param_dict()["t.0.w"] == 0.25).all()
 
 
-def _resign_bundle(path, mutate=None, major=None, extra_payload=b""):
-    """Rewrite a model file with an edited header or payload and a valid sha256."""
-    import hashlib
-    import json
-    import struct
-
-    from eegconn.nn.serialize import FORMAT_MAJOR, MAGIC
-
-    body = path.read_bytes()[:-32]
-    _, hlen = struct.unpack_from("<II", body, len(MAGIC))
-    off = len(MAGIC) + 8
-    header = json.loads(body[off : off + hlen].decode())
-    if mutate is not None:
-        mutate(header)
-    hb = json.dumps(header, sort_keys=True).encode()
-    new = (MAGIC + struct.pack("<II", FORMAT_MAJOR if major is None else major, len(hb))
-           + hb + body[off + hlen :] + extra_payload)
-    path.write_bytes(new + hashlib.sha256(new).digest())
-
-
 class TestBundleFaults:
     @pytest.fixture
     def bundle(self, tmp_path):
@@ -383,20 +365,17 @@ class TestBundleFaults:
             load_bundle(bundle)
 
     def test_bad_magic(self, bundle):
-        import hashlib
-
-        body = b"NOTAMODL" + bundle.read_bytes()[8:-32]
-        bundle.write_bytes(body + hashlib.sha256(body).digest())
+        resign(bundle, MAGIC, as_magic=b"NOTAMODL")
         with pytest.raises(ValidationError, match="bad magic"):
             load_bundle(bundle)
 
     def test_major_version_bump_rejected(self, bundle):
-        _resign_bundle(bundle, major=2)
+        resign(bundle, MAGIC, major=2)
         with pytest.raises(ValidationError, match="major version 2"):
             load_bundle(bundle)
 
     def test_minor_version_bump_still_readable(self, bundle):
-        _resign_bundle(bundle, mutate=lambda h: h.update(format_minor=7))
+        resign(bundle, MAGIC, lambda h: h.update(format_minor=7))
         entries, meta = load_bundle(bundle)
         assert meta == {"k": 1}
         assert isinstance(entries["main"], Network)
@@ -404,20 +383,36 @@ class TestBundleFaults:
     def test_manifest_beyond_payload(self, bundle):
         def grow(header):
             header["params"][-1]["shape"] = [4, 3]  # the last array, 6.w, is (4, 2)
-        _resign_bundle(bundle, mutate=grow)
+        resign(bundle, MAGIC, grow)
         with pytest.raises((ChecksumError, ValidationError), match="payload bytes"):
             load_bundle(bundle)
 
     @pytest.mark.parametrize("extra", [8, 3])  # one whole value, part of one
     def test_trailing_payload_bytes(self, bundle, extra):
-        _resign_bundle(bundle, extra_payload=bytes(extra))
+        resign(bundle, MAGIC, extra_payload=bytes(extra))
         with pytest.raises(ChecksumError, match=f"{extra} trailing payload bytes"):
+            load_bundle(bundle)
+
+    @pytest.mark.parametrize("key, edit", [
+        ("entries", lambda h: h.pop("entries")),
+        ("meta", lambda h: h.pop("meta")),
+        ("meta", lambda h: h.update(meta=[1])),
+        ("params", lambda h: h.update(params={})),
+        ("shape", lambda h: h["params"][0].pop("shape")),
+        ("entry", lambda h: h["params"][0].update(entry=3)),
+        ("role", lambda h: h["entries"][0].pop("role")),
+        ("descriptor", lambda h: h["entries"][0].update(descriptor="main")),
+    ], ids=["no-entries", "no-meta", "list-meta", "dict-params", "record-without-shape",
+            "numeric-entry", "entry-without-role", "string-descriptor"])
+    def test_header_key_missing_or_mistyped(self, bundle, key, edit):
+        resign(bundle, MAGIC, edit)
+        with pytest.raises(ValidationError, match=f"{re.escape(str(bundle))}: header key '{key}'"):
             load_bundle(bundle)
 
     def test_unknown_layer_kind(self, bundle):
         def rename(header):
             header["entries"][0]["descriptor"]["layers"][1]["kind"] = "gelu"
-        _resign_bundle(bundle, mutate=rename)
+        resign(bundle, MAGIC, rename)
         with pytest.raises(ValidationError, match="gelu"):
             load_bundle(bundle)
 
@@ -426,7 +421,7 @@ class TestBundleFaults:
             params = header["params"]
             w = next(p for p in params if p["key"] == "6.w")  # Dense(4, 2)
             w["shape"] = [2, 4]
-        _resign_bundle(bundle, mutate=swap)
+        resign(bundle, MAGIC, swap)
         with pytest.raises(ShapeError):
             load_bundle(bundle)
 
@@ -434,7 +429,7 @@ class TestBundleFaults:
         def drop(header):
             rec = next(p for p in header["params"] if p["key"] == "6.b")
             rec["key"] = "7.b"
-        _resign_bundle(bundle, mutate=drop)
+        resign(bundle, MAGIC, drop)
         with pytest.raises(ValidationError):
             load_bundle(bundle)
 

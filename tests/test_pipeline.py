@@ -244,15 +244,15 @@ class TestExperimentRunner:
                        "svm_var", "svm_pdc", "svm_cn", "svm_all"]
 
     def test_no_leakage_by_construction(self, run):
-        runner, results, manifest = run
+        runner, _, manifest = run
         all_ids = set(manifest.subject_ids())
-        for result in results:
-            for fold in result.folds:
-                test = set(fold.test_ids)
-                train = set(fold.train_ids)
-                val = set(fold.val_ids)
-                assert not test & train and not test & val and not train & val
-                assert test | train | val == all_ids
+        tested = []
+        for fold in range(runner.k):
+            train, val, test = map(set, runner.fold_split(fold))
+            assert not test & train and not test & val and not train & val
+            assert test | train | val == all_ids
+            tested += test
+        assert sorted(tested) == sorted(all_ids)
 
     def test_separable_cohort_learned(self, run):
         _, results, _ = run
@@ -275,10 +275,8 @@ class TestExperimentRunner:
     def test_predictions_cover_all_subjects(self, run):
         _, results, manifest = run
         for result in results:
-            seen = set()
-            for fold in result.folds:
-                seen |= set(fold.predicted)
-            assert seen == set(manifest.subject_ids())
+            counted = sum(f.metrics[c] for f in result.folds for c in ("tp", "fn", "tn", "fp"))
+            assert counted == len(manifest.subject_ids()), result.result_id
 
     def test_latency_helper(self, run):
         runner, results, manifest = run
