@@ -290,8 +290,10 @@ def cmd_train(cfg: RunConfig) -> int:
     _out_dir(cfg, "models").mkdir(parents=True, exist_ok=True)
     _out_dir(cfg, "curves").mkdir(parents=True, exist_ok=True)
 
+    kinds = model_kind_list(cfg)
+    runner.prefetch(kinds)
     failures = 0
-    for kind in model_kind_list(cfg):
+    for kind in kinds:
         for row in KINDS[kind].results:
             try:
                 result = runner.run_result(kind, row)

@@ -82,9 +82,11 @@ def _conv_forward(x, w, bias, pad):
     wo = xp.shape[2] - kw + 1
     out = np.empty((b, ho, wo, w.shape[-1]))
     out[...] = bias
+    tmp = np.empty_like(out)  # one product buffer per call, not one per kernel offset
     for u in range(kh):
         for v in range(kw):
-            out += xp[:, u : u + ho, v : v + wo, :] @ w[u, v]
+            np.matmul(xp[:, u : u + ho, v : v + wo, :], w[u, v], out=tmp)
+            out += tmp
     return out, xp
 
 

@@ -13,7 +13,7 @@ from pathlib import Path
 import numpy as np
 
 from ..container import header_field, read_framed, write_framed
-from ..errors import ValidationError
+from ..errors import EegConnError, ValidationError
 from .layers import LAYER_KINDS
 from .network import MultiBranchNetwork, Network
 
@@ -22,14 +22,19 @@ FORMAT_MAJOR = 1
 FORMAT_MINOR = 0
 
 
-def _build_layers(descs: list[dict]):
+def _build_layers(where, descs) -> list:
+    if not isinstance(descs, list):
+        raise ValidationError(f"{where}: a layer table is not a list")
     layers = []
-    for d in descs:
-        cfg = dict(d)
-        kind = cfg.pop("kind")
+    for i, d in enumerate(descs):
+        kind = header_field(where, d, "kind", str)
         if kind not in LAYER_KINDS:
-            raise ValidationError(f"unknown layer kind {kind!r} in model file")
-        layers.append(LAYER_KINDS[kind](**cfg))
+            raise ValidationError(f"{where}: unknown layer kind {kind!r}")
+        cfg = {k: v for k, v in d.items() if k != "kind"}
+        try:
+            layers.append(LAYER_KINDS[kind](**cfg))
+        except (TypeError, ValueError) as exc:  # an unknown, missing or bad argument
+            raise ValidationError(f"{where}: layer {i} ({kind}): {exc}") from None
     return layers
 
 
@@ -50,28 +55,36 @@ def _entry_params(role: str, obj) -> dict[str, np.ndarray]:
         raise ValidationError(f"entry {role!r} holds a non-numeric array ({exc})") from None
 
 
-def _rebuild(desc: dict, state: dict[str, np.ndarray]):
+def rebuild(where, desc: dict, state: dict[str, np.ndarray]):
     """The entry a descriptor names: a network whose parameter arrays are
     ``state``, dropout wired and no weights drawn, or ``state`` itself for a
-    plain array group."""
-    if desc.get("type") == "arrays":
+    plain array group.  A descriptor that lacks a key or whose layer table
+    does not fit the layer constructors gives a ValidationError, and shapes
+    that do not fit the layers or ``state`` a ShapeError; both name
+    ``where``, the model file, and the key or the layer."""
+    kind = header_field(where, desc, "type", str)
+    if kind == "arrays":
         return state
-    if desc.get("type") not in ("network", "multibranch"):
-        raise ValidationError(f"unknown entry type {desc.get('type')!r} in model file")
+    if kind not in ("network", "multibranch"):
+        raise ValidationError(f"{where}: unknown entry type {kind!r}")
     # A "multibranch" entry loads as a MultiBranchNetwork, whose __init__
     # only renames Network's arguments, so both types share this one call.
-    branched = desc["type"] == "multibranch"
+    branched = kind == "multibranch"
+    layers = _build_layers(where, header_field(where, desc, "trunk" if branched else "layers",
+                                               list))
+    branches = [_build_layers(where, b)
+                for b in (header_field(where, desc, "branches", list) if branched else ())]
+    shapes = header_field(where, desc, "input_shapes" if branched else "input_shape", list)
+    seed = header_field(where, desc, "seed", int)
+    name = header_field(where, desc, "name", str)
     net = object.__new__(MultiBranchNetwork if branched else Network)
-    Network.__init__(
-        net,
-        _build_layers(desc["trunk" if branched else "layers"]),
-        input_shape=desc.get("input_shape"),
-        seed=desc["seed"],
-        name=desc["name"],
-        branches=[_build_layers(b) for b in desc.get("branches", ())],
-        input_shapes=desc.get("input_shapes", ()),
-    )
-    net.wire_dropout()._bind_state(state, copy=False)
+    try:
+        Network.__init__(net, layers, input_shape=None if branched else shapes, seed=seed,
+                         name=name, branches=branches, input_shapes=shapes if branched else ())
+        net.wire_dropout()._bind_state(state, copy=False)
+    except (TypeError, ValueError) as exc:  # shapes that are not shapes, or do not fit
+        kind_of_error = type(exc) if isinstance(exc, EegConnError) else ValidationError
+        raise kind_of_error(f"{where}: {exc}") from None
     return net
 
 
@@ -117,5 +130,5 @@ def load_bundle(path: str | Path) -> tuple[dict[str, object], dict]:
         if header_field(path, rec, "entry", str) not in states:
             raise ValidationError(f"{path}: parameters for unknown entry {rec['entry']!r}")
         states[rec["entry"]][rec["key"]] = view
-    return {item["role"]: _rebuild(header_field(path, item, "descriptor", dict),
-                                   states[item["role"]]) for item in items}, meta
+    return {item["role"]: rebuild(path, header_field(path, item, "descriptor", dict),
+                                  states[item["role"]]) for item in items}, meta

@@ -12,8 +12,10 @@ a held-out validation split inside each fold driving epoch selection.
 
 from __future__ import annotations
 
+import os
 import time
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -35,6 +37,7 @@ from .nn.layers import (
 )
 from .nn.network import MultiBranchNetwork, Network, cross_entropy
 from .nn.optim import AdamState, adam_step
+from .nn.serialize import rebuild
 from .seeding import derive_rng, derive_seed
 from .svm import LinearSvm, train_svm
 
@@ -452,13 +455,56 @@ class KindResult:
     models: list[FittedModel]  # per fold
 
 
+def usable_cpus() -> int:
+    """The CPUs this process may run on (its affinity mask where there is one)."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def _env_blas_threads() -> int:
+    """BLAS threads per process as OpenBLAS reads them from the environment
+    when it loads: one per usable CPU unless a positive count is set."""
+    for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS"):
+        value = os.environ.get(var, "")
+        if value.isdigit() and int(value) > 0:
+            return int(value)
+    return usable_cpus()
+
+
+# Read once, right after numpy loaded OpenBLAS: a later change to the
+# environment does not change the library's thread count.
+_BLAS_THREADS = _env_blas_threads()
+
+
+def blas_threads() -> int:
+    """The BLAS threads of this process, which forked workers inherit."""
+    return _BLAS_THREADS
+
+
+_WORKER_RUNNER: "ExperimentRunner | None" = None  # set in forked pool workers only
+
+
+def _adopt_runner(runner: "ExperimentRunner") -> None:
+    """Pool initializer: a forked worker inherits the runner without pickling."""
+    global _WORKER_RUNNER
+    _WORKER_RUNNER = runner
+
+
+def _train_in_worker(label: str, fold: int):
+    """Train one cached net in a pool worker; return what the parent binds."""
+    net, res = _WORKER_RUNNER._train_cached_net(label, fold)
+    return net.descriptor(), net.param_dict(), res
+
+
 class ExperimentRunner:
     """Trains every requested classifier kind over a shared fold plan.
 
     Every net, member or not, trains through :meth:`train_net`.  The three
     domain CNNs are cached per fold so that single-domain kinds and the
     fusion ensembles reuse identical trained members (identical seeds make
-    this exact, not approximate).
+    this exact, not approximate).  :meth:`prefetch` fills the same cache,
+    feature-fusion nets included, in a pool of processes.
     """
 
     def __init__(self, features, manifest: CohortManifest, spec: ModelSpec,
@@ -486,7 +532,9 @@ class ExperimentRunner:
         self.positive_class = positive_class
         self.labels = manifest.labels()
         self.plan = stratified_kfold(manifest, k=k, seed=derive_seed(master_seed, "folds"))
-        self._member_cache: dict[tuple[str, int], tuple[Network, TrainResult]] = {}
+        # (label, fold) -> the trained net and its result, or the exception its
+        # prefetched training raised
+        self._member_cache: dict[tuple[str, int], tuple[Network, TrainResult] | Exception] = {}
         self._splits: dict[int, tuple[list[str], list[str], list[str]]] = {}
 
     # ids and labels ---------------------------------------------------------
@@ -539,13 +587,79 @@ class ExperimentRunner:
                           seed=derive_seed(self.master_seed, "train", label, fold))
         return net, res
 
-    def trained_member(self, domain: str, fold: int) -> tuple[Network, TrainResult]:
-        key = (domain, fold)
-        if key not in self._member_cache:
-            self._member_cache[key] = self.train_net(
-                domain, fold, lambda seed: build_domain_network(domain, self.spec, seed),
-                lambda sids: self.fold_inputs(MEMBER_KINDS[domain], sids, fold))
-        return self._member_cache[key]
+    def _train_cached_net(self, label: str, fold: int) -> tuple[Network, TrainResult]:
+        build, row = CACHED_NETS[label]
+        return self.train_net(label, fold, lambda seed: build(self.spec, seed),
+                              lambda sids: self.fold_inputs(row, sids, fold))
+
+    def trained_member(self, label: str, fold: int) -> tuple[Network, TrainResult]:
+        """The fold's trained net for a ``CACHED_NETS`` label.
+
+        A prefetched net comes from the cache, and a prefetched training that
+        failed raises its exception again.  Otherwise the net trains now, and
+        a domain member, which several kinds share, is kept in the cache.
+        """
+        got = self._member_cache.get((label, fold))
+        if got is None:
+            got = self._train_cached_net(label, fold)
+            if label in DOMAINS:
+                self._member_cache[label, fold] = got
+        if isinstance(got, Exception):
+            raise got
+        return got
+
+    def prefetch(self, kinds) -> None:
+        """Train every cached net the kinds read into the cache, in a pool.
+
+        The jobs are independent and each draws its seeds from its own
+        (label, fold), so they run in a forked process pool and the pool
+        size changes no byte.  Workers inherit the BLAS thread count, and
+        two workers with two busy-waiting OpenBLAS threads each on two CPUs
+        train eight times slower than one, so the pool has one worker per
+        ``blas_threads()`` usable CPUs, capped by the job count.  With fewer
+        than two workers, or without ``fork``, nothing is prefetched and
+        :meth:`trained_member` trains each net when a row first reads it.
+        A job that raises, or whose worker dies, leaves its exception in
+        the cache for every result row that reads the net.
+        """
+        # imported here, where a pool may start: other commands do without them
+        import multiprocessing
+
+        labels = {label for kind in kinds for label in KINDS[kind].nets}
+        jobs = [(label, fold) for label in CACHED_NETS if label in labels
+                for fold in range(self.k)]  # largest nets first
+        workers = min(usable_cpus() // blas_threads(), len(jobs))
+        if workers < 2 or "fork" not in multiprocessing.get_all_start_methods():
+            return
+        # A dead worker breaks the whole pool and fails every unfinished job,
+        # so each of those trains again alone: only a job whose own worker
+        # dies fails.
+        for label, fold in self._train_in_pool(jobs, workers):
+            if self._train_in_pool([(label, fold)], 1):
+                self._member_cache[label, fold] = RuntimeError(
+                    f"the worker training the {label} net of fold {fold} died")
+
+    def _train_in_pool(self, jobs: list[tuple[str, int]], workers: int) -> list[tuple[str, int]]:
+        """Train the jobs in a forked pool into the cache; the jobs left
+        unfinished because a worker died."""
+        import multiprocessing
+        from concurrent.futures import ProcessPoolExecutor
+        from concurrent.futures.process import BrokenProcessPool
+
+        broken = []
+        with ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork"),
+                                 initializer=_adopt_runner, initargs=(self,)) as pool:
+            futures = [(job, pool.submit(_train_in_worker, *job)) for job in jobs]
+            for (label, fold), future in futures:
+                try:
+                    descriptor, params, res = future.result()
+                    net = rebuild(f"{label} net of fold {fold}", descriptor, params)
+                    self._member_cache[label, fold] = (net, res)
+                except BrokenProcessPool:
+                    broken.append((label, fold))
+                except Exception as exc:  # noqa: BLE001 - fails the rows that read the net
+                    self._member_cache[label, fold] = exc
+        return broken
 
     # per-result execution ---------------------------------------------------
 
@@ -613,9 +727,7 @@ def _fit_member(runner: ExperimentRunner, row: "ModelKind", fold: int, feature_s
 
 def _fit_feature_fusion(runner: ExperimentRunner, row: "ModelKind", fold: int,
                         feature_set: str):
-    net, res = runner.train_net("fusion_feature", fold,
-                                lambda seed: build_feature_fusion(runner.spec, seed),
-                                lambda sids: runner.fold_inputs(row, sids, fold))
+    net, res = runner.trained_member("fusion_feature", fold)
     return FittedModel(net, runner.fold_stats(fold)), {"main": res.curve}
 
 
@@ -691,6 +803,13 @@ class ModelKind:
     unbundle: Callable[[dict, dict], object]       # (bundle entries, meta) -> core
     results: tuple[ResultRow, ...]
 
+    @property
+    def nets(self) -> tuple[str, ...]:
+        """The ``CACHED_NETS`` labels that ``fit`` reads, per fold."""
+        if self.fit is _fit_feature_fusion:
+            return ("fusion_feature",)
+        return () if self.fit is _fit_svm else self.domains
+
     def inputs(self, features, sids: list[str], band_idx=None, stats: dict | None = None,
                feature_set: str = "all"):
         """The core's input for a batch of subjects, each domain standardized by its stats."""
@@ -729,6 +848,14 @@ MODEL_KINDS = tuple(KINDS)
 
 # the single-domain CNN kind of each domain, whose net is the ensembles' member
 MEMBER_KINDS = {row.domains[0]: row for row in KINDS.values() if row.fit is _fit_member}
+
+# Every net trained once per (label, fold) and cached by the runner: how to
+# build it from (spec, init seed), and the kind whose inputs it reads.  The
+# order is the prefetch order, largest nets first.
+CACHED_NETS: dict[str, tuple[Callable[[ModelSpec, int], Network], ModelKind]] = {
+    "fusion_feature": (build_feature_fusion, KINDS["fusion_feature"]),
+    **{d: (partial(build_domain_network, d), row) for d, row in MEMBER_KINDS.items()},
+}
 
 
 # -- prediction and timing ----------------------------------------------------

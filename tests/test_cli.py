@@ -1,7 +1,10 @@
 """End-to-end command tests on a small synthetic cohort."""
 
 import json
+import os
 import shutil
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -19,6 +22,29 @@ from eegconn.spectral import BandSpec
 from eegconn.synthetic import make_synthetic_cohort
 
 KINDS = "cnn2d_var,cnn2d_pdc,cnn1d_cn,fusion_feature,fusion_score,fusion_decision,svm_linear"
+
+SRC = Path(__file__).resolve().parents[1] / "src"
+
+# Trains with the pdc member's training killing its process, as a crash would.
+KILL_PDC_WORKER = r"""
+import os
+import sys
+
+from eegconn import pipeline
+from eegconn.cli import main
+
+train_model = pipeline.train_model
+
+
+def die_on_pdc(model, *args, **kwargs):
+    if model.name == "cnn_pdc":
+        os._exit(9)
+    return train_model(model, *args, **kwargs)
+
+
+pipeline.train_model = die_on_pdc
+sys.exit(main(["train", "--config", sys.argv[1]]))
+"""
 
 RESULT_IDS = [
     "cnn2d_var", "cnn2d_pdc", "cnn1d_cn", "fusion_feature", "fusion_score",
@@ -186,6 +212,61 @@ class TestTrain:
                           for rid in ("cnn1d_cn", "svm_var", "svm_pdc", "svm_cn", "svm_all")}
         curves = {p.name for p in (out6 / "curves").glob("*.csv")}
         assert curves == {"domain_cn_fold0.csv", "domain_cn_fold1.csv"}
+
+    @pytest.mark.parametrize("cpus", [1, 2], ids=["in-process", "pool-of-2"])
+    def test_failed_member_fails_every_row_that_reads_it(self, workspace, tmp_path,
+                                                          monkeypatch, capsys, cpus):
+        # On one CPU each net trains when a row first reads it; on two the
+        # nets train first, in a pool of two forked workers, which the patch
+        # reaches.  The workers run with this process's BLAS threads, which
+        # may oversubscribe the CPUs: slower, but the same outcome.
+        monkeypatch.setattr(pipeline, "usable_cpus", lambda: cpus)
+        monkeypatch.setattr(pipeline, "blas_threads", lambda: 1)
+        _, _, out, manifest = workspace
+        out12 = tmp_path / f"out12-{cpus}"
+        shutil.copytree(out / "features", out12 / "features")
+        cfg12 = write_config(tmp_path / f"r12-{cpus}.cfg", manifest, out12, epochs=2)
+        train_model = pipeline.train_model
+
+        def diverge_var(model, *args, **kwargs):
+            if model.name == "cnn_var":
+                raise TrainingDivergedError("validation loss became non-finite at epoch 0")
+            return train_model(model, *args, **kwargs)
+
+        monkeypatch.setattr(pipeline, "train_model", diverge_var)
+        capsys.readouterr()
+        assert main(["train", "--config", str(cfg12)]) == 1
+        err = capsys.readouterr().err.strip().splitlines()
+        assert err == [f"{rid}: FAILED (validation loss became non-finite at epoch 0)"
+                       for rid in ("cnn2d_var", "fusion_score", "fusion_decision")]
+        models = {p.name for p in (out12 / "models").glob("*.model")}
+        kept = ("cnn2d_pdc", "cnn1d_cn", "fusion_feature", "svm_var", "svm_pdc", "svm_cn",
+                "svm_all")
+        assert models == {f"{rid}_fold{fold}.model" for fold in range(2) for rid in kept}
+        curves = {p.name for p in (out12 / "curves").glob("*.csv")}
+        assert curves == {f"{stem}_fold{fold}.csv" for fold in range(2)
+                          for stem in ("domain_pdc", "domain_cn", "fusion_feature")}
+
+    @pytest.mark.skipif(len(os.sched_getaffinity(0)) < 2, reason="needs 2 usable CPUs")
+    def test_dead_worker_fails_its_rows_without_a_traceback(self, workspace, tmp_path):
+        _, _, out, manifest = workspace
+        out13 = tmp_path / "out13"
+        shutil.copytree(out / "features", out13 / "features")
+        cfg13 = write_config(tmp_path / "r13.cfg", manifest, out13, epochs=2)
+        env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1",
+                   PYTHONPATH=os.pathsep.join(filter(None, [str(SRC),
+                                                            os.environ.get("PYTHONPATH")])))
+        proc = subprocess.run([sys.executable, "-c", KILL_PDC_WORKER, str(cfg13)], env=env,
+                              capture_output=True, text=True, timeout=300)
+        assert proc.returncode == 1, proc.stderr
+        assert "Traceback" not in proc.stderr
+        # The pdc net of fold 0 is the first to kill its worker; the other
+        # jobs it left unfinished train again and are not failed.
+        failed = ("cnn2d_pdc", "fusion_score", "fusion_decision")
+        assert proc.stderr.strip().splitlines() == [
+            f"{rid}: FAILED (the worker training the pdc net of fold 0 died)" for rid in failed]
+        assert all(f"{rid}: trained 2 folds" in proc.stdout
+                   for rid in set(RESULT_IDS) - set(failed))
 
     def test_curve_length_matches_epochs(self, workspace):
         _, _, out, _ = workspace
@@ -456,6 +537,22 @@ class TestMalformedFiles:
                      "--input", str(out / "features" / "sz000_var.feat")]) == 2
         err = capsys.readouterr().err.strip().splitlines()
         assert err == [f"error: {model}: header key {key!r} is missing or of the wrong type"]
+
+    @pytest.mark.parametrize("edit, key", [
+        (lambda d: d.pop("seed"), "seed"),
+        (lambda d: d["layers"][0].pop("kind"), "kind"),
+        (lambda d: d["layers"][-2].update(width=3), "width"),
+    ], ids=["no-seed", "layer-without-kind", "unknown-layer-argument"])
+    def test_bundle_descriptor_in_predict(self, workspace, tmp_path, capsys, edit, key):
+        _, cfg, out, _ = workspace
+        model = tmp_path / "cnn2d_var_fold0.model"
+        shutil.copy(out / "models" / model.name, model)
+        resign(model, serialize.MAGIC, lambda h: edit(h["entries"][0]["descriptor"]))
+        capsys.readouterr()
+        assert main(["predict", "--config", str(cfg), "--model", str(model),
+                     "--input", str(out / "features" / "sz000_var.feat")]) == 2
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and err[0].startswith(f"error: {model}: ") and f"'{key}'" in err[0]
 
     def test_bundle_in_eval_fails_its_row(self, workspace, tmp_path, capsys):
         _, _, out, manifest = workspace

@@ -6,8 +6,16 @@ import pytest
 from oracles import resign
 
 from eegconn.container import MAGIC, read_container, write_container
-from eegconn.errors import ChecksumError, ValidationError
-from eegconn.nn import Dense, Network, ReLU, Softmax, load_bundle, save_bundle
+from eegconn.errors import ChecksumError, ShapeError, ValidationError
+from eegconn.nn import (
+    Dense,
+    MultiBranchNetwork,
+    Network,
+    ReLU,
+    Softmax,
+    load_bundle,
+    save_bundle,
+)
 from eegconn.nn import serialize
 from eegconn.nn.layers import Flatten
 from eegconn.spectral import BandSpec
@@ -168,3 +176,51 @@ def test_fault(framed, edit, error, match):
     with pytest.raises(error, match=match.format(key=framed.key)) as info:
         framed.read(framed.path)
     assert str(framed.path) in str(info.value)
+
+
+# -- bundle entry descriptors ----------------------------------------------------
+
+
+def _fusion_bundle(path) -> None:
+    net = MultiBranchNetwork([[Flatten()], [Flatten()]], [Dense(10, 2), Softmax()],
+                             input_shapes=[(3, 2), (4,)], seed=3).initialize()
+    save_bundle(path, {"main": net}, meta={})
+
+
+def _descriptor(edit):
+    """A header mutation applying ``edit`` to the first entry's descriptor."""
+    return lambda header: edit(header["entries"][0]["descriptor"])
+
+
+DESCRIPTOR_FAULTS = [
+    # id, bundle maker, descriptor edit, what the error must name: the key or the layer
+    ("no-seed", _bundle, lambda d: d.pop("seed"), "'seed'"),
+    ("no-name", _bundle, lambda d: d.pop("name"), "'name'"),
+    ("no-layers", _bundle, lambda d: d.pop("layers"), "'layers'"),
+    ("no-type", _bundle, lambda d: d.pop("type"), "'type'"),
+    ("no-trunk", _fusion_bundle, lambda d: d.pop("trunk"), "'trunk'"),
+    ("no-branches", _fusion_bundle, lambda d: d.pop("branches"), "'branches'"),
+    ("layer-without-kind", _bundle, lambda d: d["layers"][1].pop("kind"), "'kind'"),
+    ("unknown-layer-argument", _bundle, lambda d: d["layers"][1].update(width=3), "'width'"),
+    ("missing-layer-argument", _bundle, lambda d: d["layers"][1].pop("out_features"),
+     "'out_features'"),
+    ("branch-argument", _fusion_bundle, lambda d: d["branches"][0][0].update(axis=1), "'axis'"),
+    ("no-input-shape", _bundle, lambda d: d.pop("input_shape"), "'input_shape'"),
+    ("no-input-shapes", _fusion_bundle, lambda d: d.pop("input_shapes"), "'input_shapes'"),
+    ("input-shape-not-numbers", _bundle, lambda d: d.update(input_shape=["a", 2]), "'a'"),
+    ("input-shape-misfits-layers", _bundle, lambda d: d.update(input_shape=[3, 3]), "(dense)"),
+    ("layer-misfits-parameters", _bundle,
+     lambda d: d["layers"][1].update(in_features=7) or d.update(input_shape=[7]), "1.w"),
+]
+
+
+@pytest.mark.parametrize("make, edit, names", [row[1:] for row in DESCRIPTOR_FAULTS],
+                         ids=[row[0] for row in DESCRIPTOR_FAULTS])
+def test_descriptor_fault_names_the_file_and_what_is_wrong(tmp_path, make, edit, names):
+    path = tmp_path / "net.model"
+    make(path)
+    load_bundle(path)
+    resign(path, serialize.MAGIC, _descriptor(edit))
+    with pytest.raises((ValidationError, ShapeError),
+                       match=f"^{re.escape(str(path))}: .*{re.escape(names)}"):
+        load_bundle(path)

@@ -8,8 +8,12 @@ change re-pins them in the same change and says why in CHANGES.md.
 The hashes were taken with numpy 2.4.6 and OpenBLAS 0.3.31 (scipy-openblas,
 DYNAMIC_ARCH, Haswell kernels) under Python 3.11.  The run pins one BLAS
 thread because fusion_feature bundles differ between one and two threads at
-the published sizes.  A second test runs the same config with one and with
-two BLAS threads and checks that every pinned file is byte-identical.
+the published sizes.  At one BLAS thread ``train`` trains its nets in a pool
+of one process per usable CPU, so the run is pinned once to one CPU, where
+the nets train in the process itself, and once to two, where they train in
+a pool of two forked workers; both must give the pinned bytes.  A further test runs the
+same config with one and with two BLAS threads and checks that every pinned
+file is byte-identical.
 """
 
 import hashlib
@@ -23,6 +27,7 @@ import pytest
 SRC = Path(__file__).resolve().parents[1] / "src"
 
 RUN = r"""
+import os
 import sys
 from pathlib import Path
 
@@ -30,6 +35,8 @@ from eegconn.cli import main
 from eegconn.synthetic import make_synthetic_cohort
 
 root = Path(sys.argv[1])
+if len(sys.argv) > 2:  # run on this many of the usable CPUs: the training pool's size
+    os.sched_setaffinity(0, sorted(os.sched_getaffinity(0))[: int(sys.argv[2])])
 manifest = make_synthetic_cohort(root / "data", seed=7, n_group_a=6, n_group_b=6,
                                  channels=4, samples=420)
 cfg = root / "golden.cfg"
@@ -199,12 +206,14 @@ def _sha256(path: Path) -> str:
     return hashlib.sha256(path.read_bytes()).hexdigest()
 
 
-def _golden_run(root: Path, blas_threads: int) -> dict[str, str]:
-    """Run the golden config in a subprocess; the sha256 of every pinned file."""
+def _golden_run(root: Path, blas_threads: int, cpus: int | None = None) -> dict[str, str]:
+    """Run the golden config in a subprocess, on ``cpus`` CPUs if given; the
+    sha256 of every pinned file."""
     threads = str(blas_threads)
     env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads,
                PYTHONPATH=os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")])))
-    proc = subprocess.run([sys.executable, "-c", RUN, str(root)], env=env,
+    pin = [] if cpus is None else [str(cpus)]
+    proc = subprocess.run([sys.executable, "-c", RUN, str(root), *pin], env=env,
                           capture_output=True, text=True, timeout=600)
     assert proc.returncode == 0, proc.stderr
     out = root / "out"
@@ -216,7 +225,12 @@ def _golden_run(root: Path, blas_threads: int) -> dict[str, str]:
 
 
 def test_golden_run_hashes(tmp_path):
-    assert _golden_run(tmp_path, 1) == GOLDEN
+    assert _golden_run(tmp_path, 1, cpus=1) == GOLDEN
+
+
+@pytest.mark.skipif(len(os.sched_getaffinity(0)) < 2, reason="needs 2 usable CPUs")
+def test_golden_run_hashes_in_a_pool_of_two(tmp_path):
+    assert _golden_run(tmp_path, 1, cpus=2) == GOLDEN
 
 
 @pytest.mark.skipif(len(os.sched_getaffinity(0)) < 2, reason="needs 2 usable CPUs")
