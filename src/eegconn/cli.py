@@ -22,16 +22,19 @@ from .eeg_io import CohortManifest, load_manifest, load_recording, standardize
 from .errors import EegConnError, ValidationError
 from .netmetrics import cn_features
 from .nn.network import Network
-from .nn.serialize import load_bundle, save_bundle
+from .nn.serialize import BundleRef, load_bundle, save_bundle
 from .pipeline import (
     DOMAINS,
     KINDS,
+    NET_ROLE,
     ExperimentRunner,
     FittedModel,
     FoldPlan,
     KindResult,
+    Member,
     MetricsReport,
     ModelSpec,
+    ResultRow,
     band_indices,
     evaluate,
     predict_with_core,
@@ -188,15 +191,6 @@ def _spec_from_features(cfg: RunConfig, features: dict, band_idx) -> ModelSpec:
 # -- train -------------------------------------------------------------------
 
 
-def _bundle_entries(kind: str, fitted: FittedModel) -> tuple[dict, dict]:
-    entries, extra = KINDS[kind].bundle(fitted.core)
-    if fitted.stats:
-        for domain, (mean, sd) in fitted.stats.items():
-            entries[f"stats_{domain}"] = {"mean": mean, "sd": sd}
-    extra["standardized_inputs"] = bool(fitted.stats)
-    return entries, extra
-
-
 def core_from_bundle(entries: dict, meta: dict) -> FittedModel:
     """The fitted model a bundle's entries and metadata describe."""
     stats = None
@@ -292,6 +286,7 @@ def cmd_train(cfg: RunConfig) -> int:
 
     kinds = model_kind_list(cfg)
     runner.prefetch(kinds)
+    written: dict[str, str] = {}  # model file name -> its sha256: each written once
     failures = 0
     for kind in kinds:
         for row in KINDS[kind].results:
@@ -301,40 +296,104 @@ def cmd_train(cfg: RunConfig) -> int:
                 failures += 1
                 print(f"{row.result_id}: FAILED ({exc})", file=sys.stderr)
                 continue
-            _save_result(cfg, manifest, result)
+            _save_result(cfg, manifest, result, written)
             print(f"{result.result_id}: trained {len(result.folds)} folds, "
                   f"modified accuracy {result.report.mean['modified_accuracy']:.2f}% "
                   f"(+/-{result.report.sd['modified_accuracy']:.2f})")
     return 1 if failures else 0
 
 
-def _save_result(cfg: RunConfig, manifest: CohortManifest, result: KindResult) -> None:
+def _save_result(cfg: RunConfig, manifest: CohortManifest, result: KindResult,
+                 written: dict[str, str]) -> None:
     """One model bundle per fold plus its learning curves."""
+    row = ResultRow(result.result_id, result.feature, result.feature_set)
     for fold_outcome, fitted in zip(result.folds, result.models):
         fold = fold_outcome.fold
-        entries, extra_meta = _bundle_entries(result.kind, fitted)
-        meta = {
-            "model_kind": result.kind,
-            "feature": result.feature,
-            "feature_set": result.feature_set,
-            "class_names": list(manifest.class_names),
-            "positive_class": cfg.positive_class,
-            "band_filter": band_filter_list(cfg),
-            "fold": fold,
-            **extra_meta,
-        }
-        save_bundle(_out_dir(cfg, "models") / f"{result.result_id}_fold{fold}.model", entries, meta)
+        _save_bundle(cfg, manifest, result.kind, row, fitted, fold, written)
         for role, curve in fold_outcome.curves.items():
             name = _curve_filename(result.result_id, role, fold)
             _write_curve_csv(_out_dir(cfg, "curves") / name, curve)
 
 
+def _save_bundle(cfg: RunConfig, manifest: CohortManifest, kind: str, row: ResultRow,
+                 fitted: FittedModel, fold: int, written: dict[str, str]) -> str:
+    """Write a result row's model bundle of one fold unless ``written`` holds
+    it already; its sha256.  A ``Member`` entry is written first, as its own
+    kind's row writes it, and the bundle stores a reference to that file."""
+    name = f"{row.result_id}_fold{fold}.model"
+    if name in written:
+        return written[name]
+    entries, extra_meta = KINDS[kind].bundle(fitted.core)
+    for role, entry in entries.items():
+        if isinstance(entry, Member):
+            member_row = KINDS[entry.kind].results[0]
+            digest = _save_bundle(cfg, manifest, entry.kind, member_row,
+                                  FittedModel(entry.net, fitted.stats), fold, written)
+            entries[role] = BundleRef(f"{member_row.result_id}_fold{fold}.model", digest,
+                                      NET_ROLE)
+    for domain, (mean, sd) in (fitted.stats or {}).items():
+        entries[f"stats_{domain}"] = {"mean": mean, "sd": sd}
+    meta = {
+        "model_kind": kind,
+        "feature": row.feature,
+        "feature_set": row.feature_set,
+        "class_names": list(manifest.class_names),
+        "positive_class": cfg.positive_class,
+        "band_filter": band_filter_list(cfg),
+        "fold": fold,
+        "standardized_inputs": bool(fitted.stats),
+        **extra_meta,
+    }
+    written[name] = save_bundle(_out_dir(cfg, "models") / name, entries, meta)
+    return written[name]
+
+
 # -- eval ----------------------------------------------------------------------
 
 
-def load_model(path, band_names: tuple[str, ...]) -> tuple[FittedModel, dict, list[int] | None]:
-    """A saved model, its metadata, and the positions of its band filter in ``band_names``."""
-    entries, meta = load_bundle(path)
+class _ForwardOnce:
+    """A loaded net that keeps its output for the last batch it ran on: in
+    one fold of eval every row that holds the net feeds it the same batch."""
+
+    def __init__(self, net: Network):
+        self.net = net
+        self._last: tuple[list, np.ndarray] | None = None
+
+    def predict_proba(self, x) -> np.ndarray:
+        key = [(a.shape, a.tobytes()) for a in (x if isinstance(x, list) else [x])]
+        if self._last is None or self._last[0] != key:
+            self._last = (key, self.net.predict_proba(x))
+        return self._last[1]
+
+    def predict(self, x):
+        probs = self.predict_proba(x)
+        return probs.argmax(axis=1), probs
+
+
+class FoldModels:
+    """The model files of one fold as eval reads them: each file is read and
+    checked once, and each net in them runs forward once per batch."""
+
+    def __init__(self):
+        self._files: dict = {}
+        self._nets: dict[int, _ForwardOnce] = {}
+
+    def load(self, path) -> tuple[dict, dict]:
+        entries, meta = load_bundle(path, self._files)
+        return {role: self._once(e) if isinstance(e, Network) else e
+                for role, e in entries.items()}, meta
+
+    def _once(self, net: Network) -> _ForwardOnce:
+        if id(net) not in self._nets:  # the file cache keeps every net, and its id, alive
+            self._nets[id(net)] = _ForwardOnce(net)
+        return self._nets[id(net)]
+
+
+def load_model(path, band_names: tuple[str, ...], fold: FoldModels | None = None
+               ) -> tuple[FittedModel, dict, list[int] | None]:
+    """A saved model, its metadata, and the positions of its band filter in
+    ``band_names``; read through ``fold`` when given."""
+    entries, meta = load_bundle(path) if fold is None else fold.load(path)
     return (core_from_bundle(entries, meta), meta,
             band_indices(meta.get("band_filter") or None, band_names))
 
@@ -348,33 +407,41 @@ def cmd_eval(cfg: RunConfig) -> int:
     ordered = manifest.subject_ids()
     _check_fold_plan(plan, ordered, plan_path)
     models_dir = _out_dir(cfg, "models")
-    rows = []
-    failures = 0
-    for result_id, kind, feature_set in _expand_result_ids(model_kind_list(cfg)):
-        fold_metrics = []
-        feature_label = feature_set
-        try:
-            for fold in range(plan.k):
+    results = _expand_result_ids(model_kind_list(cfg))
+    fold_metrics: dict[str, list[dict]] = {result_id: [] for result_id, _, _ in results}
+    feature_label = {result_id: feature_set for result_id, _, feature_set in results}
+    failed: dict[str, Exception] = {}  # a row's first failure ends its folds
+    # Folds outside, rows inside: the rows of a fold share its member files
+    # and nets, which one FoldModels reads and runs once and then lets go.
+    for fold in range(plan.k):
+        models = FoldModels()
+        test_ids = plan.test_ids(fold, ordered)
+        for result_id, kind, feature_set in results:
+            if result_id in failed:
+                continue
+            try:
                 core, meta, band_idx = load_model(models_dir / f"{result_id}_fold{fold}.model",
-                                                  band_names)
-                feature_label = meta.get("feature", feature_set)
-                test_ids = plan.test_ids(fold, ordered)
+                                                  band_names, models)
+                feature_label[result_id] = meta.get("feature", feature_set)
                 bits, _ = predict_with_core(core, kind, features, test_ids,
                                             band_idx, feature_set)
                 class_names = tuple(meta["class_names"])
                 predicted = [class_names[int(b)] for b in bits]
-                fold_metrics.append(
+                fold_metrics[result_id].append(
                     evaluate(predicted, [labels[s] for s in test_ids], cfg.positive_class)
                 )
-        except Exception as exc:  # noqa: BLE001 - per-model isolation, nonzero exit below
-            failures += 1
-            print(f"{result_id}: FAILED ({exc})", file=sys.stderr)
+            except Exception as exc:  # noqa: BLE001 - per-model isolation, nonzero exit below
+                failed[result_id] = exc
+    rows = []
+    for result_id, kind, _ in results:
+        if result_id in failed:
+            print(f"{result_id}: FAILED ({failed[result_id]})", file=sys.stderr)
             continue
-        report = MetricsReport.from_folds(fold_metrics)
+        report = MetricsReport.from_folds(fold_metrics[result_id])
         rows.append({
             "model": result_id,
             "classifier": kind,
-            "feature": feature_label,
+            "feature": feature_label[result_id],
             **report.to_dict(),
         })
         print(f"{result_id}: acc {report.mean['accuracy']:.2f}% "
@@ -390,7 +457,7 @@ def cmd_eval(cfg: RunConfig) -> int:
     out = Path(cfg.output_dir) / "metrics.json"
     out.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
     print(f"wrote {out}")
-    return 1 if failures else 0
+    return 1 if failed else 0
 
 
 # -- predict -------------------------------------------------------------------

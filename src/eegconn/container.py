@@ -29,9 +29,10 @@ FEATURE_KINDS = ("VAR", "PDC", "CN")
 BANDED_KINDS = ("PDC", "CN")  # last axis: one entry per band
 
 
-def write_framed(path, magic: bytes, major: int, header: dict, arrays: list[np.ndarray]) -> None:
+def write_framed(path, magic: bytes, major: int, header: dict, arrays: list[np.ndarray]) -> str:
     """Write ``header`` and the C-contiguous ``<f8`` ``arrays`` in the shared
-    layout, streaming each array's own buffer into the file and the sha256."""
+    layout, streaming each array's own buffer into the file and the sha256;
+    the hex sha256 of the file's bytes before the trailer."""
     header_bytes = json.dumps(header, sort_keys=True).encode()
     sha = hashlib.sha256()
     with open(path, "wb") as fh:
@@ -40,6 +41,7 @@ def write_framed(path, magic: bytes, major: int, header: dict, arrays: list[np.n
             sha.update(chunk)
             fh.write(chunk)
         fh.write(sha.digest())
+    return sha.hexdigest()
 
 
 def header_field(path, header, key: str, kind):
@@ -50,14 +52,15 @@ def header_field(path, header, key: str, kind):
     return header[key]
 
 
-def read_framed(path, magic: bytes, major: int, noun: str, shapes_of) -> tuple[dict, list]:
+def read_framed(path, magic: bytes, major: int, noun: str,
+                shapes_of) -> tuple[dict, list, str]:
     """Read a file in the shared layout once, the payload into one buffer.
 
     The sha256 is checked before anything is parsed, then the magic, the
     major version and the header.  ``shapes_of(header)`` lists the
     ``(name, shape)`` of each payload array in order; together they must
-    account for every payload byte.  Returns the header and one zero-copy
-    view of the payload per array.
+    account for every payload byte.  Returns the header, one zero-copy view
+    of the payload per array, and the checked hex sha256.
     """
     lead = len(magic) + 8
     with open(path, "rb") as fh:
@@ -102,7 +105,7 @@ def read_framed(path, magic: bytes, major: int, noun: str, shapes_of) -> tuple[d
         raise ChecksumError(f"{path}: {payload_len - need} trailing payload bytes")
     offsets = np.cumsum([0, *sizes])
     return header, [payload[a:b].reshape(shape)
-                    for a, b, (_, shape) in zip(offsets, offsets[1:], named)]
+                    for a, b, (_, shape) in zip(offsets, offsets[1:], named)], digest.hex()
 
 
 def _check_bands(path, kind: str, shape: list, bands) -> None:
@@ -139,7 +142,7 @@ def write_container(
 
 
 def read_container(path: str | Path) -> tuple[np.ndarray, dict]:
-    header, (values,) = read_framed(
+    header, (values,), _ = read_framed(
         path, MAGIC, FORMAT_MAJOR, "feature container",
         lambda h: [("values", header_field(path, h, "shape", list))])
     if header_field(path, header, "kind", str) not in FEATURE_KINDS:

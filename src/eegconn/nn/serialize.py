@@ -4,16 +4,21 @@ The framing is the feature containers' (see ``container``): magic bytes,
 major version, a deterministic JSON header (entry roles, layer descriptor
 tables, parameter manifest, metadata), the parameters as 64-bit
 little-endian reals in manifest order, and a sha256 trailer.
+
+An entry is a network, a group of named arrays, or a reference to an entry
+of another model file in the same directory (``BundleRef``), which stores
+that file's name, its sha256 and the entry's role there, and no parameters.
 """
 
 from __future__ import annotations
 
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
 from ..container import header_field, read_framed, write_framed
-from ..errors import EegConnError, ValidationError
+from ..errors import ChecksumError, EegConnError, ValidationError
 from .layers import LAYER_KINDS
 from .network import MultiBranchNetwork, Network
 
@@ -38,7 +43,25 @@ def _build_layers(where, descs) -> list:
     return layers
 
 
+class BundleRef(NamedTuple):
+    """An entry held by another model file of the same directory: the file's
+    bare name, its hex sha256, and the entry's role in it."""
+
+    file: str
+    sha256: str
+    role: str
+
+
+def _check_file_name(where, name: str) -> None:
+    if name in ("", ".", "..") or Path(name).name != name:
+        raise ValidationError(f"{where}: member file {name!r} is not a file name in the "
+                              "bundle's own directory")
+
+
 def _entry_descriptor(obj) -> dict:
+    if isinstance(obj, BundleRef):
+        _check_file_name("bundle reference", obj.file)
+        return {"type": "bundle_ref", **obj._asdict()}
     if isinstance(obj, Network):
         return obj.descriptor()
     if isinstance(obj, dict):
@@ -47,6 +70,8 @@ def _entry_descriptor(obj) -> dict:
 
 
 def _entry_params(role: str, obj) -> dict[str, np.ndarray]:
+    if isinstance(obj, BundleRef):
+        return {}
     if isinstance(obj, Network):
         return obj.param_dict()
     try:
@@ -88,8 +113,9 @@ def rebuild(where, desc: dict, state: dict[str, np.ndarray]):
     return net
 
 
-def save_bundle(path: str | Path, entries: dict[str, object], meta: dict | None = None) -> None:
-    """Write named networks / parameter groups into one model file.
+def save_bundle(path: str | Path, entries: dict[str, object], meta: dict | None = None) -> str:
+    """Write named networks, parameter groups and references into one model
+    file; the hex sha256 it holds.
 
     Every entry is checked, and the header built, before the file is opened.
     """
@@ -103,7 +129,7 @@ def save_bundle(path: str | Path, entries: dict[str, object], meta: dict | None 
             arr = np.ascontiguousarray(params[key], dtype="<f8")
             manifest.append({"entry": role, "key": key, "shape": list(arr.shape)})
             arrays.append(arr)
-    write_framed(path, MAGIC, FORMAT_MAJOR, {
+    return write_framed(path, MAGIC, FORMAT_MAJOR, {
         "format_major": FORMAT_MAJOR,
         "format_minor": FORMAT_MINOR,
         "meta": meta or {},
@@ -112,14 +138,18 @@ def save_bundle(path: str | Path, entries: dict[str, object], meta: dict | None 
     }, arrays)
 
 
-def load_bundle(path: str | Path) -> tuple[dict[str, object], dict]:
-    """Read a model file back into {role: Network | dict}.
+class _File(NamedTuple):
+    entries: dict[str, object]  # role -> Network | dict | BundleRef
+    meta: dict
+    sha256: str
 
-    The sha256 is checked before any network is built, every parameter
-    array is a view of the one buffer the payload is read into, and loading
-    draws no random weights.
-    """
-    header, views = read_framed(path, MAGIC, FORMAT_MAJOR, "model file", lambda h: [
+
+def _read(path: Path, cache: dict) -> _File:
+    """The entries of one model file, references unresolved; read and checked
+    once per ``cache``."""
+    if path in cache:
+        return cache[path]
+    header, views, digest = read_framed(path, MAGIC, FORMAT_MAJOR, "model file", lambda h: [
         (header_field(path, rec, "key", str), header_field(path, rec, "shape", list))
         for rec in header_field(path, h, "params", list)])
     meta = header_field(path, header, "meta", dict)
@@ -130,5 +160,56 @@ def load_bundle(path: str | Path) -> tuple[dict[str, object], dict]:
         if header_field(path, rec, "entry", str) not in states:
             raise ValidationError(f"{path}: parameters for unknown entry {rec['entry']!r}")
         states[rec["entry"]][rec["key"]] = view
-    return {item["role"]: rebuild(path, header_field(path, item, "descriptor", dict),
-                                  states[item["role"]]) for item in items}, meta
+    entries = {}
+    for item in items:
+        role = item["role"]
+        desc = header_field(path, item, "descriptor", dict)
+        if desc.get("type") != "bundle_ref":
+            entries[role] = rebuild(path, desc, states[role])
+            continue
+        if states[role]:
+            raise ValidationError(f"{path}: reference entry {role!r} holds parameters")
+        ref = BundleRef(*(header_field(path, desc, key, str) for key in BundleRef._fields))
+        _check_file_name(path, ref.file)
+        entries[role] = ref
+    cache[path] = _File(entries, meta, digest)
+    return cache[path]
+
+
+def _resolve(path: Path, ref: BundleRef, cache: dict):
+    """The entry a reference in the file at ``path`` names, from a member file
+    that passes every check of its own, has the recorded sha256 and holds no
+    reference itself."""
+    member = path.parent / ref.file
+    try:
+        got = _read(member, cache)
+    except OSError as exc:
+        raise ValidationError(f"{path}: member bundle {member} cannot be read "
+                              f"({exc.strerror or exc})") from None
+    except EegConnError as exc:
+        raise type(exc)(f"{path}: member bundle {exc}") from None
+    if got.sha256 != ref.sha256:
+        raise ChecksumError(f"{path}: member bundle {member} has sha256 {got.sha256}, "
+                            f"not the recorded {ref.sha256}")
+    if any(isinstance(e, BundleRef) for e in got.entries.values()):
+        raise ValidationError(f"{path}: member bundle {member} holds references itself")
+    if ref.role not in got.entries:
+        raise ValidationError(f"{path}: member bundle {member} has no entry {ref.role!r}")
+    return got.entries[ref.role]
+
+
+def load_bundle(path: str | Path, cache: dict | None = None) -> tuple[dict[str, object], dict]:
+    """Read a model file back into ({role: Network | dict}, meta).
+
+    The sha256 is checked before any network is built, every parameter
+    array is a view of the one buffer the payload is read into, and loading
+    draws no random weights.  A reference resolves to the entry it names in
+    a member file of the same directory (see ``_resolve``).  ``cache`` maps
+    the path of every file read to its entries, so that callers which share
+    one read each file, and build each network, once.
+    """
+    path = Path(path)
+    cache = {} if cache is None else cache
+    got = _read(path, cache)
+    return {role: _resolve(path, e, cache) if isinstance(e, BundleRef) else e
+            for role, e in got.entries.items()}, got.meta

@@ -685,8 +685,9 @@ class ExperimentRunner:
 #
 # One row per kind.  ``fit`` trains the kind's core on one fold and returns it
 # with its learning curves by role; ``bundle`` and ``unbundle`` map a core to
-# the named entries of a model file and back; ``results`` lists the rows the
-# kind reports (the SVM reports one per feature set).
+# the named entries of a model file and back (a ``Member`` entry comes back as
+# the member's net); ``results`` lists the rows the kind reports (the SVM
+# reports one per feature set).
 
 
 class ResultRow(NamedTuple):
@@ -764,16 +765,28 @@ def _fit_svm(runner: ExperimentRunner, row: "ModelKind", fold: int, feature_set:
     return FittedModel(svm), {}
 
 
+NET_ROLE = "main"  # the entry that holds a single-net kind's net
+
+
 def _bundle_net(net) -> tuple[dict, dict]:
-    return {"main": net}, {}
+    return {NET_ROLE: net}, {}
 
 
 def _unbundle_net(entries: dict, meta: dict):
-    return entries["main"]
+    return entries[NET_ROLE]
+
+
+class Member(NamedTuple):
+    """A bundle entry that is the net of a single-net kind: it is saved as
+    that kind's own bundle of the fold, and the entry refers to its
+    ``NET_ROLE`` entry there."""
+
+    kind: str
+    net: Network
 
 
 def _bundle_ensemble(ens: EnsembleModel) -> tuple[dict, dict]:
-    entries = {f"member_{d}": net for d, net in ens.members.items()}
+    entries = {f"member_{d}": Member(MEMBER_KINDS[d], net) for d, net in ens.members.items()}
     if ens.stage2 is not None:
         entries["stage2"] = ens.stage2
     return entries, {"fusion_mode": ens.mode}
@@ -847,14 +860,14 @@ KINDS: dict[str, ModelKind] = {
 MODEL_KINDS = tuple(KINDS)
 
 # the single-domain CNN kind of each domain, whose net is the ensembles' member
-MEMBER_KINDS = {row.domains[0]: row for row in KINDS.values() if row.fit is _fit_member}
+MEMBER_KINDS = {row.domains[0]: kind for kind, row in KINDS.items() if row.fit is _fit_member}
 
 # Every net trained once per (label, fold) and cached by the runner: how to
 # build it from (spec, init seed), and the kind whose inputs it reads.  The
 # order is the prefetch order, largest nets first.
 CACHED_NETS: dict[str, tuple[Callable[[ModelSpec, int], Network], ModelKind]] = {
     "fusion_feature": (build_feature_fusion, KINDS["fusion_feature"]),
-    **{d: (partial(build_domain_network, d), row) for d, row in MEMBER_KINDS.items()},
+    **{d: (partial(build_domain_network, d), KINDS[kind]) for d, kind in MEMBER_KINDS.items()},
 }
 
 

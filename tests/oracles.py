@@ -75,3 +75,22 @@ def resign(path, magic: bytes, mutate=None, *, major=None, extra_payload=b"",
                          len(hb) if header_len is None else header_len)
            + hb + body[off + hlen :] + extra_payload)
     path.write_bytes(new + hashlib.sha256(new).digest())
+
+
+def flip_bit(path) -> None:
+    """Flip one bit in the middle of a file."""
+    raw = bytearray(path.read_bytes())
+    raw[len(raw) // 2] ^= 0x01
+    path.write_bytes(bytes(raw))
+
+
+def retarget(path, entry: str, **fields) -> None:
+    """Re-sign a model bundle with fields of the descriptor of its ``entry``
+    replaced, such as a reference's ``file``, ``sha256`` or ``role``."""
+    from eegconn.nn.serialize import MAGIC
+
+    def edit(header):
+        for item in header["entries"]:
+            if item["role"] == entry:
+                item["descriptor"].update(fields)
+    resign(path, MAGIC, edit)

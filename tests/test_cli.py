@@ -5,18 +5,19 @@ import os
 import shutil
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
 import pytest
-from oracles import resign
+from oracles import flip_bit, resign, retarget
 
 from eegconn import container, pipeline
 from eegconn.cli import main
 from eegconn.config import parse_config
 from eegconn.container import read_container, write_container
 from eegconn.errors import ConfigError, TrainingDivergedError
-from eegconn.nn import save_bundle, serialize
+from eegconn.nn import Network, save_bundle, serialize
 from eegconn.pipeline import ModelSpec, build_domain_network
 from eegconn.spectral import BandSpec
 from eegconn.synthetic import make_synthetic_cohort
@@ -571,6 +572,150 @@ class TestMalformedFiles:
                        "wrong type)"]
         rows = json.loads((out11 / "metrics.json").read_text())["rows"]
         assert [row["model"] for row in rows] == ["cnn1d_cn"]
+
+
+@pytest.fixture(scope="module")
+def stale_var_member(workspace, tmp_path_factory) -> Path:
+    """A valid fold-0 cnn2d_var bundle trained with other epochs than the
+    ensembles' var member."""
+    _, _, out, manifest = workspace
+    root = tmp_path_factory.mktemp("stale")
+    shutil.copytree(out / "features", root / "out" / "features")
+    cfg = write_config(root / "r.cfg", manifest, root / "out", model_kinds="cnn2d_var", epochs=2)
+    assert main(["train", "--config", str(cfg)]) == 0
+    return root / "out" / "models" / "cnn2d_var_fold0.model"
+
+
+def _rows_by_model(out: Path) -> dict[str, dict]:
+    """The rows of ``out``'s metrics.json by model, in file order."""
+    return {row["model"]: row for row in json.loads((out / "metrics.json").read_text())["rows"]}
+
+
+def _retarget_ensembles(models: Path, **fields) -> None:
+    """Re-sign both fold-0 ensemble bundles with their var reference's fields replaced."""
+    for rid in ("fusion_score", "fusion_decision"):
+        retarget(models / f"{rid}_fold0.model", "member_var", **fields)
+
+
+# id, edit of the models directory (fold 0), what the error says after the
+# ensemble file's name ({models}: the directory)
+REFERENCE_FAULTS = [
+    ("missing-member", lambda models, stale: (models / "cnn2d_var_fold0.model").unlink(),
+     "member bundle {models}/cnn2d_var_fold0.model cannot be read"),
+    ("tampered-member", lambda models, stale: flip_bit(models / "cnn2d_var_fold0.model"),
+     "member bundle {models}/cnn2d_var_fold0.model: checksum mismatch"),
+    ("stale-member", lambda models, stale: shutil.copy(stale, models / "cnn2d_var_fold0.model"),
+     "member bundle {models}/cnn2d_var_fold0.model has sha256"),
+    ("parent-directory", lambda models, stale: _retarget_ensembles(
+        models, file="../models/cnn2d_var_fold0.model"),
+     "member file '../models/cnn2d_var_fold0.model' is not a file name"),
+    ("absolute-path", lambda models, stale: _retarget_ensembles(
+        models, file=str(models / "cnn2d_var_fold0.model")),
+     "member file '{models}/cnn2d_var_fold0.model' is not a file name"),
+    ("member-holds-references", lambda models, stale: _retarget_ensembles(
+        models, file="fusion_decision_fold1.model", role="member_var",
+        sha256=(models / "fusion_decision_fold1.model").read_bytes()[-32:].hex()),
+     "member bundle {models}/fusion_decision_fold1.model holds references itself"),
+]
+
+
+class TestBundleReferences:
+    """An ensemble bundle refers to its members' own bundles; a member that is
+    missing, tampered, stale or out of reach gives one error line naming both
+    files in predict, and fails only the ensemble rows in eval."""
+
+    @staticmethod
+    def _faulted(workspace, tmp_path, edit, stale) -> Path:
+        _, _, out, _ = workspace
+        copy = tmp_path / "out"
+        shutil.copytree(out / "features", copy / "features")
+        shutil.copytree(out / "models", copy / "models")
+        shutil.copy(out / "folds.csv", copy / "folds.csv")
+        edit(copy / "models", stale)
+        return copy
+
+    @pytest.mark.parametrize("edit, message", [row[1:] for row in REFERENCE_FAULTS],
+                             ids=[row[0] for row in REFERENCE_FAULTS])
+    def test_predict_names_both_files(self, workspace, tmp_path, capsys, stale_var_member,
+                                      edit, message):
+        _, cfg, _, _ = workspace
+        copy = self._faulted(workspace, tmp_path, edit, stale_var_member)
+        models = copy / "models"
+        args = ["predict", "--config", str(cfg),
+                "--model", str(models / "fusion_decision_fold0.model")]
+        for dom in ("var", "pdc", "cn"):
+            args += ["--input", str(copy / "features" / f"sz000_{dom}.feat")]
+        capsys.readouterr()
+        assert main(args) == 2
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1
+        assert err[0].startswith(f"error: {models}/fusion_decision_fold0.model: "
+                                 + message.format(models=models)), err[0]
+
+    @pytest.mark.parametrize("edit, message", [row[1:] for row in REFERENCE_FAULTS],
+                             ids=[row[0] for row in REFERENCE_FAULTS])
+    def test_eval_fails_only_the_ensemble_rows(self, workspace, tmp_path, capsys,
+                                               stale_var_member, edit, message):
+        _, _, out, manifest = workspace
+        copy = self._faulted(workspace, tmp_path, edit, stale_var_member)
+        models = copy / "models"
+        cfg = write_config(tmp_path / "r.cfg", manifest, copy,
+                           model_kinds="cnn2d_pdc,cnn1d_cn,fusion_score,fusion_decision")
+        capsys.readouterr()
+        assert main(["eval", "--config", str(cfg)]) == 1
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 2
+        for line, rid in zip(err, ("fusion_score", "fusion_decision")):
+            assert line.startswith(f"{rid}: FAILED ({models}/{rid}_fold0.model: "
+                                   + message.format(models=models)), line
+        want = _rows_by_model(out)
+        assert list(_rows_by_model(copy).values()) == [want["cnn2d_pdc"], want["cnn1d_cn"]]
+
+
+class TestWorkDoneOnce:
+    def test_eval_reads_each_file_and_runs_each_net_once_per_fold(self, workspace, tmp_path,
+                                                                   monkeypatch):
+        _, _, out, manifest = workspace
+        copy = tmp_path / "out"
+        shutil.copytree(out / "features", copy / "features")
+        shutil.copytree(out / "models", copy / "models")
+        shutil.copy(out / "folds.csv", copy / "folds.csv")
+        cfg = write_config(tmp_path / "r.cfg", manifest, copy)
+        read_framed = serialize.read_framed
+        reads = []
+        monkeypatch.setattr(serialize, "read_framed", lambda path, *args: reads.append(path.name)
+                            or read_framed(path, *args))
+        predict_proba = Network.predict_proba
+        runs = []
+        monkeypatch.setattr(Network, "predict_proba",
+                            lambda net, x: runs.append(net.name) or predict_proba(net, x))
+        assert main(["eval", "--config", str(cfg)]) == 0
+        assert Counter(reads) == {f"{rid}_fold{fold}.model": 1
+                                  for rid in RESULT_IDS for fold in range(2)}
+        assert Counter(runs) == {name: 2 for name in ("cnn_var", "cnn_pdc", "cnn_cn",
+                                                      "fusion_feature", "stage2")}
+        assert (copy / "metrics.json").read_bytes() == (out / "metrics.json").read_bytes()
+
+    def test_fusion_only_config_writes_its_members(self, workspace, tmp_path, capsys):
+        _, _, out, manifest = workspace
+        copy = tmp_path / "out"
+        shutil.copytree(out / "features", copy / "features")
+        cfg = write_config(tmp_path / "r.cfg", manifest, copy, model_kinds="fusion_decision")
+        assert main(["train", "--config", str(cfg)]) == 0
+        names = {p.name for p in (copy / "models").glob("*.model")}
+        assert names == {f"{rid}_fold{fold}.model" for fold in range(2)
+                         for rid in ("cnn2d_var", "cnn2d_pdc", "cnn1d_cn", "fusion_decision")}
+        for name in names:  # the bytes that a run with every kind writes
+            assert (copy / "models" / name).read_bytes() == (out / "models" / name).read_bytes()
+        assert main(["eval", "--config", str(cfg)]) == 0
+        assert list(_rows_by_model(copy).values()) == [_rows_by_model(out)["fusion_decision"]]
+        args = ["predict", "--config", str(cfg),
+                "--model", str(copy / "models" / "fusion_decision_fold1.model")]
+        for dom in ("var", "pdc", "cn"):
+            args += ["--input", str(copy / "features" / f"hc002_{dom}.feat")]
+        capsys.readouterr()
+        assert main(args) == 0
+        assert json.loads(capsys.readouterr().out)["subject_id"] == "hc002"
 
 
 class TestReport:

@@ -1,9 +1,12 @@
+import hashlib
+import json
 import re
+import struct
 from typing import Callable, NamedTuple
 
 import numpy as np
 import pytest
-from oracles import resign
+from oracles import flip_bit, resign, retarget
 
 from eegconn.container import MAGIC, read_container, write_container
 from eegconn.errors import ChecksumError, ShapeError, ValidationError
@@ -113,9 +116,7 @@ def _cut(keep: int):
 
 
 def _flip(f: Framed) -> None:
-    raw = bytearray(f.path.read_bytes())
-    raw[len(raw) // 2] ^= 0x01
-    f.path.write_bytes(bytes(raw))
+    flip_bit(f.path)
 
 
 def _last_dim(change):
@@ -224,3 +225,112 @@ def test_descriptor_fault_names_the_file_and_what_is_wrong(tmp_path, make, edit,
     with pytest.raises((ValidationError, ShapeError),
                        match=f"^{re.escape(str(path))}: .*{re.escape(names)}"):
         load_bundle(path)
+
+
+# -- references between bundles --------------------------------------------------
+
+
+def _member_net(seed: int) -> Network:
+    return Network([Flatten(), Dense(6, 2), Softmax()], input_shape=(3, 2), seed=seed).initialize()
+
+
+def _ref_pair(tmp_path, member_name: str = "member.model"):
+    """A member bundle and an ensemble that refers to its net; their paths."""
+    member = tmp_path / member_name
+    digest = save_bundle(member, {"main": _member_net(4)}, meta={"k": "member"})
+    ens = tmp_path / "ens.model"
+    save_bundle(ens, {"member_a": serialize.BundleRef(member.name, digest, "main"),
+                      "stage2": _member_net(9)}, meta={"k": "ens"})
+    return member, ens
+
+
+def _header(path) -> dict:
+    raw = path.read_bytes()
+    (length,) = struct.unpack_from("<I", raw, 12)
+    return json.loads(raw[16:16 + length])
+
+
+def test_save_bundle_returns_the_trailer_digest(tmp_path):
+    member, _ = _ref_pair(tmp_path)
+    raw = member.read_bytes()
+    digest = save_bundle(tmp_path / "again.model", {"main": _member_net(4)}, meta={"k": "member"})
+    assert digest == raw[-32:].hex() == hashlib.sha256(raw[:-32]).hexdigest()
+
+
+def test_reference_resolves_to_the_member_net_and_stores_no_parameters(tmp_path):
+    member, ens = _ref_pair(tmp_path)
+    entries, meta = load_bundle(ens)
+    assert meta == {"k": "ens"} and set(entries) == {"member_a", "stage2"}
+    want = load_bundle(member)[0]["main"].param_dict()
+    got = entries["member_a"].param_dict()
+    assert got.keys() == want.keys()
+    for key in want:
+        np.testing.assert_array_equal(got[key], want[key])
+    header = _header(ens)
+    ref = next(e["descriptor"] for e in header["entries"] if e["role"] == "member_a")
+    assert ref == {"type": "bundle_ref", "file": member.name,
+                   "sha256": hashlib.sha256(member.read_bytes()[:-32]).hexdigest(),
+                   "role": "main"}
+    assert {rec["entry"] for rec in header["params"]} == {"stage2"}
+
+
+def test_shared_cache_reads_each_file_once(tmp_path, monkeypatch):
+    member, ens = _ref_pair(tmp_path)
+    read = serialize.read_framed
+    seen = []
+    monkeypatch.setattr(serialize, "read_framed",
+                        lambda path, *args: seen.append(path) or read(path, *args))
+    cache = {}
+    net = load_bundle(member, cache)[0]["main"]
+    assert load_bundle(ens, cache)[0]["member_a"] is net
+    assert load_bundle(ens, cache)[0]["member_a"] is net
+    assert seen == [member, ens]
+
+
+REF_FAULTS = [
+    # id, edit of (member, ensemble), error, message pattern ({member}: the member's path)
+    ("missing-member", lambda m, e: m.unlink(), ValidationError,
+     "member bundle {member} cannot be read"),
+    ("tampered-member", lambda m, e: flip_bit(m), ChecksumError,
+     "member bundle {member}: checksum mismatch"),
+    ("stale-member", lambda m, e: save_bundle(m, {"main": _member_net(5)}, meta={"k": "member"}),
+     ChecksumError, "member bundle {member} has sha256 [0-9a-f]{{64}}, not the recorded"),
+    ("parent-directory", lambda m, e: retarget(e, "member_a", file=f"../{m.name}"),
+     ValidationError, "member file '../member.model' is not a file name"),
+    ("absolute-path", lambda m, e: retarget(e, "member_a", file=str(m)), ValidationError,
+     "member file '{member}' is not a file name"),
+    ("empty-name", lambda m, e: retarget(e, "member_a", file=""), ValidationError,
+     "member file '' is not a file name"),
+    ("unknown-role", lambda m, e: retarget(e, "member_a", role="trunk"), ValidationError,
+     "member bundle {member} has no entry 'trunk'"),
+    ("sha-not-text", lambda m, e: retarget(e, "member_a", sha256=7), ValidationError,
+     "header key 'sha256'"),
+]
+
+
+@pytest.mark.parametrize("edit, error, match", [row[1:] for row in REF_FAULTS],
+                         ids=[row[0] for row in REF_FAULTS])
+def test_reference_fault_names_both_files(tmp_path, edit, error, match):
+    member, ens = _ref_pair(tmp_path)
+    edit(member, ens)
+    with pytest.raises(error, match=f"^{re.escape(str(ens))}: "
+                       + match.format(member=re.escape(str(member)))):
+        load_bundle(ens)
+
+
+def test_member_that_holds_references_is_refused(tmp_path):
+    member, ens = _ref_pair(tmp_path)
+    outer = tmp_path / "outer.model"
+    digest = hashlib.sha256(ens.read_bytes()[:-32]).hexdigest()
+    save_bundle(outer, {"member_a": serialize.BundleRef(ens.name, digest, "stage2")}, meta={})
+    with pytest.raises(ValidationError, match=f"^{re.escape(str(outer))}: member bundle "
+                       f"{re.escape(str(ens))} holds references itself"):
+        load_bundle(outer)
+
+
+@pytest.mark.parametrize("name", ["../member.model", "/abs/member.model", "", ".", "sub/m.model"])
+def test_writer_refuses_a_reference_outside_the_directory(tmp_path, name):
+    path = tmp_path / "ens.model"
+    with pytest.raises(ValidationError, match="is not a file name"):
+        save_bundle(path, {"member_a": serialize.BundleRef(name, "0" * 64, "main")}, meta={})
+    assert not path.exists()

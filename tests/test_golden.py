@@ -3,7 +3,10 @@
 The run covers all seven model kinds (ten result rows) over 3 folds, and
 pins the sha256 of metrics.json, of every model bundle and of every feature
 container.  A refactor must leave every hash as it is; a deliberate numeric
-change re-pins them in the same change and says why in CHANGES.md.
+or format change re-pins them in the same change and says why in CHANGES.md.
+The fusion_score and fusion_decision bundles hold references to the
+cnn2d_var, cnn2d_pdc and cnn1d_cn bundles of their fold, so their hashes
+also pin those files' hashes.
 
 The hashes were taken with numpy 2.4.6 and OpenBLAS 0.3.31 (scipy-openblas,
 DYNAMIC_ARCH, Haswell kernels) under Python 3.11.  The run pins one BLAS
@@ -86,11 +89,11 @@ GOLDEN = {
     "models/cnn2d_var_fold2.model":
         "aaae188da3653721c68ae517cc97594fef00083898c4e0cdb498880f37740224",
     "models/fusion_decision_fold0.model":
-        "b83de1347898024ff37accaf72a8f74c807336f31f7ed6581ba173f1ee208f3b",
+        "888b7f6e7a0d7409a068061d95aa0ad2a38cf42d9424344dd3d9ceb53f7c4ad6",
     "models/fusion_decision_fold1.model":
-        "81d88ddf8c238da9f36e75bfc07b132573c757b57af9360aee4ad399139cc019",
+        "2b2a1e4418c3f70102a3fd7c1ca90fd99440b52d07a698faba83b7d132d4d519",
     "models/fusion_decision_fold2.model":
-        "0e8d580049967d8631dc3e87c0a68a9937f1a2d2a81000942a9001792dd4057e",
+        "9406f3e26929a666e89598a7068c7b22a85d86ea77ecad46707273da3367c748",
     "models/fusion_feature_fold0.model":
         "bd90c241753a280483ad1042e55a02e533f5eae703fd6c72435175430455c505",
     "models/fusion_feature_fold1.model":
@@ -98,11 +101,11 @@ GOLDEN = {
     "models/fusion_feature_fold2.model":
         "525c5b9483070701d4f33ff82a6ae03d2f055f6c99887da53ede753ab81c5686",
     "models/fusion_score_fold0.model":
-        "2a7a59f97438b1a3e5e8402409c75009711ada87128722d57e5ba363b24b9d1a",
+        "97ceb13c8c2042a4dc4b5b8e5edffd3fd3e0f5a511f9ac95000e57a827177e28",
     "models/fusion_score_fold1.model":
-        "2460d2cfa513736b1ef4a2801b034715a9024997e0483a37a9318e8b07a8a318",
+        "1e3ceafc905e8fec8f165d0f0a441fc104e7a09ddac5011a2a07873feff13117",
     "models/fusion_score_fold2.model":
-        "6b94f8e56adf473efe5336d5638b1d5b3252ce9c89628c6b790ebf1b5af4d567",
+        "d567be05608c5d92e040ae9f147203d31b2493ea9270e6737d916e1cb02527e7",
     "models/svm_all_fold0.model":
         "0aaadcb6cd31d3c70ab3f5cb5263533fdac685a1e3d7af1f65ca7be5896c6689",
     "models/svm_all_fold1.model":
