@@ -212,6 +212,17 @@ def standardize(rec: EegRecording) -> EegRecording:
     safe_sd = np.where(flat, 1.0, sd)
     data = (rec.data - mean) / safe_sd
     data[:, flat] = 0.0
+    # A large offset over a small spread: the rounded channel mean is off by
+    # up to half an ulp of the offset, which is large next to the sd, so the
+    # z-scores keep a mean, and an sd taken about the wrong centre.  Centre
+    # and scale those channels once more, so that standardizing twice changes
+    # nothing; below 1e-12 the mean is rounding noise and the channel keeps
+    # its bits.
+    resid = data.mean(axis=0)
+    off = np.abs(resid) > 1e-12
+    if off.any():
+        centred = data[:, off] - resid[off]
+        data[:, off] = centred / centred.std(axis=0)
     return replace(rec, data=data)
 
 
