@@ -1,9 +1,11 @@
 """Golden run: extract -> train -> eval on a tiny fixed cohort, pinned by sha256.
 
 The run covers all seven model kinds (ten result rows) over 3 folds, and
-pins the sha256 of metrics.json, of every model bundle and of every feature
-container.  A refactor must leave every hash as it is; a deliberate numeric
-or format change re-pins them in the same change and says why in CHANGES.md.
+pins the sha256 of metrics.json, of every model bundle, of every learning
+curve file and of every feature container, and the stdout of extract, train
+and eval with the run root written as ``<root>``.  A refactor must leave
+every pin as it is; a deliberate numeric or format change re-pins them in
+the same change and says why in CHANGES.md.
 The fusion_score and fusion_decision bundles hold references to the
 cnn2d_var, cnn2d_pdc and cnn1d_cn bundles of their fold, so their hashes
 also pin those files' hashes.
@@ -16,7 +18,7 @@ of one process per usable CPU, so the run is pinned once to one CPU, where
 the nets train in the process itself, and once to two, where they train in
 a pool of two forked workers; both must give the pinned bytes.  A further test runs the
 same config with one and with two BLAS threads and checks that every pinned
-file is byte-identical.
+file and the stdout are identical.
 """
 
 import hashlib
@@ -70,6 +72,36 @@ for stage in ("extract", "train", "eval"):
 GOLDEN = {
     "metrics.json":
         "aea8a5f9e70b7bafda109371e3726d1b53b83d14ad892065e7d5dd271d70537a",
+    "curves/domain_cn_fold0.csv":
+        "83191f47fa2dabf9f5a6d57af2e8b8408d87d12d905614287ffe793ca6b5b1f5",
+    "curves/domain_cn_fold1.csv":
+        "2e6afe1d3fc7eb3e04f2dcad9d754e8c293637ceaa98e4e24b23d834b2bdf4a4",
+    "curves/domain_cn_fold2.csv":
+        "55a58457eb41fa0fab578a8cd187430599dd15826f923c644684ca4776ad8358",
+    "curves/domain_pdc_fold0.csv":
+        "e13ed3558ab1da73ba273d2737668b2f82ed1804c2d0cb6879ca95e49a4a18d4",
+    "curves/domain_pdc_fold1.csv":
+        "be1d346338198354bae9f249c2f57492d608e36f30f390e2ae9c52fa492dad12",
+    "curves/domain_pdc_fold2.csv":
+        "751467c56f54dedc696e0dd9ffcf28ec74b64fa8c0fe96a03aa215a49a494f0c",
+    "curves/domain_var_fold0.csv":
+        "7ed18a9edc720b2398208391c57317279f1d4aafe9e0dfd0e4ef2c5ee30d9366",
+    "curves/domain_var_fold1.csv":
+        "3360cbfbb60f81c2669ddd89028e2191d335a6c7001811f3a3cdbc0669780818",
+    "curves/domain_var_fold2.csv":
+        "f89376fca06d8a4078df50b542e63caa9dcc21e94963934eba3a35def28fd723",
+    "curves/fusion_feature_fold0.csv":
+        "5af2809c4666ae9b52523f1528b30894fe0f948701fc4c0237409074b1f06882",
+    "curves/fusion_feature_fold1.csv":
+        "a63d84f75d0523a3b55eba031309450d6ecf9addfced099b33df971837825737",
+    "curves/fusion_feature_fold2.csv":
+        "b145745b34714662e575c4ab4cac4cb442b1229a7e095803e7551a54c3487190",
+    "curves/fusion_score_stage2_fold0.csv":
+        "961499d89c4126d80c4acae19aab1fbff1ac734c44d5fc244c207dac35a145c8",
+    "curves/fusion_score_stage2_fold1.csv":
+        "a2549e7cb6ab3b5c5d0202eb818d0d89eb299d8751e1041e6922ae693e01ced3",
+    "curves/fusion_score_stage2_fold2.csv":
+        "860e4c7473e89ea774103e3b1d18b0b8d532cf36fad0eb627e649aafdcbd1786",
     "models/cnn1d_cn_fold0.model":
         "4086cdadb089ac25d64ac9bafb848afa9539b2fc352842c99e41e853a02c24af",
     "models/cnn1d_cn_fold1.model":
@@ -205,13 +237,52 @@ GOLDEN = {
 }
 
 
+GOLDEN_STDOUT = """\
+sz000: var=4x4x2 pdc=4x4x5 cn=10x5 ok
+sz001: var=4x4x2 pdc=4x4x5 cn=10x5 ok
+sz002: var=4x4x2 pdc=4x4x5 cn=10x5 ok
+sz003: var=4x4x2 pdc=4x4x5 cn=10x5 ok
+sz004: var=4x4x2 pdc=4x4x5 cn=10x5 ok
+sz005: var=4x4x2 pdc=4x4x5 cn=10x5 ok
+hc000: var=4x4x2 pdc=4x4x5 cn=10x5 ok
+hc001: var=4x4x2 pdc=4x4x5 cn=10x5 ok
+hc002: var=4x4x2 pdc=4x4x5 cn=10x5 ok
+hc003: var=4x4x2 pdc=4x4x5 cn=10x5 ok
+hc004: var=4x4x2 pdc=4x4x5 cn=10x5 ok
+hc005: var=4x4x2 pdc=4x4x5 cn=10x5 ok
+extracted 12/12 subjects
+cnn2d_var: trained 3 folds, modified accuracy 83.33% (+/-23.57)
+cnn2d_pdc: trained 3 folds, modified accuracy 100.00% (+/-0.00)
+cnn1d_cn: trained 3 folds, modified accuracy 100.00% (+/-0.00)
+fusion_feature: trained 3 folds, modified accuracy 83.33% (+/-23.57)
+fusion_score: trained 3 folds, modified accuracy 66.67% (+/-23.57)
+fusion_decision: trained 3 folds, modified accuracy 100.00% (+/-0.00)
+svm_var: trained 3 folds, modified accuracy 83.33% (+/-11.79)
+svm_pdc: trained 3 folds, modified accuracy 100.00% (+/-0.00)
+svm_cn: trained 3 folds, modified accuracy 100.00% (+/-0.00)
+svm_all: trained 3 folds, modified accuracy 100.00% (+/-0.00)
+cnn2d_var: acc 83.33% sens 66.67% spec 100.00% modified 83.33%
+cnn2d_pdc: acc 100.00% sens 100.00% spec 100.00% modified 100.00%
+cnn1d_cn: acc 100.00% sens 100.00% spec 100.00% modified 100.00%
+fusion_feature: acc 83.33% sens 100.00% spec 66.67% modified 83.33%
+fusion_score: acc 66.67% sens 100.00% spec 33.33% modified 66.67%
+fusion_decision: acc 100.00% sens 100.00% spec 100.00% modified 100.00%
+svm_var: acc 83.33% sens 100.00% spec 66.67% modified 83.33%
+svm_pdc: acc 100.00% sens 100.00% spec 100.00% modified 100.00%
+svm_cn: acc 100.00% sens 100.00% spec 100.00% modified 100.00%
+svm_all: acc 100.00% sens 100.00% spec 100.00% modified 100.00%
+wrote <root>/out/metrics.json
+"""
+
+
 def _sha256(path: Path) -> str:
     return hashlib.sha256(path.read_bytes()).hexdigest()
 
 
-def _golden_run(root: Path, blas_threads: int, cpus: int | None = None) -> dict[str, str]:
+def _golden_run(root: Path, blas_threads: int, cpus: int | None = None
+                ) -> tuple[dict[str, str], str]:
     """Run the golden config in a subprocess, on ``cpus`` CPUs if given; the
-    sha256 of every pinned file."""
+    sha256 of every pinned file, and the stdout with the root as ``<root>``."""
     threads = str(blas_threads)
     env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads,
                PYTHONPATH=os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")])))
@@ -221,19 +292,19 @@ def _golden_run(root: Path, blas_threads: int, cpus: int | None = None) -> dict[
     assert proc.returncode == 0, proc.stderr
     out = root / "out"
     got = {"metrics.json": _sha256(out / "metrics.json")}
-    for folder, suffix in (("models", "model"), ("features", "feat")):
+    for folder, suffix in (("models", "model"), ("curves", "csv"), ("features", "feat")):
         got.update({f"{folder}/{p.name}": _sha256(p)
                     for p in sorted((out / folder).glob(f"*.{suffix}"))})
-    return got
+    return got, proc.stdout.replace(str(root), "<root>")
 
 
 def test_golden_run_hashes(tmp_path):
-    assert _golden_run(tmp_path, 1, cpus=1) == GOLDEN
+    assert _golden_run(tmp_path, 1, cpus=1) == (GOLDEN, GOLDEN_STDOUT)
 
 
 @pytest.mark.skipif(len(os.sched_getaffinity(0)) < 2, reason="needs 2 usable CPUs")
 def test_golden_run_hashes_in_a_pool_of_two(tmp_path):
-    assert _golden_run(tmp_path, 1, cpus=2) == GOLDEN
+    assert _golden_run(tmp_path, 1, cpus=2) == (GOLDEN, GOLDEN_STDOUT)
 
 
 @pytest.mark.skipif(len(os.sched_getaffinity(0)) < 2, reason="needs 2 usable CPUs")
@@ -242,8 +313,9 @@ def test_blas_thread_count_changes_no_output(tmp_path):
     # are cores.  README notes that fusion_feature bundles can differ between
     # one and two BLAS threads at the published sizes; at this size they do
     # not, so they are held to the same bytes, in their own assertion.
-    one = _golden_run(tmp_path / "one", 1)
-    two = _golden_run(tmp_path / "two", 2)
+    one, one_stdout = _golden_run(tmp_path / "one", 1)
+    two, two_stdout = _golden_run(tmp_path / "two", 2)
+    assert one_stdout == two_stdout
     assert one.keys() == two.keys()
     fused = {name for name in one if name.startswith("models/fusion_feature")}
     assert fused
