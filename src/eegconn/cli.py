@@ -9,6 +9,7 @@ config (overridable with --seed).
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 import traceback
@@ -36,6 +37,7 @@ from .pipeline import (
     ModelSpec,
     ResultRow,
     band_indices,
+    check_positive_class,
     evaluate,
     predict_with_core,
     standardized_inputs,
@@ -286,7 +288,8 @@ def cmd_train(cfg: RunConfig) -> int:
 
     kinds = model_kind_list(cfg)
     runner.prefetch(kinds)
-    written: dict[str, str] = {}  # model file name -> its sha256: each written once
+    # file name -> its sha256 (None for a curve): each file is written once
+    written: dict[str, str | None] = {}
     failures = 0
     for kind in kinds:
         for row in KINDS[kind].results:
@@ -304,19 +307,22 @@ def cmd_train(cfg: RunConfig) -> int:
 
 
 def _save_result(cfg: RunConfig, manifest: CohortManifest, result: KindResult,
-                 written: dict[str, str]) -> None:
-    """One model bundle per fold plus its learning curves."""
+                 written: dict[str, str | None]) -> None:
+    """One model bundle per fold plus its learning curves, unless ``written``
+    holds them already: the rows that share a member share its curve file."""
     row = ResultRow(result.result_id, result.feature, result.feature_set)
     for fold_outcome, fitted in zip(result.folds, result.models):
         fold = fold_outcome.fold
         _save_bundle(cfg, manifest, result.kind, row, fitted, fold, written)
         for role, curve in fold_outcome.curves.items():
             name = _curve_filename(result.result_id, role, fold)
-            _write_curve_csv(_out_dir(cfg, "curves") / name, curve)
+            if name not in written:
+                _write_curve_csv(_out_dir(cfg, "curves") / name, curve)
+                written[name] = None
 
 
 def _save_bundle(cfg: RunConfig, manifest: CohortManifest, kind: str, row: ResultRow,
-                 fitted: FittedModel, fold: int, written: dict[str, str]) -> str:
+                 fitted: FittedModel, fold: int, written: dict[str, str | None]) -> str:
     """Write a result row's model bundle of one fold unless ``written`` holds
     it already; its sha256.  A ``Member`` entry is written first, as its own
     kind's row writes it, and the bundle stores a reference to that file."""
@@ -389,17 +395,18 @@ class FoldModels:
         return self._nets[id(net)]
 
 
-def load_model(path, band_names: tuple[str, ...], fold: FoldModels | None = None
+def load_model(path, band_names: tuple[str, ...], load=load_bundle
                ) -> tuple[FittedModel, dict, list[int] | None]:
     """A saved model, its metadata, and the positions of its band filter in
-    ``band_names``; read through ``fold`` when given."""
-    entries, meta = load_bundle(path) if fold is None else fold.load(path)
+    ``band_names``; ``load(path)`` reads the bundle."""
+    entries, meta = load(path)
     return (core_from_bundle(entries, meta), meta,
             band_indices(meta.get("band_filter") or None, band_names))
 
 
 def cmd_eval(cfg: RunConfig) -> int:
     manifest = _load_manifest(cfg)
+    check_positive_class(cfg.positive_class, manifest.class_names)
     features, band_names = load_features(cfg, manifest)
     plan_path = Path(cfg.output_dir) / "folds.csv"
     plan = read_fold_plan(plan_path)
@@ -421,7 +428,7 @@ def cmd_eval(cfg: RunConfig) -> int:
                 continue
             try:
                 core, meta, band_idx = load_model(models_dir / f"{result_id}_fold{fold}.model",
-                                                  band_names, models)
+                                                  band_names, models.load)
                 feature_label[result_id] = meta.get("feature", feature_set)
                 bits, _ = predict_with_core(core, kind, features, test_ids,
                                             band_idx, feature_set)
@@ -516,7 +523,7 @@ def _report_curves(cfg: RunConfig, report_dir: Path) -> int:
     return count
 
 
-def _report_feature_maps(cfg: RunConfig, manifest, features, band_names, report_dir: Path) -> int:
+def _report_feature_maps(cfg: RunConfig, manifest, features, load, report_dir: Path) -> int:
     sid = cfg.report_subject or manifest.subject_ids()[0]
     if sid not in features:
         raise ValidationError(f"report subject {sid!r} has no extracted features")
@@ -525,7 +532,7 @@ def _report_feature_maps(cfg: RunConfig, manifest, features, band_names, report_
     kind = next((kind for kind, path in paths.items() if path.exists()), None)
     if kind is None:
         return 0
-    fitted, _, band_idx = load_model(paths[kind], band_names)
+    fitted, _, band_idx = load(paths[kind])
     net: Network = fitted.core
     x = standardized_inputs(kind, features, [sid], band_idx, fitted.stats)
     record: list[np.ndarray] = []
@@ -552,7 +559,7 @@ def _report_feature_maps(cfg: RunConfig, manifest, features, band_names, report_
     return written
 
 
-def _report_latency(cfg: RunConfig, features, band_names, manifest, report_dir: Path) -> list[dict]:
+def _report_latency(cfg: RunConfig, features, load, manifest, report_dir: Path) -> list[dict]:
     sid = cfg.report_subject or manifest.subject_ids()[0]
     models_dir = _out_dir(cfg, "models")
     rows = []
@@ -560,7 +567,7 @@ def _report_latency(cfg: RunConfig, features, band_names, manifest, report_dir: 
         path = models_dir / f"{result_id}_fold0.model"
         if not path.exists():
             continue
-        core, meta, band_idx = load_model(path, band_names)
+        core, meta, band_idx = load(path)
         ms = time_classification(core, kind, features, sid,
                                  repetitions=cfg.latency_repetitions,
                                  band_idx=band_idx, feature_set=feature_set)
@@ -583,8 +590,12 @@ def cmd_report(cfg: RunConfig) -> int:
     report_dir.mkdir(parents=True, exist_ok=True)
     n_curves = _report_curves(cfg, report_dir)
     print(f"learning-curve SVGs: {n_curves}")
-    _report_feature_maps(cfg, manifest, features, band_names, report_dir)
-    _report_latency(cfg, features, band_names, manifest, report_dir)
+    # One plain load_bundle cache, so each model file is read once.  Not a
+    # FoldModels: its forward memo would time cached outputs as latency.
+    load = functools.partial(load_model, band_names=band_names,
+                             load=functools.partial(load_bundle, cache={}))
+    _report_feature_maps(cfg, manifest, features, load, report_dir)
+    _report_latency(cfg, features, load, manifest, report_dir)
     return 0
 
 

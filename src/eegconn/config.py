@@ -112,9 +112,14 @@ def validate_config(cfg: RunConfig) -> None:
         raise ConfigError(f"batch_size must be >= 0 (0 = full batch), got {cfg.batch_size}")
     if cfg.latency_repetitions < 1:
         raise ConfigError(f"latency_repetitions must be >= 1, got {cfg.latency_repetitions}")
-    for kind in model_kind_list(cfg):
+    kinds, bands = model_kind_list(cfg), band_filter_list(cfg)
+    if not kinds:
+        raise ConfigError(f"model_kinds must be a comma list of kinds from {MODEL_KINDS}")
+    for kind in kinds:
         if kind not in MODEL_KINDS:
             raise ConfigError(f"unknown model kind {kind!r} (choices: {MODEL_KINDS})")
+    if len(set(bands)) < len(bands):
+        raise ConfigError(f"band_filter must be a list of distinct bands, got {cfg.band_filter!r}")
 
 
 def model_kind_list(cfg: RunConfig) -> list[str]:

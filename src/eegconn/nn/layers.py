@@ -3,8 +3,10 @@
 Conventions: batched float64 arrays, channels last.  2-D feature maps are
 (batch, height, width, channels); 1-D ones are (batch, length, channels).
 Convolution is cross-correlation (no kernel flip), the usual deep-learning
-convention.  All forward passes cache what their backward pass needs; a
-backward call is only valid right after the matching forward.
+convention.  The 1-D layers run on the 2-D convolution and pooling code with
+a width-1 second axis, so each operation has one body.  All forward passes
+cache what their backward pass needs; a backward call is only valid right
+after the matching forward.
 
 A layer's parameters are read-only zero placeholders of the right shapes
 until ``init`` draws them or a model file binds them, so an in-place update
@@ -66,10 +68,11 @@ class Layer:
         return {}
 
 
-# -- convolution core ------------------------------------------------------
+# -- convolution and pooling -------------------------------------------------
 #
-# Shared by Conv2d and Conv1d (the latter runs with a width-1 second axis).
-# Every convolution has stride 1 and runs as one matmul per kernel offset on
+# The 1-D kinds run on the 2-D code: ``_wide`` inserts the width-1 second
+# axis into inputs and weights and ``_narrow`` drops it from results.  Every
+# convolution has stride 1 and runs as one matmul per kernel offset on
 # shifted views of the padded input, which avoids an im2col gather.
 
 
@@ -110,10 +113,36 @@ def _conv_backward(dout, xp, w, pad, need_dx=True):
     return dx, dw, db
 
 
-class _Conv(Layer):
-    """Constructor, weight draw and descriptor shared by the stride-1 convolutions."""
+class _Spatial(Layer):
+    """A layer over maps with ``spatial`` axes, named ``axes`` in messages."""
 
-    spatial = 2  # kernel axes
+    spatial = 2
+    axes = "H, W"
+
+    def _pair(self, n: int, width: int) -> tuple[int, int]:
+        """``n`` for both axes of the 2-D code; ``width`` for the width-1 axis of a 1-D layer."""
+        return (n, n if self.spatial == 2 else width)
+
+    # Plain indexing: np.expand_dims costs several times as much per call,
+    # which shows in forward passes at batch size 1.
+    def _wide(self, a: np.ndarray, axis: int) -> np.ndarray:
+        """``a`` with a width-1 axis at ``axis`` if the layer is 1-D."""
+        return a if self.spatial == 2 else a[(slice(None),) * axis + (None,)]
+
+    def _narrow(self, a: np.ndarray, axis: int) -> np.ndarray:
+        """``a`` without the width-1 axis at ``axis`` if the layer is 1-D."""
+        return a if self.spatial == 2 else a[(slice(None),) * axis + (0,)]
+
+    def _check(self, shape, channels: int | None = None) -> None:
+        """Raise ShapeError unless ``shape`` is one map, with ``channels`` channels if given."""
+        if len(shape) != self.spatial + 1 or channels not in (None, shape[-1]):
+            raise ShapeError(f"{self.kind} expects ({self.axes}, "
+                             f"{'C' if channels is None else channels}) per sample, got {shape}")
+
+
+class _Conv(_Spatial):
+    """Stride-1 convolution over (B, H, W, C) maps or (B, L, C) sequences,
+    optional shape-preserving zero padding."""
 
     def __init__(self, in_channels: int, filters: int, kernel: int = 3, stride: int = 1,
                  same_padding: bool = True):
@@ -150,145 +179,90 @@ class _Conv(Layer):
             "same_padding": self.same_padding,
         }
 
-
-class Conv2d(_Conv):
-    """2-D convolution over (B, H, W, C) maps, optional shape-preserving zero padding."""
-
-    kind = "conv2d"
-
     def output_shape(self, in_shape):
-        if len(in_shape) != 3 or in_shape[2] != self.in_channels:
-            raise ShapeError(
-                f"conv2d expects (H, W, {self.in_channels}), got {in_shape}"
-            )
-        h = in_shape[0] + 2 * self.pad - self.kernel + 1
-        w = in_shape[1] + 2 * self.pad - self.kernel + 1
-        if h < 1 or w < 1:
-            raise ShapeError(f"conv2d output collapses on input {in_shape}")
-        return (h, w, self.filters)
+        self._check(in_shape, self.in_channels)
+        out = tuple(n + 2 * self.pad - self.kernel + 1 for n in in_shape[:-1])
+        if min(out) < 1:
+            raise ShapeError(f"{self.kind} output collapses on input {in_shape}")
+        return (*out, self.filters)
 
     def forward(self, x, train=False):
-        if x.ndim != 4 or x.shape[3] != self.in_channels:
-            raise ShapeError(
-                f"conv2d expects (B, H, W, {self.in_channels}), got {x.shape}"
-            )
-        out, self._cache = _conv_forward(x, self.params["w"], self.params["b"], (self.pad,) * 2)
-        return out
+        self._check(x.shape[1:], self.in_channels)
+        out, self._cache = _conv_forward(self._wide(x, 2), self._wide(self.params["w"], 1),
+                                         self.params["b"], self._pair(self.pad, 0))
+        return self._narrow(out, 2)
 
     def backward(self, dout, need_dx=True):
-        dx, dw, db = _conv_backward(dout, self._cache, self.params["w"], (self.pad,) * 2,
+        dx, dw, db = _conv_backward(self._wide(dout, 2), self._cache,
+                                    self._wide(self.params["w"], 1), self._pair(self.pad, 0),
                                     need_dx)
-        self.grads = {"w": dw, "b": db}
-        return dx
+        self.grads = {"w": self._narrow(dw, 1), "b": db}
+        return self._narrow(dx, 2) if need_dx else None
+
+
+class Conv2d(_Conv):
+    kind = "conv2d"
 
 
 class Conv1d(_Conv):
-    """1-D convolution over (B, L, C) sequences; runs on the 2-D core."""
-
     kind = "conv1d"
     spatial = 1
-
-    def output_shape(self, in_shape):
-        if len(in_shape) != 2 or in_shape[1] != self.in_channels:
-            raise ShapeError(f"conv1d expects (L, {self.in_channels}), got {in_shape}")
-        length = in_shape[0] + 2 * self.pad - self.kernel + 1
-        if length < 1:
-            raise ShapeError(f"conv1d output collapses on input {in_shape}")
-        return (length, self.filters)
-
-    def forward(self, x, train=False):
-        if x.ndim != 3 or x.shape[2] != self.in_channels:
-            raise ShapeError(f"conv1d expects (B, L, {self.in_channels}), got {x.shape}")
-        x4 = x[:, :, None, :]
-        w4 = self.params["w"][:, None, :, :]
-        out, self._cache = _conv_forward(x4, w4, self.params["b"], (self.pad, 0))
-        return out[:, :, 0, :]
-
-    def backward(self, dout, need_dx=True):
-        w4 = self.params["w"][:, None, :, :]
-        dx4, dw4, db = _conv_backward(dout[:, :, None, :], self._cache, w4, (self.pad, 0),
-                                      need_dx)
-        self.grads = {"w": dw4[:, 0], "b": db}
-        return dx4[:, :, 0, :] if need_dx else None
+    axes = "L"
 
 
-class AvgPool1d(Layer):
-    kind = "avgpool1d"
+class _Pool(_Spatial):
+    """Pooling over ``size``-wide windows every ``stride`` steps along each
+    spatial axis: average pooling unless a subclass overrides the passes."""
 
     def __init__(self, size: int = 2, stride: int | None = None):
         super().__init__()
         self.size = size
         self.stride = stride if stride is not None else size
-
-    def output_shape(self, in_shape):
-        if len(in_shape) != 2:
-            raise ShapeError(f"1-D pooling expects (L, C), got {in_shape}")
-        if in_shape[0] < self.size:
-            raise ShapeError(f"pool window {self.size} exceeds length {in_shape[0]}")
-        return ((in_shape[0] - self.size) // self.stride + 1, in_shape[1])
-
-    def forward(self, x, train=False):
-        v = sliding_window_view(x, self.size, axis=1)[:, :: self.stride]  # (B, Lo, C, size)
-        self._cache = (x.shape, v.shape[1])
-        return v.mean(axis=-1)
-
-    def backward(self, dout, need_dx=True):
-        x_shape, lout = self._cache
-        dx = np.zeros(x_shape)
-        share = dout / self.size
-        for o in range(self.size):
-            idx = o + self.stride * np.arange(lout)
-            dx[:, idx, :] += share
-        return dx
 
     def config(self):
         return {"size": self.size, "stride": self.stride}
 
-
-class _Pool2d(Layer):
-    def __init__(self, size: int = 2, stride: int | None = None):
-        super().__init__()
-        self.size = size
-        self.stride = stride if stride is not None else size
-
     def output_shape(self, in_shape):
-        if len(in_shape) != 3:
-            raise ShapeError(f"2-D pooling expects (H, W, C), got {in_shape}")
-        if min(in_shape[0], in_shape[1]) < self.size:
+        self._check(in_shape)
+        if min(in_shape[:-1]) < self.size:
             raise ShapeError(f"pool window {self.size} exceeds input {in_shape}")
-        h = (in_shape[0] - self.size) // self.stride + 1
-        w = (in_shape[1] - self.size) // self.stride + 1
-        return (h, w, in_shape[2])
+        return (*((n - self.size) // self.stride + 1 for n in in_shape[:-1]), in_shape[-1])
 
     def _windows(self, x):
-        v = sliding_window_view(x, (self.size, self.size), axis=(1, 2))
-        return v[:, :: self.stride, :: self.stride]  # (B, Ho, Wo, C, s, s)
-
-    def config(self):
-        return {"size": self.size, "stride": self.stride}
-
-
-class AvgPool2d(_Pool2d):
-    kind = "avgpool2d"
+        """(B, Ho, Wo, C, size, size or 1) windows of the input on the 2-D code."""
+        v = sliding_window_view(self._wide(x, 2), self._pair(self.size, 1), axis=(1, 2))
+        sy, sx = self._pair(self.stride, 1)
+        return v[:, ::sy, ::sx]
 
     def forward(self, x, train=False):
         v = self._windows(x)
         self._cache = (x.shape, v.shape[1], v.shape[2])
-        return v.mean(axis=(-2, -1))
+        return self._narrow(v.mean(axis=(-2, -1)), 2)
 
     def backward(self, dout, need_dx=True):
         x_shape, ho, wo = self._cache
         dx = np.zeros(x_shape)
-        share = dout / (self.size * self.size)
-        for oy in range(self.size):
-            iy = oy + self.stride * np.arange(ho)
-            for ox in range(self.size):
-                ix = ox + self.stride * np.arange(wo)
-                dx[:, iy[:, None], ix[None, :], :] += share
+        dx2, share = self._wide(dx, 2), self._wide(dout, 2) / self.size ** self.spatial
+        (ky, kx), (sy, sx) = self._pair(self.size, 1), self._pair(self.stride, 1)
+        for oy in range(ky):
+            iy = oy + sy * np.arange(ho)
+            for ox in range(kx):
+                ix = ox + sx * np.arange(wo)
+                dx2[:, iy[:, None], ix[None, :], :] += share
         return dx
 
 
-class MaxPool2d(_Pool2d):
+class AvgPool1d(_Pool):
+    kind = "avgpool1d"
+    spatial = 1
+    axes = "L"
+
+
+class AvgPool2d(_Pool):
+    kind = "avgpool2d"
+
+
+class MaxPool2d(_Pool):
     kind = "maxpool2d"
 
     def forward(self, x, train=False):

@@ -245,6 +245,11 @@ def stratified_split(ids: list[str], labels: dict[str, str], class_names: tuple[
 # -- metrics -----------------------------------------------------------------
 
 
+def check_positive_class(positive_class: str, class_names) -> None:
+    if positive_class not in class_names:
+        raise ValidationError(f"positive class {positive_class!r} not among {class_names}")
+
+
 def evaluate(predictions: list, labels: list, positive_class: str = "SZ") -> dict:
     """Accuracy, sensitivity, specificity, modified accuracy (percent) plus counts."""
     if len(predictions) != len(labels):
@@ -525,10 +530,7 @@ class ExperimentRunner:
         self.standardize_inputs = standardize_inputs
         self._stats_cache: dict[int, dict] = {}
         self.class_names = manifest.class_names
-        if positive_class not in manifest.class_names:
-            raise ValidationError(
-                f"positive class {positive_class!r} not among {manifest.class_names}"
-            )
+        check_positive_class(positive_class, manifest.class_names)
         self.positive_class = positive_class
         self.labels = manifest.labels()
         self.plan = stratified_kfold(manifest, k=k, seed=derive_seed(master_seed, "folds"))

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 from oracles import flip_bit, resign, retarget
 
-from eegconn import container, pipeline
+from eegconn import cli, container, pipeline
 from eegconn.cli import main
 from eegconn.config import parse_config
 from eegconn.container import read_container, write_container
@@ -115,6 +115,8 @@ class TestConfigParsing:
         "dropout = -0.1",
         "batch_size = -1",
         "latency_repetitions = 0",
+        "model_kinds =",
+        "band_filter = alpha,alpha",
     ])
     def test_out_of_range_value_rejected(self, tmp_path, line, capsys):
         p = tmp_path / "bad.cfg"
@@ -359,6 +361,19 @@ class TestEval:
         assert len(err) == 1 and err[0].startswith("error: ") and "folds.csv" in err[0]
         assert message in err[0]
         assert not (out7 / "metrics.json").exists()
+
+    def test_unknown_positive_class_is_one_error_line(self, workspace, tmp_path, capsys):
+        _, _, out, manifest = workspace
+        copy = tmp_path / "out"
+        shutil.copytree(out / "features", copy / "features")
+        shutil.copytree(out / "models", copy / "models")
+        shutil.copy(out / "folds.csv", copy / "folds.csv")
+        cfg = write_config(tmp_path / "r.cfg", manifest, copy, positive_class="XX")
+        capsys.readouterr()
+        assert main(["eval", "--config", str(cfg)]) == 2
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and err[0].startswith("error: positive class 'XX'")
+        assert not (copy / "metrics.json").exists()
 
     @pytest.mark.parametrize("command", ["train", "eval"])
     def test_missing_features_name_every_subject(self, workspace, tmp_path, capsys, command):
@@ -716,6 +731,42 @@ class TestWorkDoneOnce:
         capsys.readouterr()
         assert main(args) == 0
         assert json.loads(capsys.readouterr().out)["subject_id"] == "hc002"
+
+
+    def test_report_reads_each_model_file_once(self, workspace, tmp_path, monkeypatch):
+        _, _, out, manifest = workspace
+        copy = tmp_path / "out"
+        for folder in ("features", "models", "curves"):
+            shutil.copytree(out / folder, copy / folder)
+        cfg = write_config(tmp_path / "r.cfg", manifest, copy)
+        read_framed = serialize.read_framed
+        reads = []
+        monkeypatch.setattr(serialize, "read_framed", lambda path, *args: reads.append(path.name)
+                            or read_framed(path, *args))
+        assert main(["report", "--config", str(cfg)]) == 0
+        assert Counter(reads) == {f"{rid}_fold0.model": 1 for rid in RESULT_IDS}
+
+        def latency_rows(root):  # all but the timing
+            return [(model, feature, reps) for model, feature, _, reps in
+                    (line.split(",") for line in
+                     (root / "report" / "latency.csv").read_text().splitlines())]
+
+        assert latency_rows(copy) == latency_rows(out)
+
+    def test_train_writes_each_curve_file_once(self, workspace, tmp_path, monkeypatch):
+        _, _, out, manifest = workspace
+        copy = tmp_path / "out"
+        shutil.copytree(out / "features", copy / "features")
+        cfg = write_config(tmp_path / "r.cfg", manifest, copy)
+        write_curve_csv = cli._write_curve_csv
+        writes = []
+        monkeypatch.setattr(cli, "_write_curve_csv", lambda path, curve: writes.append(path.name)
+                            or write_curve_csv(path, curve))
+        assert main(["train", "--config", str(cfg)]) == 0
+        names = sorted(p.name for p in (out / "curves").glob("*.csv"))
+        assert Counter(writes) == {name: 1 for name in names}
+        for name in names:
+            assert (copy / "curves" / name).read_bytes() == (out / "curves" / name).read_bytes()
 
 
 class TestReport:
