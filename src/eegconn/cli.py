@@ -13,13 +13,14 @@ import functools
 import json
 import sys
 import traceback
+import warnings
 from pathlib import Path
 
 import numpy as np
 
 from .config import RunConfig, band_filter_list, model_kind_list, parse_config
 from .container import read_container, write_container
-from .eeg_io import CohortManifest, load_manifest, load_recording, standardize
+from .eeg_io import CohortManifest, ManifestEntry, load_manifest, load_recording, standardize
 from .errors import EegConnError, ValidationError
 from .netmetrics import cn_features
 from .nn.network import Network
@@ -39,6 +40,7 @@ from .pipeline import (
     band_indices,
     check_positive_class,
     evaluate,
+    fork_map,
     predict_with_core,
     standardized_inputs,
     time_classification,
@@ -67,9 +69,18 @@ def _out_dir(cfg: RunConfig, name: str) -> Path:
 
 
 def _load_manifest(cfg: RunConfig) -> CohortManifest:
+    """The manifest, whose subjects must map to distinct container names."""
     if not cfg.manifest:
         raise ValidationError("config is missing the 'manifest' key")
-    return load_manifest(cfg.manifest)
+    manifest = load_manifest(cfg.manifest)
+    by_name: dict[str, list[str]] = {}
+    for sid in manifest.subject_ids():
+        by_name.setdefault(_safe_name(sid), []).append(sid)
+    shared = ["/".join(map(repr, sids)) for sids in by_name.values() if len(sids) > 1]
+    if shared:
+        raise ValidationError(f"subjects {', '.join(shared)} would share feature container "
+                              "names; rename them in the manifest")
+    return manifest
 
 
 def _expand_result_ids(kinds: list[str]) -> list[tuple[str, str, str]]:
@@ -81,14 +92,37 @@ def _expand_result_ids(kinds: list[str]) -> list[tuple[str, str, str]]:
 
 
 def cmd_extract(cfg: RunConfig) -> int:
+    """Extract every manifest subject through :func:`fork_map`, then report
+    them in manifest order; a failed subject keeps no feature containers."""
     manifest = _load_manifest(cfg)
-    base = Path(cfg.manifest).parent
     feat_dir = _out_dir(cfg, "features")
     feat_dir.mkdir(parents=True, exist_ok=True)
-    bands = BandSpec()
+    extract = functools.partial(_extract_subject, cfg, Path(cfg.manifest).parent, feat_dir)
+    results = fork_map(extract, manifest.entries,
+                       lambda entry: f"extracting {entry.subject_id}")
     failures = 0
-    for entry in manifest.entries:
-        sid = entry.subject_id
+    for entry, got in zip(manifest.entries, results):
+        caught, outcome = ((), got) if isinstance(got, Exception) else got
+        for message, filename, lineno in caught:
+            warnings.warn_explicit(message, type(message), filename, lineno, module=__name__)
+        if isinstance(outcome, Exception):
+            failures += 1
+            # also where a dead worker could not clean up after itself
+            for path in _feature_paths(feat_dir, entry.subject_id).values():
+                path.unlink(missing_ok=True)
+            print(f"{entry.subject_id}: FAILED ({outcome})", file=sys.stderr)
+        else:
+            print(outcome)
+    print(f"extracted {len(manifest) - failures}/{len(manifest)} subjects")
+    return 1 if failures else 0
+
+
+def _extract_subject(cfg: RunConfig, base: Path, feat_dir: Path,
+                     entry: ManifestEntry) -> tuple[list, object]:
+    """Extract one subject and write its three containers: the warnings it
+    raised, as (message, file, line), and its summary line or exception."""
+    sid = entry.subject_id
+    with warnings.catch_warnings(record=True) as caught:
         try:
             rec = load_recording(
                 base / entry.path, cfg.data_format, channels=cfg.channels,
@@ -98,22 +132,24 @@ def cmd_extract(cfg: RunConfig) -> int:
                 rec = standardize(rec)
             model = fit_var(rec, cfg.var_order)
             var_t = var_feature_tensor(model)
+            bands = BandSpec()
             pdc = band_pdc(model, bands, cfg.band_grid_step, cfg.exclude_self)
             cn = cn_features(pdc)
-            stem = _safe_name(sid)
-            write_container(feat_dir / f"{stem}_var.feat", "VAR", var_t, sid, entry.label)
-            write_container(feat_dir / f"{stem}_pdc.feat", "PDC", pdc.values, sid,
-                            entry.label, bands=bands)
-            write_container(feat_dir / f"{stem}_cn.feat", "CN", cn.values, sid,
-                            entry.label, bands=bands)
-            print(f"{sid}: var={'x'.join(map(str, var_t.shape))} "
-                  f"pdc={'x'.join(map(str, pdc.values.shape))} "
-                  f"cn={'x'.join(map(str, cn.values.shape))} ok")
+            paths = _feature_paths(feat_dir, sid)
+            write_container(paths["var"], "VAR", var_t, sid, entry.label)
+            write_container(paths["pdc"], "PDC", pdc.values, sid, entry.label, bands=bands)
+            write_container(paths["cn"], "CN", cn.values, sid, entry.label, bands=bands)
+            outcome = (f"{sid}: var={'x'.join(map(str, var_t.shape))} "
+                       f"pdc={'x'.join(map(str, pdc.values.shape))} "
+                       f"cn={'x'.join(map(str, cn.values.shape))} ok")
         except Exception as exc:  # noqa: BLE001 - per-subject isolation is the contract
-            failures += 1
-            print(f"{sid}: FAILED ({exc})", file=sys.stderr)
-    print(f"extracted {len(manifest) - failures}/{len(manifest)} subjects")
-    return 1 if failures else 0
+            outcome = exc
+    return [(w.message, w.filename, w.lineno) for w in caught], outcome
+
+
+def _feature_paths(feat_dir: Path, sid: str) -> dict[str, Path]:
+    """A subject's feature container per domain."""
+    return {d: feat_dir / f"{_safe_name(sid)}_{d}.feat" for d in DOMAINS}
 
 
 def load_features(cfg: RunConfig, manifest: CohortManifest) -> tuple[dict, tuple[str, ...]]:
@@ -124,11 +160,8 @@ def load_features(cfg: RunConfig, manifest: CohortManifest) -> tuple[dict, tuple
     first subject's, naming every such subject.
     """
     feat_dir = _out_dir(cfg, "features")
-    paths = {
-        entry.subject_id: {d: feat_dir / f"{_safe_name(entry.subject_id)}_{d}.feat"
-                           for d in DOMAINS}
-        for entry in manifest.entries
-    }
+    paths = {entry.subject_id: _feature_paths(feat_dir, entry.subject_id)
+             for entry in manifest.entries}
     missing = [sid for sid, per in paths.items() if not all(p.exists() for p in per.values())]
     if missing:
         raise ValidationError(

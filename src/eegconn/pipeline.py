@@ -487,19 +487,76 @@ def blas_threads() -> int:
     return _BLAS_THREADS
 
 
-_WORKER_RUNNER: "ExperimentRunner | None" = None  # set in forked pool workers only
+_FORKED_FN: Callable | None = None  # set in forked pool workers only
+_BROKEN = object()  # a job left unfinished because a worker died
 
 
-def _adopt_runner(runner: "ExperimentRunner") -> None:
-    """Pool initializer: a forked worker inherits the runner without pickling."""
-    global _WORKER_RUNNER
-    _WORKER_RUNNER = runner
+def _adopt_fn(fn: Callable) -> None:
+    """Pool initializer: a forked worker inherits ``fn`` without pickling."""
+    global _FORKED_FN
+    _FORKED_FN = fn
 
 
-def _train_in_worker(label: str, fold: int):
-    """Train one cached net in a pool worker; return what the parent binds."""
-    net, res = _WORKER_RUNNER._train_cached_net(label, fold)
-    return net.descriptor(), net.param_dict(), res
+def _call_forked(job):
+    return _FORKED_FN(job)
+
+
+def _call(fn: Callable, job):
+    """``fn(job)``, or the exception it raised."""
+    try:
+        return fn(job)
+    except Exception as exc:  # noqa: BLE001 - the caller fails only this job
+        return exc
+
+
+def fork_map(fn: Callable, jobs: list, describe: Callable[[object], str]) -> list:
+    """``fn(job)`` for every job, in job order, with the exception a job
+    raised in place of its result.
+
+    The jobs run in a pool of processes started with ``fork``: ``fn`` reaches
+    the workers through the fork, so only jobs and results are pickled.
+    Workers inherit the BLAS thread count, and two workers with two
+    busy-waiting OpenBLAS threads each on two CPUs run eight times slower
+    than one, so the pool has one worker per ``blas_threads()`` usable CPUs,
+    capped by the job count.  With fewer than two workers, or without
+    ``fork``, the jobs run one after another in this process.  A worker
+    that dies breaks the pool and fails every unfinished job, so each of
+    those runs again alone: only a job whose own worker dies fails, with a
+    ``RuntimeError`` naming ``describe(job)``.
+    """
+    # imported here, where a pool may start: other commands do without them
+    import multiprocessing
+
+    workers = min(usable_cpus() // blas_threads(), len(jobs))
+    if workers < 2 or "fork" not in multiprocessing.get_all_start_methods():
+        return [_call(fn, job) for job in jobs]
+    results = _run_forked(fn, jobs, workers)
+    for i, job in enumerate(jobs):
+        if results[i] is _BROKEN:
+            results[i] = _run_forked(fn, [job], 1)[0]
+            if results[i] is _BROKEN:
+                results[i] = RuntimeError(f"the worker {describe(job)} died")
+    return results
+
+
+def _run_forked(fn: Callable, jobs: list, workers: int) -> list:
+    """Each job's result or exception from a forked pool of ``workers``, or
+    ``_BROKEN`` for a job that a dead worker left unfinished."""
+    import multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
+    from concurrent.futures.process import BrokenProcessPool
+
+    results = []
+    with ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork"),
+                             initializer=_adopt_fn, initargs=(fn,)) as pool:
+        for future in [pool.submit(_call_forked, job) for job in jobs]:
+            try:
+                results.append(future.result())
+            except BrokenProcessPool:
+                results.append(_BROKEN)
+            except Exception as exc:  # noqa: BLE001 - fails only this job
+                results.append(exc)
+    return results
 
 
 class ExperimentRunner:
@@ -509,7 +566,7 @@ class ExperimentRunner:
     domain CNNs are cached per fold so that single-domain kinds and the
     fusion ensembles reuse identical trained members (identical seeds make
     this exact, not approximate).  :meth:`prefetch` fills the same cache,
-    feature-fusion nets included, in a pool of processes.
+    feature-fusion nets included, through :func:`fork_map`.
     """
 
     def __init__(self, features, manifest: CohortManifest, spec: ModelSpec,
@@ -611,57 +668,30 @@ class ExperimentRunner:
         return got
 
     def prefetch(self, kinds) -> None:
-        """Train every cached net the kinds read into the cache, in a pool.
+        """Train every cached net the kinds read into the cache, through
+        :func:`fork_map`.
 
         The jobs are independent and each draws its seeds from its own
-        (label, fold), so they run in a forked process pool and the pool
-        size changes no byte.  Workers inherit the BLAS thread count, and
-        two workers with two busy-waiting OpenBLAS threads each on two CPUs
-        train eight times slower than one, so the pool has one worker per
-        ``blas_threads()`` usable CPUs, capped by the job count.  With fewer
-        than two workers, or without ``fork``, nothing is prefetched and
-        :meth:`trained_member` trains each net when a row first reads it.
-        A job that raises, or whose worker dies, leaves its exception in
-        the cache for every result row that reads the net.
+        (label, fold), so the pool size changes no byte.  A job that raises,
+        or whose worker dies, leaves its exception in the cache for every
+        result row that reads the net.
         """
-        # imported here, where a pool may start: other commands do without them
-        import multiprocessing
-
         labels = {label for kind in kinds for label in KINDS[kind].nets}
         jobs = [(label, fold) for label in CACHED_NETS if label in labels
                 for fold in range(self.k)]  # largest nets first
-        workers = min(usable_cpus() // blas_threads(), len(jobs))
-        if workers < 2 or "fork" not in multiprocessing.get_all_start_methods():
-            return
-        # A dead worker breaks the whole pool and fails every unfinished job,
-        # so each of those trains again alone: only a job whose own worker
-        # dies fails.
-        for label, fold in self._train_in_pool(jobs, workers):
-            if self._train_in_pool([(label, fold)], 1):
-                self._member_cache[label, fold] = RuntimeError(
-                    f"the worker training the {label} net of fold {fold} died")
+        results = fork_map(self._train_job, jobs,
+                           lambda job: f"training the {job[0]} net of fold {job[1]}")
+        for (label, fold), got in zip(jobs, results):
+            if not isinstance(got, Exception):
+                descriptor, params, res = got
+                got = (rebuild(f"{label} net of fold {fold}", descriptor, params), res)
+            self._member_cache[label, fold] = got
 
-    def _train_in_pool(self, jobs: list[tuple[str, int]], workers: int) -> list[tuple[str, int]]:
-        """Train the jobs in a forked pool into the cache; the jobs left
-        unfinished because a worker died."""
-        import multiprocessing
-        from concurrent.futures import ProcessPoolExecutor
-        from concurrent.futures.process import BrokenProcessPool
-
-        broken = []
-        with ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork"),
-                                 initializer=_adopt_runner, initargs=(self,)) as pool:
-            futures = [(job, pool.submit(_train_in_worker, *job)) for job in jobs]
-            for (label, fold), future in futures:
-                try:
-                    descriptor, params, res = future.result()
-                    net = rebuild(f"{label} net of fold {fold}", descriptor, params)
-                    self._member_cache[label, fold] = (net, res)
-                except BrokenProcessPool:
-                    broken.append((label, fold))
-                except Exception as exc:  # noqa: BLE001 - fails the rows that read the net
-                    self._member_cache[label, fold] = exc
-        return broken
+    def _train_job(self, job: tuple[str, int]):
+        """Train one cached net: what :meth:`prefetch` binds, in a form that
+        crosses a process boundary."""
+        net, res = self._train_cached_net(*job)
+        return net.descriptor(), net.param_dict(), res
 
     # per-result execution ---------------------------------------------------
 

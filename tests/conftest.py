@@ -6,8 +6,8 @@ import os
 
 # One BLAS thread per process unless the caller set a count.  OpenBLAS reads
 # these once, when numpy loads it, so they are set before the first numpy
-# import; with one thread, `train` trains its nets in a pool of one worker
-# per usable CPU (README, "Parallel training").
+# import; with one thread, `extract` and `train` run their jobs in a pool of
+# one worker per usable CPU (README, "Parallel extraction and training").
 for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS"):
     os.environ.setdefault(_var, "1")
 

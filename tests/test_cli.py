@@ -47,6 +47,37 @@ pipeline.train_model = die_on_pdc
 sys.exit(main(["train", "--config", sys.argv[1]]))
 """
 
+# Extracts with one subject's recording load killing its process, as a crash would.
+KILL_EXTRACT_WORKER = r"""
+import os
+import sys
+
+from eegconn import cli
+
+load_recording = cli.load_recording
+
+
+def die_on_subject(path, *args, **kwargs):
+    if kwargs["subject_id"] == sys.argv[2]:
+        os._exit(9)
+    return load_recording(path, *args, **kwargs)
+
+
+cli.load_recording = die_on_subject
+sys.exit(cli.main(["extract", "--config", sys.argv[1]]))
+"""
+
+# Extracts on the first N usable CPUs; on one, every subject runs in this process.
+EXTRACT_ON_CPUS = r"""
+import os
+import sys
+
+from eegconn.cli import main
+
+os.sched_setaffinity(0, sorted(os.sched_getaffinity(0))[: int(sys.argv[2])])
+sys.exit(main(["extract", "--config", sys.argv[1]]))
+"""
+
 RESULT_IDS = [
     "cnn2d_var", "cnn2d_pdc", "cnn1d_cn", "fusion_feature", "fusion_score",
     "fusion_decision", "svm_var", "svm_pdc", "svm_cn", "svm_all",
@@ -76,6 +107,22 @@ def write_config(path: Path, manifest: Path, out_dir: Path, **overrides) -> Path
     values.update(overrides)
     path.write_text("".join(f"{k} = {v}\n" for k, v in values.items()))
     return path
+
+
+def run_script(script: str, *args) -> subprocess.CompletedProcess:
+    """Run a script in a fresh interpreter with one BLAS thread, so that it
+    gets a pool of one worker per usable CPU."""
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1",
+               PYTHONPATH=os.pathsep.join(filter(None, [str(SRC),
+                                                        os.environ.get("PYTHONPATH")])))
+    return subprocess.run([sys.executable, "-c", script, *map(str, args)], env=env,
+                          capture_output=True, text=True, timeout=300)
+
+
+def small_cohort(tmp_path: Path) -> Path:
+    """Six subjects, sz000-sz002 then hc000-hc002; the manifest's path."""
+    return make_synthetic_cohort(tmp_path / "data", seed=3, n_group_a=3, n_group_b=3,
+                                 channels=4, samples=300)
 
 
 @pytest.fixture(scope="module")
@@ -171,6 +218,90 @@ class TestExtract:
         cfg = write_config(tmp_path / "r.cfg", m, tmp_path / "o")
         assert main(["extract", "--config", str(cfg)]) == 2
 
+    def test_subjects_sharing_container_names_rejected(self, tmp_path, capsys):
+        manifest = small_cohort(tmp_path)
+        manifest.write_text(manifest.read_text() + "sz000.csv,sz 000,SZ\nsz001.csv,sz_000,SZ\n")
+        cfg = write_config(tmp_path / "r.cfg", manifest, tmp_path / "o")
+        assert main(["extract", "--config", str(cfg)]) == 2
+        assert capsys.readouterr().err == (
+            "error: subjects 'sz 000'/'sz_000' would share feature container names; "
+            "rename them in the manifest\n")
+        assert not (tmp_path / "o" / "features").exists()
+
+    def test_failed_subject_keeps_no_containers(self, tmp_path, capsys):
+        manifest = small_cohort(tmp_path)
+        out = tmp_path / "o"
+        cfg = write_config(tmp_path / "r.cfg", manifest, out)
+        assert main(["extract", "--config", str(cfg)]) == 0
+        with open(manifest.parent / "sz001.csv", "a") as fh:
+            fh.write("1,2,x\n")
+        capsys.readouterr()
+        assert main(["extract", "--config", str(cfg)]) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("sz001: FAILED (")
+        assert err[0].endswith("line 301: bad numeric token 'x')")
+        assert not list((out / "features").glob("sz001_*"))
+        assert len(list((out / "features").glob("*.feat"))) == 5 * 3
+        for command in ("train", "eval", "report"):
+            assert main([command, "--config", str(cfg)]) == 2
+            assert capsys.readouterr().err == (
+                "error: missing feature containers for 1 manifest subject(s): sz001; "
+                "run extract first\n")
+
+    def test_one_cpu_forks_no_process(self, tmp_path, monkeypatch):
+        def no_fork():
+            raise AssertionError("extract forked on one CPU")
+
+        monkeypatch.setattr(pipeline, "usable_cpus", lambda: 1)
+        monkeypatch.setattr(os, "fork", no_fork)
+        cfg = write_config(tmp_path / "r.cfg", small_cohort(tmp_path), tmp_path / "o")
+        assert main(["extract", "--config", str(cfg)]) == 0
+        assert len(list((tmp_path / "o" / "features").glob("*.feat"))) == 6 * 3
+
+    @pytest.mark.skipif(len(os.sched_getaffinity(0)) < 2, reason="needs 2 usable CPUs")
+    def test_dead_worker_fails_only_its_subject(self, tmp_path):
+        manifest = small_cohort(tmp_path)
+        clean, out = tmp_path / "clean", tmp_path / "o"
+        assert main(["extract", "--config",
+                     str(write_config(tmp_path / "c.cfg", manifest, clean))]) == 0
+        # containers of an earlier run, which the failed subject must not keep
+        shutil.copytree(clean / "features", out / "features")
+        proc = run_script(KILL_EXTRACT_WORKER, write_config(tmp_path / "r.cfg", manifest, out),
+                          "sz001")
+        assert proc.returncode == 1, proc.stderr
+        assert "Traceback" not in proc.stderr
+        assert proc.stderr.splitlines() == ["sz001: FAILED (the worker extracting sz001 died)"]
+        assert proc.stdout.splitlines()[-1] == "extracted 5/6 subjects"
+        assert {p.name: p.read_bytes() for p in (out / "features").glob("*.feat")} == {
+            p.name: p.read_bytes() for p in (clean / "features").glob("*.feat")
+            if not p.name.startswith("sz001_")}
+
+    @pytest.mark.skipif(len(os.sched_getaffinity(0)) < 2, reason="needs 2 usable CPUs")
+    def test_failures_and_warnings_same_on_one_and_two_cpus(self, tmp_path):
+        manifest = small_cohort(tmp_path)
+        with open(manifest.parent / "sz001.csv", "a") as fh:
+            fh.write("1,2,x\n")
+        rows = np.loadtxt(manifest.parent / "hc001.csv", delimiter=",")
+        rows[:, 2] = 5.0
+        np.savetxt(manifest.parent / "hc001.csv", rows, fmt="%.17g", delimiter=",")
+        runs = {}
+        for cpus in (1, 2):
+            out = tmp_path / f"o{cpus}"
+            proc = run_script(EXTRACT_ON_CPUS,
+                              write_config(tmp_path / f"r{cpus}.cfg", manifest, out), cpus)
+            runs[cpus] = (proc.returncode, proc.stdout, proc.stderr,
+                          {p.name: p.read_bytes() for p in (out / "features").glob("*.feat")})
+        assert runs[1] == runs[2]
+        code, stdout, stderr, files = runs[1]
+        assert code == 1
+        assert stdout.splitlines()[-1] == "extracted 4/6 subjects"
+        # the warning comes once, from the parent, in subject order
+        assert stderr.count("constant channel(s) [2] mapped to zeros") == 1
+        assert (stderr.index("sz001: FAILED")
+                < stderr.index("subject 'hc001': constant channel(s)")
+                < stderr.index("hc001: FAILED"))
+        assert len(files) == 4 * 3
+
 
 class TestTrain:
     def test_artifacts_exist(self, workspace):
@@ -219,9 +350,8 @@ class TestTrain:
     @pytest.mark.parametrize("cpus", [1, 2], ids=["in-process", "pool-of-2"])
     def test_failed_member_fails_every_row_that_reads_it(self, workspace, tmp_path,
                                                           monkeypatch, capsys, cpus):
-        # On one CPU each net trains when a row first reads it; on two the
-        # nets train first, in a pool of two forked workers, which the patch
-        # reaches.  The workers run with this process's BLAS threads, which
+        # The nets train first: on one CPU in this process, on two in a pool
+        # of two forked workers, which the patch reaches.  The workers run with this process's BLAS threads, which
         # may oversubscribe the CPUs: slower, but the same outcome.
         monkeypatch.setattr(pipeline, "usable_cpus", lambda: cpus)
         monkeypatch.setattr(pipeline, "blas_threads", lambda: 1)
@@ -256,11 +386,7 @@ class TestTrain:
         out13 = tmp_path / "out13"
         shutil.copytree(out / "features", out13 / "features")
         cfg13 = write_config(tmp_path / "r13.cfg", manifest, out13, epochs=2)
-        env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1",
-                   PYTHONPATH=os.pathsep.join(filter(None, [str(SRC),
-                                                            os.environ.get("PYTHONPATH")])))
-        proc = subprocess.run([sys.executable, "-c", KILL_PDC_WORKER, str(cfg13)], env=env,
-                              capture_output=True, text=True, timeout=300)
+        proc = run_script(KILL_PDC_WORKER, cfg13)
         assert proc.returncode == 1, proc.stderr
         assert "Traceback" not in proc.stderr
         # The pdc net of fold 0 is the first to kill its worker; the other

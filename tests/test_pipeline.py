@@ -1,9 +1,12 @@
+import os
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from eegconn.eeg_io import CohortManifest, ManifestEntry
+from eegconn import pipeline
 from eegconn.errors import ValidationError
 from eegconn.pipeline import (
     DOMAINS,
@@ -16,6 +19,7 @@ from eegconn.pipeline import (
     build_feature_fusion,
     build_stage2,
     evaluate,
+    fork_map,
     member_probs,
     stratified_kfold,
     stratified_split,
@@ -309,3 +313,32 @@ class TestEnsembleVote:
         members = {d: build_domain_network(d, spec, seed=1) for d in DOMAINS}
         with pytest.raises(ValidationError):
             EnsembleModel(mode="score", members=members)
+
+
+PARENT_PID = os.getpid()
+
+
+def _square_or_fail(x: int) -> int:
+    if x == 3:
+        raise ValueError("three")
+    if x == 4 and os.getpid() != PARENT_PID:  # a worker crash
+        os._exit(9)
+    return x * x
+
+
+class TestForkMap:
+    @pytest.mark.parametrize("cpus", [1, 2], ids=["in-process", "pool-of-2"])
+    def test_results_in_job_order_with_exceptions_in_place(self, monkeypatch, cpus):
+        monkeypatch.setattr(pipeline, "usable_cpus", lambda: cpus)
+        monkeypatch.setattr(pipeline, "blas_threads", lambda: 1)
+        got = fork_map(_square_or_fail, [0, 1, 2, 3, 5, 6], str)
+        assert [repr(g) if isinstance(g, Exception) else g for g in got] == [
+            0, 1, 4, "ValueError('three')", 25, 36]
+
+    @pytest.mark.skipif(len(os.sched_getaffinity(0)) < 2, reason="needs 2 usable CPUs")
+    def test_dead_worker_fails_only_its_job(self, monkeypatch):
+        monkeypatch.setattr(pipeline, "blas_threads", lambda: 1)
+        got = fork_map(_square_or_fail, list(range(8)), lambda x: f"squaring {x}")
+        assert [repr(g) if isinstance(g, Exception) else g for g in got] == [
+            0, 1, 4, "ValueError('three')", "RuntimeError('the worker squaring 4 died')",
+            25, 36, 49]
