@@ -101,10 +101,14 @@ def cmd_extract(cfg: RunConfig) -> int:
     results = fork_map(extract, manifest.entries,
                        lambda entry: f"extracting {entry.subject_id}")
     failures = 0
+    # one registry per source file, as one process keeps one per module: a
+    # warning repeated from the same line by several subjects prints once
+    registries: dict[str, dict] = {}
     for entry, got in zip(manifest.entries, results):
         caught, outcome = ((), got) if isinstance(got, Exception) else got
         for message, filename, lineno in caught:
-            warnings.warn_explicit(message, type(message), filename, lineno, module=__name__)
+            warnings.warn_explicit(message, type(message), filename, lineno, module=__name__,
+                                   registry=registries.setdefault(filename, {}))
         if isinstance(outcome, Exception):
             failures += 1
             # also where a dead worker could not clean up after itself

@@ -562,11 +562,11 @@ def _run_forked(fn: Callable, jobs: list, workers: int) -> list:
 class ExperimentRunner:
     """Trains every requested classifier kind over a shared fold plan.
 
-    Every net, member or not, trains through :meth:`train_net`.  The three
-    domain CNNs are cached per fold so that single-domain kinds and the
-    fusion ensembles reuse identical trained members (identical seeds make
-    this exact, not approximate).  :meth:`prefetch` fills the same cache,
-    feature-fusion nets included, through :func:`fork_map`.
+    Every net, member or not, trains through :meth:`train_net`.
+    :meth:`prefetch` trains the nets of ``CACHED_NETS`` that the kinds read,
+    through :func:`fork_map`, into a cache per (label, fold), so that
+    single-domain kinds and the fusion ensembles reuse identical trained
+    members (identical seeds make this exact, not approximate).
     """
 
     def __init__(self, features, manifest: CohortManifest, spec: ModelSpec,
@@ -646,23 +646,11 @@ class ExperimentRunner:
                           seed=derive_seed(self.master_seed, "train", label, fold))
         return net, res
 
-    def _train_cached_net(self, label: str, fold: int) -> tuple[Network, TrainResult]:
-        build, row = CACHED_NETS[label]
-        return self.train_net(label, fold, lambda seed: build(self.spec, seed),
-                              lambda sids: self.fold_inputs(row, sids, fold))
-
     def trained_member(self, label: str, fold: int) -> tuple[Network, TrainResult]:
-        """The fold's trained net for a ``CACHED_NETS`` label.
-
-        A prefetched net comes from the cache, and a prefetched training that
-        failed raises its exception again.  Otherwise the net trains now, and
-        a domain member, which several kinds share, is kept in the cache.
-        """
-        got = self._member_cache.get((label, fold))
-        if got is None:
-            got = self._train_cached_net(label, fold)
-            if label in DOMAINS:
-                self._member_cache[label, fold] = got
+        """The fold's trained net for a ``CACHED_NETS`` label, from the cache
+        that :meth:`prefetch` filled; a training that failed raises its
+        exception again."""
+        got = self._member_cache[label, fold]
         if isinstance(got, Exception):
             raise got
         return got
@@ -690,7 +678,10 @@ class ExperimentRunner:
     def _train_job(self, job: tuple[str, int]):
         """Train one cached net: what :meth:`prefetch` binds, in a form that
         crosses a process boundary."""
-        net, res = self._train_cached_net(*job)
+        label, fold = job
+        build, row = CACHED_NETS[label]
+        net, res = self.train_net(label, fold, lambda seed: build(self.spec, seed),
+                                  lambda sids: self.fold_inputs(row, sids, fold))
         return net.descriptor(), net.param_dict(), res
 
     # per-result execution ---------------------------------------------------

@@ -78,6 +78,24 @@ os.sched_setaffinity(0, sorted(os.sched_getaffinity(0))[: int(sys.argv[2])])
 sys.exit(main(["extract", "--config", sys.argv[1]]))
 """
 
+# EXTRACT_ON_CPUS with every subject's recording load raising one warning
+# from one line.
+WARN_ON_EVERY_LOAD = r"""
+import warnings
+
+from eegconn import cli
+
+load_recording = cli.load_recording
+
+
+def warn_then_load(*args, **kwargs):
+    warnings.warn("every subject warns from this line")
+    return load_recording(*args, **kwargs)
+
+
+cli.load_recording = warn_then_load
+""" + EXTRACT_ON_CPUS
+
 RESULT_IDS = [
     "cnn2d_var", "cnn2d_pdc", "cnn1d_cn", "fusion_feature", "fusion_score",
     "fusion_decision", "svm_var", "svm_pdc", "svm_cn", "svm_all",
@@ -301,6 +319,17 @@ class TestExtract:
                 < stderr.index("subject 'hc001': constant channel(s)")
                 < stderr.index("hc001: FAILED"))
         assert len(files) == 4 * 3
+
+    @pytest.mark.parametrize("cpus", [
+        1, pytest.param(2, marks=pytest.mark.skipif(len(os.sched_getaffinity(0)) < 2,
+                                                     reason="needs 2 usable CPUs"))])
+    def test_warning_repeated_from_one_line_prints_once(self, tmp_path, cpus):
+        manifest = small_cohort(tmp_path)
+        proc = run_script(WARN_ON_EVERY_LOAD,
+                          write_config(tmp_path / "r.cfg", manifest, tmp_path / "o"), cpus)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stderr.count("every subject warns from this line") == 1
+        assert proc.stdout.splitlines()[-1] == "extracted 6/6 subjects"
 
 
 class TestTrain:

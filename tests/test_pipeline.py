@@ -234,6 +234,7 @@ def run():
                               val_fraction=0.2, svm_steps=600)
     kinds = ["cnn2d_var", "cnn2d_pdc", "cnn1d_cn", "fusion_feature",
              "fusion_score", "fusion_decision", "svm_linear"]
+    runner.prefetch(kinds)
     results = [runner.run_result(kind, row) for kind in kinds for row in KINDS[kind].results]
     return runner, results, manifest
 
@@ -273,8 +274,10 @@ class TestExperimentRunner:
 
     def test_member_cache_updates_once(self, run):
         runner, _, _ = run
-        # 3 domains x 2 folds trained once each despite 6 kinds requesting them
-        assert len(runner._member_cache) == 6
+        # 3 domains and the feature-fusion net x 2 folds, trained once each
+        # despite 6 kinds requesting them
+        assert sorted(runner._member_cache) == sorted(
+            (label, fold) for label in (*DOMAINS, "fusion_feature") for fold in range(2))
 
     def test_predictions_cover_all_subjects(self, run):
         _, results, manifest = run
