@@ -442,40 +442,31 @@ def load_model(path, band_names: tuple[str, ...], load=load_bundle
 
 
 def cmd_eval(cfg: RunConfig) -> int:
+    """Evaluate every result row's saved models, one :func:`fork_map` job per
+    fold, then report the rows in order and write metrics.json."""
     manifest = _load_manifest(cfg)
     check_positive_class(cfg.positive_class, manifest.class_names)
     features, band_names = load_features(cfg, manifest)
     plan_path = Path(cfg.output_dir) / "folds.csv"
     plan = read_fold_plan(plan_path)
-    labels = manifest.labels()
-    ordered = manifest.subject_ids()
-    _check_fold_plan(plan, ordered, plan_path)
-    models_dir = _out_dir(cfg, "models")
+    _check_fold_plan(plan, manifest.subject_ids(), plan_path)
     results = _expand_result_ids(model_kind_list(cfg))
+    evaluate_fold = functools.partial(_eval_fold, cfg, manifest, features, band_names, plan,
+                                      results)
+    outcomes = fork_map(evaluate_fold, list(range(plan.k)),
+                        lambda fold: f"evaluating fold {fold}")
     fold_metrics: dict[str, list[dict]] = {result_id: [] for result_id, _, _ in results}
     feature_label = {result_id: feature_set for result_id, _, feature_set in results}
-    failed: dict[str, Exception] = {}  # a row's first failure ends its folds
-    # Folds outside, rows inside: the rows of a fold share its member files
-    # and nets, which one FoldModels reads and runs once and then lets go.
-    for fold in range(plan.k):
-        models = FoldModels()
-        test_ids = plan.test_ids(fold, ordered)
-        for result_id, kind, feature_set in results:
-            if result_id in failed:
-                continue
-            try:
-                core, meta, band_idx = load_model(models_dir / f"{result_id}_fold{fold}.model",
-                                                  band_names, models.load)
-                feature_label[result_id] = meta.get("feature", feature_set)
-                bits, _ = predict_with_core(core, kind, features, test_ids,
-                                            band_idx, feature_set)
-                class_names = tuple(meta["class_names"])
-                predicted = [class_names[int(b)] for b in bits]
-                fold_metrics[result_id].append(
-                    evaluate(predicted, [labels[s] for s in test_ids], cfg.positive_class)
-                )
-            except Exception as exc:  # noqa: BLE001 - per-model isolation, nonzero exit below
-                failed[result_id] = exc
+    failed: dict[str, str] = {}  # the text of a row's failure in its first failed fold
+    for got in outcomes:  # in fold order
+        if isinstance(got, Exception):  # the job itself failed, or its worker died
+            got = [str(got)] * len(results)
+        for (result_id, _, _), outcome in zip(results, got):
+            if isinstance(outcome, str):
+                failed.setdefault(result_id, outcome)
+            else:
+                feature_label[result_id], metrics = outcome
+                fold_metrics[result_id].append(metrics)
     rows = []
     for result_id, kind, _ in results:
         if result_id in failed:
@@ -502,6 +493,34 @@ def cmd_eval(cfg: RunConfig) -> int:
     out.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
     print(f"wrote {out}")
     return 1 if failed else 0
+
+
+def _eval_fold(cfg: RunConfig, manifest: CohortManifest, features: dict,
+               band_names: tuple[str, ...], plan: FoldPlan, results: list, fold: int) -> list:
+    """Evaluate every result row on one fold's test subjects: per row, its
+    feature label and metrics, or the text of its failure, which is all
+    that eval prints of it and crosses a process boundary as it is.
+
+    The rows of a fold share its member files and nets, which one
+    :class:`FoldModels` reads and runs once.
+    """
+    models, models_dir = FoldModels(), _out_dir(cfg, "models")
+    test_ids = plan.test_ids(fold, manifest.subject_ids())
+    labels = manifest.labels()
+    truth = [labels[sid] for sid in test_ids]
+    outcomes: list = []
+    for result_id, kind, feature_set in results:
+        try:
+            core, meta, band_idx = load_model(models_dir / f"{result_id}_fold{fold}.model",
+                                              band_names, models.load)
+            bits, _ = predict_with_core(core, kind, features, test_ids, band_idx, feature_set)
+            class_names = tuple(meta["class_names"])
+            predicted = [class_names[int(b)] for b in bits]
+            outcomes.append((meta.get("feature", feature_set),
+                             evaluate(predicted, truth, cfg.positive_class)))
+        except Exception as exc:  # noqa: BLE001 - per-model isolation, nonzero exit in cmd_eval
+            outcomes.append(str(exc))
+    return outcomes
 
 
 # -- predict -------------------------------------------------------------------
@@ -638,7 +657,16 @@ def cmd_report(cfg: RunConfig) -> int:
 
 # -- entry point ---------------------------------------------------------------
 
-COMMANDS = {"extract": cmd_extract, "train": cmd_train, "eval": cmd_eval, "report": cmd_report}
+# Every command with its help.  main runs ``cmd_<name>`` as it finds it on
+# this module when it runs, so a function patched onto the module is the one
+# called.
+COMMANDS = {
+    "extract": "compute VAR/PDC/CN feature containers per subject",
+    "train": "train the configured classifiers with k-fold cross-validation",
+    "eval": "evaluate saved models and write metrics.json",
+    "predict": "classify one subject from feature containers",
+    "report": "emit learning-curve SVGs, feature-map heatmaps, latency table",
+}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -647,13 +675,7 @@ def build_parser() -> argparse.ArgumentParser:
         description="EEG connectivity feature extraction and two-group CNN classification",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, desc in (
-        ("extract", "compute VAR/PDC/CN feature containers per subject"),
-        ("train", "train the configured classifiers with k-fold cross-validation"),
-        ("eval", "evaluate saved models and write metrics.json"),
-        ("predict", "classify one subject from feature containers"),
-        ("report", "emit learning-curve SVGs, feature-map heatmaps, latency table"),
-    ):
+    for name, desc in COMMANDS.items():
         p = sub.add_parser(name, help=desc)
         p.add_argument("--config", required=True, help="key=value run configuration file")
         p.add_argument("--seed", type=int, default=None, help="override the config seed")
@@ -670,9 +692,10 @@ def main(argv: list[str] | None = None) -> int:
         cfg = parse_config(args.config)
         if args.seed is not None:
             cfg.seed = args.seed
+        command = globals()[f"cmd_{args.command}"]
         if args.command == "predict":
-            return cmd_predict(cfg, args.model, args.input)
-        return COMMANDS[args.command](cfg)
+            return command(cfg, args.model, args.input)
+        return command(cfg)
     except (EegConnError, FileNotFoundError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -511,7 +511,8 @@ def _call(fn: Callable, job):
 
 def fork_map(fn: Callable, jobs: list, describe: Callable[[object], str]) -> list:
     """``fn(job)`` for every job, in job order, with the exception a job
-    raised in place of its result.
+    raised in place of its result.  ``extract`` maps it over the subjects,
+    ``train`` over the cached nets and ``eval`` over the folds.
 
     The jobs run in a pool of processes started with ``fork``: ``fn`` reaches
     the workers through the fork, so only jobs and results are pickled.

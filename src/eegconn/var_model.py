@@ -13,6 +13,7 @@ covariance uses divisor T - L.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -99,6 +100,14 @@ def build_design(rec: EegRecording, order: int) -> RegressionDesign:
     return RegressionDesign(x=x, y=y)
 
 
+def gram_condition(svals: np.ndarray) -> float:
+    """cond(X'X) = (s_max / s_min)^2 from the descending singular values of
+    X, or inf where it would exceed the float range, as for a singular X."""
+    s_max, s_min = float(svals[0]), float(svals[-1])
+    # s_max / s_min < 1e154 keeps the square below the largest float
+    return math.inf if s_min * 1e154 <= s_max else (s_max / s_min) ** 2
+
+
 def fit_var(rec: EegRecording, order: int) -> VarModel:
     """Least-squares fit of a VAR(``order``) model.
 
@@ -114,10 +123,11 @@ def fit_var(rec: EegRecording, order: int) -> VarModel:
         )
     design = build_design(rec, order)
     beta, _, rank, svals = np.linalg.lstsq(design.x, design.y, rcond=None)
-    if rank < design.x.shape[1] or (svals[0] / svals[-1]) ** 2 > MAX_DESIGN_CONDITION:
+    cond = gram_condition(svals)
+    if rank < design.x.shape[1] or cond > MAX_DESIGN_CONDITION:
         raise SingularDesignError(
             f"rank-deficient design for VAR({order}): rank {rank} of {design.x.shape[1]}, "
-            f"cond(X'X) ~ {(svals[0] / max(svals[-1], 1e-300)) ** 2:.3g}"
+            f"cond(X'X) ~ {cond:.3g}"
         )
     resid = design.y - design.x @ beta
     cov = resid.T @ resid / (t - order)

@@ -6,8 +6,9 @@ import os
 
 # One BLAS thread per process unless the caller set a count.  OpenBLAS reads
 # these once, when numpy loads it, so they are set before the first numpy
-# import; with one thread, `extract` and `train` run their jobs in a pool of
-# one worker per usable CPU (README, "Parallel extraction and training").
+# import; with one thread, `extract`, `train` and `eval` run their jobs in a
+# pool of one worker per usable CPU (README, "Parallel extraction, training
+# and evaluation").
 for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS"):
     os.environ.setdefault(_var, "1")
 

@@ -67,19 +67,43 @@ cli.load_recording = die_on_subject
 sys.exit(cli.main(["extract", "--config", sys.argv[1]]))
 """
 
-# Extracts on the first N usable CPUs; on one, every subject runs in this process.
-EXTRACT_ON_CPUS = r"""
+# Evaluates with every fold-1 prediction killing its process, as a crash would.
+KILL_EVAL_WORKER = r"""
+import os
+import sys
+from pathlib import Path
+
+from eegconn import cli
+
+predict_with_core = cli.predict_with_core
+lines = Path(sys.argv[2]).read_text().splitlines()[1:]
+fold1 = {sid for sid, _, fold in (line.partition(",") for line in lines) if fold == "1"}
+
+
+def die_on_fold1(core, kind, features, sids, *args):
+    if set(sids) <= fold1:
+        os._exit(9)
+    return predict_with_core(core, kind, features, sids, *args)
+
+
+cli.predict_with_core = die_on_fold1
+sys.exit(cli.main(["eval", "--config", sys.argv[1]]))
+"""
+
+# Runs a command (argv 3) on the first N usable CPUs (argv 2); on one, every
+# job of the command runs in this process.
+ON_CPUS = r"""
 import os
 import sys
 
 from eegconn.cli import main
 
 os.sched_setaffinity(0, sorted(os.sched_getaffinity(0))[: int(sys.argv[2])])
-sys.exit(main(["extract", "--config", sys.argv[1]]))
+sys.exit(main([sys.argv[3], "--config", sys.argv[1]]))
 """
 
-# EXTRACT_ON_CPUS with every subject's recording load raising one warning
-# from one line.
+# ON_CPUS with every subject's recording load raising one warning from one
+# line.
 WARN_ON_EVERY_LOAD = r"""
 import warnings
 
@@ -94,7 +118,7 @@ def warn_then_load(*args, **kwargs):
 
 
 cli.load_recording = warn_then_load
-""" + EXTRACT_ON_CPUS
+""" + ON_CPUS
 
 RESULT_IDS = [
     "cnn2d_var", "cnn2d_pdc", "cnn1d_cn", "fusion_feature", "fusion_score",
@@ -137,10 +161,36 @@ def run_script(script: str, *args) -> subprocess.CompletedProcess:
                           capture_output=True, text=True, timeout=300)
 
 
+def append_line(path: Path, line: str) -> None:
+    """Append one line to ``path``, opened for this call with O_APPEND, so
+    that forked workers and their parent add to the same file."""
+    fd = os.open(path, os.O_WRONLY | os.O_APPEND | os.O_CREAT)
+    try:
+        os.write(fd, f"{line}\n".encode())
+    finally:
+        os.close(fd)
+
+
+def logged(path: Path) -> list[str]:
+    """The lines that :func:`append_line` wrote to ``path``."""
+    return path.read_text().splitlines() if path.exists() else []
+
+
 def small_cohort(tmp_path: Path) -> Path:
     """Six subjects, sz000-sz002 then hc000-hc002; the manifest's path."""
     return make_synthetic_cohort(tmp_path / "data", seed=3, n_group_a=3, n_group_b=3,
                                  channels=4, samples=300)
+
+
+def copy_for_eval(workspace, tmp_path: Path) -> Path:
+    """``tmp_path / "out"``: a copy of the workspace's features, models and
+    fold plan, which eval reads."""
+    _, _, out, _ = workspace
+    copy = tmp_path / "out"
+    shutil.copytree(out / "features", copy / "features")
+    shutil.copytree(out / "models", copy / "models")
+    shutil.copy(out / "folds.csv", copy / "folds.csv")
+    return copy
 
 
 @pytest.fixture(scope="module")
@@ -305,8 +355,8 @@ class TestExtract:
         runs = {}
         for cpus in (1, 2):
             out = tmp_path / f"o{cpus}"
-            proc = run_script(EXTRACT_ON_CPUS,
-                              write_config(tmp_path / f"r{cpus}.cfg", manifest, out), cpus)
+            proc = run_script(ON_CPUS, write_config(tmp_path / f"r{cpus}.cfg", manifest, out),
+                              cpus, "extract")
             runs[cpus] = (proc.returncode, proc.stdout, proc.stderr,
                           {p.name: p.read_bytes() for p in (out / "features").glob("*.feat")})
         assert runs[1] == runs[2]
@@ -320,13 +370,26 @@ class TestExtract:
                 < stderr.index("hc001: FAILED"))
         assert len(files) == 4 * 3
 
+    def test_singular_design_reports_infinite_condition_without_warning(self, tmp_path):
+        manifest = small_cohort(tmp_path)
+        rows = np.loadtxt(manifest.parent / "hc001.csv", delimiter=",")
+        rows[:, 2] = 5.0
+        np.savetxt(manifest.parent / "hc001.csv", rows, fmt="%.17g", delimiter=",")
+        proc = run_script(ON_CPUS, write_config(tmp_path / "r.cfg", manifest, tmp_path / "o"),
+                          1, "extract")
+        assert proc.returncode == 1
+        assert "RuntimeWarning" not in proc.stderr
+        assert ("hc001: FAILED (rank-deficient design for VAR(2): rank 6 of 8, "
+                "cond(X'X) ~ inf)") in proc.stderr.splitlines()
+
     @pytest.mark.parametrize("cpus", [
         1, pytest.param(2, marks=pytest.mark.skipif(len(os.sched_getaffinity(0)) < 2,
                                                      reason="needs 2 usable CPUs"))])
     def test_warning_repeated_from_one_line_prints_once(self, tmp_path, cpus):
         manifest = small_cohort(tmp_path)
         proc = run_script(WARN_ON_EVERY_LOAD,
-                          write_config(tmp_path / "r.cfg", manifest, tmp_path / "o"), cpus)
+                          write_config(tmp_path / "r.cfg", manifest, tmp_path / "o"), cpus,
+                          "extract")
         assert proc.returncode == 0, proc.stderr
         assert proc.stderr.count("every subject warns from this line") == 1
         assert proc.stdout.splitlines()[-1] == "extracted 6/6 subjects"
@@ -450,6 +513,61 @@ class TestEval:
             )
             conf = row["confusion"]
             assert conf["tp"] + conf["fn"] + conf["tn"] + conf["fp"] == 13
+
+    def test_main_runs_the_command_found_on_the_module(self, workspace, monkeypatch):
+        _, cfg, _, _ = workspace
+        calls = []
+        monkeypatch.setattr(cli, "cmd_eval", lambda run_cfg: calls.append(run_cfg) or 0)
+        assert main(["eval", "--config", str(cfg)]) == 0
+        assert [c.output_dir for c in calls] == [parse_config(cfg).output_dir]
+
+    def test_one_cpu_forks_no_process(self, workspace, tmp_path, monkeypatch):
+        def no_fork():
+            raise AssertionError("eval forked on one CPU")
+
+        _, _, out, manifest = workspace
+        copy = copy_for_eval(workspace, tmp_path)
+        monkeypatch.setattr(pipeline, "usable_cpus", lambda: 1)
+        monkeypatch.setattr(os, "fork", no_fork)
+        assert main(["eval", "--config", str(write_config(tmp_path / "r.cfg", manifest,
+                                                          copy))]) == 0
+        assert (copy / "metrics.json").read_bytes() == (out / "metrics.json").read_bytes()
+
+    @pytest.mark.skipif(len(os.sched_getaffinity(0)) < 2, reason="needs 2 usable CPUs")
+    def test_failures_same_on_one_and_two_cpus(self, workspace, tmp_path):
+        _, _, _, manifest = workspace
+        copy = copy_for_eval(workspace, tmp_path)
+        flip_bit(copy / "models" / "cnn2d_var_fold0.model")  # fails three rows in fold 0
+        (copy / "models" / "svm_cn_fold1.model").unlink()
+        cfg = write_config(tmp_path / "r.cfg", manifest, copy)
+        runs = {}
+        for cpus in (1, 2):
+            proc = run_script(ON_CPUS, cfg, cpus, "eval")
+            runs[cpus] = (proc.returncode, proc.stdout, proc.stderr,
+                          (copy / "metrics.json").read_bytes())
+            (copy / "metrics.json").unlink()
+        assert runs[1] == runs[2]
+        code, _, stderr, metrics = runs[1]
+        assert code == 1
+        failed = [line.partition(":")[0] for line in stderr.splitlines()]
+        assert failed == ["cnn2d_var", "fusion_score", "fusion_decision", "svm_cn"]
+        assert [row["model"] for row in json.loads(metrics)["rows"]] == [
+            rid for rid in RESULT_IDS if rid not in failed]
+
+    @pytest.mark.skipif(len(os.sched_getaffinity(0)) < 2, reason="needs 2 usable CPUs")
+    def test_dead_worker_fails_its_fold_without_a_traceback(self, workspace, tmp_path):
+        _, _, _, manifest = workspace
+        copy = copy_for_eval(workspace, tmp_path)
+        (copy / "models" / "svm_cn_fold0.model").unlink()  # fails in fold 0 first
+        proc = run_script(KILL_EVAL_WORKER, write_config(tmp_path / "r.cfg", manifest, copy),
+                          copy / "folds.csv")
+        assert proc.returncode == 1, proc.stderr
+        assert "Traceback" not in proc.stderr
+        want = [f"{rid}: FAILED (the worker evaluating fold 1 died)" for rid in RESULT_IDS]
+        want[RESULT_IDS.index("svm_cn")] = ("svm_cn: FAILED ([Errno 2] No such file or "
+                                            f"directory: '{copy}/models/svm_cn_fold0.model')")
+        assert proc.stderr.splitlines() == want
+        assert json.loads((copy / "metrics.json").read_text())["rows"] == []
 
     def test_deterministic_across_runs(self, workspace, tmp_path):
         root, _, out, manifest = workspace
@@ -796,11 +914,7 @@ class TestBundleReferences:
 
     @staticmethod
     def _faulted(workspace, tmp_path, edit, stale) -> Path:
-        _, _, out, _ = workspace
-        copy = tmp_path / "out"
-        shutil.copytree(out / "features", copy / "features")
-        shutil.copytree(out / "models", copy / "models")
-        shutil.copy(out / "folds.csv", copy / "folds.csv")
+        copy = copy_for_eval(workspace, tmp_path)
         edit(copy / "models", stale)
         return copy
 
@@ -846,24 +960,21 @@ class TestWorkDoneOnce:
     def test_eval_reads_each_file_and_runs_each_net_once_per_fold(self, workspace, tmp_path,
                                                                    monkeypatch):
         _, _, out, manifest = workspace
-        copy = tmp_path / "out"
-        shutil.copytree(out / "features", copy / "features")
-        shutil.copytree(out / "models", copy / "models")
-        shutil.copy(out / "folds.csv", copy / "folds.csv")
+        copy = copy_for_eval(workspace, tmp_path)
         cfg = write_config(tmp_path / "r.cfg", manifest, copy)
+        # the folds may run in forked workers, so the spies log to files
+        reads, runs = tmp_path / "reads.log", tmp_path / "runs.log"
         read_framed = serialize.read_framed
-        reads = []
-        monkeypatch.setattr(serialize, "read_framed", lambda path, *args: reads.append(path.name)
-                            or read_framed(path, *args))
+        monkeypatch.setattr(serialize, "read_framed", lambda path, *args: append_line(
+            reads, path.name) or read_framed(path, *args))
         predict_proba = Network.predict_proba
-        runs = []
         monkeypatch.setattr(Network, "predict_proba",
-                            lambda net, x: runs.append(net.name) or predict_proba(net, x))
+                            lambda net, x: append_line(runs, net.name) or predict_proba(net, x))
         assert main(["eval", "--config", str(cfg)]) == 0
-        assert Counter(reads) == {f"{rid}_fold{fold}.model": 1
-                                  for rid in RESULT_IDS for fold in range(2)}
-        assert Counter(runs) == {name: 2 for name in ("cnn_var", "cnn_pdc", "cnn_cn",
-                                                      "fusion_feature", "stage2")}
+        assert Counter(logged(reads)) == {f"{rid}_fold{fold}.model": 1
+                                          for rid in RESULT_IDS for fold in range(2)}
+        assert Counter(logged(runs)) == {name: 2 for name in ("cnn_var", "cnn_pdc", "cnn_cn",
+                                                              "fusion_feature", "stage2")}
         assert (copy / "metrics.json").read_bytes() == (out / "metrics.json").read_bytes()
 
     def test_fusion_only_config_writes_its_members(self, workspace, tmp_path, capsys):
