@@ -41,6 +41,7 @@ from .pipeline import (
     check_positive_class,
     evaluate,
     fork_map,
+    one_blas_thread,
     predict_with_core,
     standardized_inputs,
     time_classification,
@@ -533,6 +534,8 @@ def cmd_predict(cfg: RunConfig, model_path: str, input_paths: list[str]) -> int:
     for p in input_paths:
         values, header = read_container(p)
         domain = DOMAIN_BY_FEATURE_KIND[header["kind"]]
+        if domain in per_domain:
+            raise ValidationError(f"two --input containers of feature kind {header['kind']}")
         per_domain[domain] = values
         names = _header_band_names(header)
         if names and band_names and names != band_names:
@@ -687,6 +690,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
+    one_blas_thread()  # before any work, and so before any pool forks
     args = build_parser().parse_args(argv)
     try:
         cfg = parse_config(args.config)
@@ -696,7 +700,7 @@ def main(argv: list[str] | None = None) -> int:
         if args.command == "predict":
             return command(cfg, args.model, args.input)
         return command(cfg)
-    except (EegConnError, FileNotFoundError) as exc:
+    except (EegConnError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except Exception:  # noqa: BLE001 - last-resort diagnostics for the CLI

@@ -12,6 +12,7 @@ a held-out validation split inside each fold driving epoch selection.
 
 from __future__ import annotations
 
+import ctypes
 import os
 import time
 from dataclasses import dataclass, field
@@ -467,24 +468,21 @@ def usable_cpus() -> int:
     return os.cpu_count() or 1
 
 
-def _env_blas_threads() -> int:
-    """BLAS threads per process as OpenBLAS reads them from the environment
-    when it loads: one per usable CPU unless a positive count is set."""
-    for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS"):
-        value = os.environ.get(var, "")
-        if value.isdigit() and int(value) > 0:
-            return int(value)
-    return usable_cpus()
+def one_blas_thread() -> bool:
+    """Set numpy's OpenBLAS to one thread in this process and those it forks,
+    whatever the environment said when the library loaded, so that results
+    have the one-thread bytes and the pool alone owns the parallelism.  The
+    run-time setter is found through numpy's linear-algebra extension, which
+    links OpenBLAS; False where there is none, and the threads stay."""
+    from numpy.linalg import _umath_linalg
 
-
-# Read once, right after numpy loaded OpenBLAS: a later change to the
-# environment does not change the library's thread count.
-_BLAS_THREADS = _env_blas_threads()
-
-
-def blas_threads() -> int:
-    """The BLAS threads of this process, which forked workers inherit."""
-    return _BLAS_THREADS
+    lib = ctypes.CDLL(_umath_linalg.__file__)
+    for name in ("scipy_openblas_set_num_threads64_", "openblas_set_num_threads64_",
+                 "openblas_set_num_threads"):
+        if hasattr(lib, name):
+            ctypes.CFUNCTYPE(None, ctypes.c_int)((name, lib))(1)
+            return True
+    return False
 
 
 _FORKED_FN: Callable | None = None  # set in forked pool workers only
@@ -516,11 +514,12 @@ def fork_map(fn: Callable, jobs: list, describe: Callable[[object], str]) -> lis
 
     The jobs run in a pool of processes started with ``fork``: ``fn`` reaches
     the workers through the fork, so only jobs and results are pickled.
-    Workers inherit the BLAS thread count, and two workers with two
-    busy-waiting OpenBLAS threads each on two CPUs run eight times slower
-    than one, so the pool has one worker per ``blas_threads()`` usable CPUs,
-    capped by the job count.  With fewer than two workers, or without
-    ``fork``, the jobs run one after another in this process.  A worker
+    This process first sets one BLAS thread (:func:`one_blas_thread`), which
+    the workers inherit, so the pool has one worker per usable CPU, capped
+    by the job count.  With fewer than two workers, without ``fork``, or
+    where BLAS keeps the threads it started with (two workers with two
+    busy-waiting OpenBLAS threads each on two CPUs ran eight times slower
+    than one), the jobs run one after another in this process.  A worker
     that dies breaks the pool and fails every unfinished job, so each of
     those runs again alone: only a job whose own worker dies fails, with a
     ``RuntimeError`` naming ``describe(job)``.
@@ -528,7 +527,7 @@ def fork_map(fn: Callable, jobs: list, describe: Callable[[object], str]) -> lis
     # imported here, where a pool may start: other commands do without them
     import multiprocessing
 
-    workers = min(usable_cpus() // blas_threads(), len(jobs))
+    workers = min(usable_cpus(), len(jobs)) if one_blas_thread() else 1
     if workers < 2 or "fork" not in multiprocessing.get_all_start_methods():
         return [_call(fn, job) for job in jobs]
     results = _run_forked(fn, jobs, workers)
@@ -707,11 +706,11 @@ class ExperimentRunner:
 
 # -- the model-kind table -----------------------------------------------------
 #
-# One row per kind.  ``fit`` trains the kind's core on one fold and returns it
-# with its learning curves by role; ``bundle`` and ``unbundle`` map a core to
-# the named entries of a model file and back (a ``Member`` entry comes back as
-# the member's net); ``results`` lists the rows the kind reports (the SVM
-# reports one per feature set).
+# One row per kind.  ``fit`` fits the kind's core on one fold (reading the
+# cached ``nets``) and returns it with its learning curves by role; ``bundle``
+# and ``unbundle`` map a core to the named entries of a model file and back (a
+# ``Member`` entry comes back as the member's net); ``results`` lists the rows
+# the kind reports (the SVM reports one per feature set).
 
 
 class ResultRow(NamedTuple):
@@ -738,22 +737,18 @@ def _flat_concat(arrays: dict) -> np.ndarray:
 
 
 def _trained_members(runner: ExperimentRunner, row: "ModelKind", fold: int):
-    """The fold's cached domain CNNs for the kind's domains, and their curves by domain."""
-    trained = {d: runner.trained_member(d, fold) for d in row.domains}
+    """The fold's cached domain CNNs that the kind reads, and their curves by domain."""
+    trained = {d: runner.trained_member(d, fold) for d in row.nets}
     return ({d: net for d, (net, _) in trained.items()},
             {d: res.curve for d, (_, res) in trained.items()})
 
 
-def _fit_member(runner: ExperimentRunner, row: "ModelKind", fold: int, feature_set: str):
-    members, curves = _trained_members(runner, row, fold)
-    (net,) = members.values()
-    return FittedModel(net, runner.fold_stats(fold)), curves
-
-
-def _fit_feature_fusion(runner: ExperimentRunner, row: "ModelKind", fold: int,
-                        feature_set: str):
-    net, res = runner.trained_member("fusion_feature", fold)
-    return FittedModel(net, runner.fold_stats(fold)), {"main": res.curve}
+def _fit_net(runner: ExperimentRunner, row: "ModelKind", fold: int, feature_set: str):
+    """The kind's one cached net, and its curve by domain for a member net."""
+    (label,) = row.nets
+    net, res = runner.trained_member(label, fold)
+    return (FittedModel(net, runner.fold_stats(fold)),
+            {label if label in DOMAINS else NET_ROLE: res.curve})
 
 
 def _fit_decision_fusion(runner: ExperimentRunner, row: "ModelKind", fold: int,
@@ -834,18 +829,12 @@ class ModelKind:
     """What one classifier kind reads, how it is fitted and saved, what it reports."""
 
     domains: tuple[str, ...]
+    nets: tuple[str, ...]           # the ``CACHED_NETS`` labels that ``fit`` reads, per fold
     pack: Callable[[dict], object]  # {domain: batch array} -> the input form of the core
     fit: Callable                   # (runner, row, fold, feature_set) -> (FittedModel, curves)
     bundle: Callable[[object], tuple[dict, dict]]  # core -> (bundle entries, extra meta)
     unbundle: Callable[[dict, dict], object]       # (bundle entries, meta) -> core
     results: tuple[ResultRow, ...]
-
-    @property
-    def nets(self) -> tuple[str, ...]:
-        """The ``CACHED_NETS`` labels that ``fit`` reads, per fold."""
-        if self.fit is _fit_feature_fusion:
-            return ("fusion_feature",)
-        return () if self.fit is _fit_svm else self.domains
 
     def inputs(self, features, sids: list[str], band_idx=None, stats: dict | None = None,
                feature_set: str = "all"):
@@ -864,27 +853,29 @@ class ModelKind:
 _FUSED = "var+pdc+cn"
 
 KINDS: dict[str, ModelKind] = {
-    "cnn2d_var": ModelKind(("var",), _one_array, _fit_member, _bundle_net, _unbundle_net,
-                           (ResultRow("cnn2d_var", "var", "all"),)),
-    "cnn2d_pdc": ModelKind(("pdc",), _one_array, _fit_member, _bundle_net, _unbundle_net,
-                           (ResultRow("cnn2d_pdc", "pdc", "all"),)),
-    "cnn1d_cn": ModelKind(("cn",), _one_array, _fit_member, _bundle_net, _unbundle_net,
-                          (ResultRow("cnn1d_cn", "cn", "all"),)),
-    "fusion_feature": ModelKind(DOMAINS, _array_list, _fit_feature_fusion, _bundle_net,
-                                _unbundle_net, (ResultRow("fusion_feature", _FUSED, "all"),)),
-    "fusion_score": ModelKind(DOMAINS, _by_domain, _fit_score_fusion, _bundle_ensemble,
-                              _unbundle_ensemble, (ResultRow("fusion_score", _FUSED, "all"),)),
-    "fusion_decision": ModelKind(DOMAINS, _by_domain, _fit_decision_fusion, _bundle_ensemble,
-                                 _unbundle_ensemble,
+    "cnn2d_var": ModelKind(("var",), ("var",), _one_array, _fit_net, _bundle_net,
+                           _unbundle_net, (ResultRow("cnn2d_var", "var", "all"),)),
+    "cnn2d_pdc": ModelKind(("pdc",), ("pdc",), _one_array, _fit_net, _bundle_net,
+                           _unbundle_net, (ResultRow("cnn2d_pdc", "pdc", "all"),)),
+    "cnn1d_cn": ModelKind(("cn",), ("cn",), _one_array, _fit_net, _bundle_net,
+                          _unbundle_net, (ResultRow("cnn1d_cn", "cn", "all"),)),
+    "fusion_feature": ModelKind(DOMAINS, ("fusion_feature",), _array_list, _fit_net,
+                                _bundle_net, _unbundle_net,
+                                (ResultRow("fusion_feature", _FUSED, "all"),)),
+    "fusion_score": ModelKind(DOMAINS, DOMAINS, _by_domain, _fit_score_fusion,
+                              _bundle_ensemble, _unbundle_ensemble,
+                              (ResultRow("fusion_score", _FUSED, "all"),)),
+    "fusion_decision": ModelKind(DOMAINS, DOMAINS, _by_domain, _fit_decision_fusion,
+                                 _bundle_ensemble, _unbundle_ensemble,
                                  (ResultRow("fusion_decision", _FUSED, "all"),)),
-    "svm_linear": ModelKind(DOMAINS, _flat_concat, _fit_svm, _bundle_svm, _unbundle_svm,
+    "svm_linear": ModelKind(DOMAINS, (), _flat_concat, _fit_svm, _bundle_svm, _unbundle_svm,
                             tuple(ResultRow(f"svm_{f}", f, f) for f in (*DOMAINS, "all"))),
 }
 
 MODEL_KINDS = tuple(KINDS)
 
 # the single-domain CNN kind of each domain, whose net is the ensembles' member
-MEMBER_KINDS = {row.domains[0]: kind for kind, row in KINDS.items() if row.fit is _fit_member}
+MEMBER_KINDS = {d: kind for kind, row in KINDS.items() for d in DOMAINS if row.nets == (d,)}
 
 # Every net trained once per (label, fold) and cached by the runner: how to
 # build it from (spec, init seed), and the kind whose inputs it reads.  The

@@ -2,19 +2,9 @@
 
 from __future__ import annotations
 
-import os
-
-# One BLAS thread per process unless the caller set a count.  OpenBLAS reads
-# these once, when numpy loads it, so they are set before the first numpy
-# import; with one thread, `extract`, `train` and `eval` run their jobs in a
-# pool of one worker per usable CPU (README, "Parallel extraction, training
-# and evaluation").
-for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS"):
-    os.environ.setdefault(_var, "1")
-
-import numpy as np  # noqa: E402
-import pytest  # noqa: E402
-from hypothesis import HealthCheck, settings  # noqa: E402
+import numpy as np
+import pytest
+from hypothesis import HealthCheck, settings
 
 settings.register_profile(
     "default",

@@ -120,6 +120,42 @@ def warn_then_load(*args, **kwargs):
 cli.load_recording = warn_then_load
 """ + ON_CPUS
 
+# Prints this process's pid, then the pid that ran each of two jobs through
+# fork_map, on the first two usable CPUs.
+FORK_MAP_PIDS = r"""
+import os
+import time
+
+from eegconn.pipeline import fork_map
+
+os.sched_setaffinity(0, sorted(os.sched_getaffinity(0))[:2])
+
+
+def pid(job):
+    time.sleep(0.5)  # long enough for each worker to take one job
+    return os.getpid()
+
+
+print(os.getpid(), *fork_map(pid, [0, 1], str))
+"""
+
+# Prints the sha256 of a (16x6000)@(6000x256) product, which OpenBLAS splits
+# over its threads, after main ran the arguments given, if any.
+BLAS_PRODUCT = r"""
+import hashlib
+import sys
+
+import numpy as np
+
+from eegconn.cli import main
+
+if sys.argv[1:]:
+    main(sys.argv[1:])
+rng = np.random.default_rng(0)
+product = rng.standard_normal((16, 6000)) @ rng.standard_normal((6000, 256))
+print(hashlib.sha256(product.tobytes()).hexdigest())
+"""
+
 RESULT_IDS = [
     "cnn2d_var", "cnn2d_pdc", "cnn1d_cn", "fusion_feature", "fusion_score",
     "fusion_decision", "svm_var", "svm_pdc", "svm_cn", "svm_all",
@@ -151,10 +187,10 @@ def write_config(path: Path, manifest: Path, out_dir: Path, **overrides) -> Path
     return path
 
 
-def run_script(script: str, *args) -> subprocess.CompletedProcess:
-    """Run a script in a fresh interpreter with one BLAS thread, so that it
-    gets a pool of one worker per usable CPU."""
-    env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1",
+def run_script(script: str, *args, **env) -> subprocess.CompletedProcess:
+    """Run a script in a fresh interpreter, with ``env`` added to this
+    process's environment."""
+    env = dict(os.environ, **env,
                PYTHONPATH=os.pathsep.join(filter(None, [str(SRC),
                                                         os.environ.get("PYTHONPATH")])))
     return subprocess.run([sys.executable, "-c", script, *map(str, args)], env=env,
@@ -241,6 +277,14 @@ class TestConfigParsing:
             parse_config(p)
         assert main(["train", "--config", str(p)]) == 2
         assert capsys.readouterr().err.startswith(f"error: {key} must be")
+
+    @pytest.mark.parametrize("key", ["config", "manifest"])
+    def test_directory_as_file_is_one_error_line(self, tmp_path, capsys, key):
+        cfg = write_config(tmp_path / "r.cfg", tmp_path / "m", tmp_path / "o")
+        (tmp_path / "m").mkdir()
+        assert main(["extract", "--config", str(cfg if key == "manifest" else tmp_path)]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: ")
 
     def test_bad_model_kind_rejected(self, tmp_path):
         p = tmp_path / "bad.cfg"
@@ -443,10 +487,9 @@ class TestTrain:
     def test_failed_member_fails_every_row_that_reads_it(self, workspace, tmp_path,
                                                           monkeypatch, capsys, cpus):
         # The nets train first: on one CPU in this process, on two in a pool
-        # of two forked workers, which the patch reaches.  The workers run with this process's BLAS threads, which
-        # may oversubscribe the CPUs: slower, but the same outcome.
+        # of two forked workers, which the patch reaches and which inherit
+        # this process's one BLAS thread.
         monkeypatch.setattr(pipeline, "usable_cpus", lambda: cpus)
-        monkeypatch.setattr(pipeline, "blas_threads", lambda: 1)
         _, _, out, manifest = workspace
         out12 = tmp_path / f"out12-{cpus}"
         shutil.copytree(out / "features", out12 / "features")
@@ -710,6 +753,15 @@ class TestPredict:
         assert result["subject_id"] == "sz000"
         assert result["label"] in ("SZ", "HC")
         assert sum(result["probabilities"].values()) == pytest.approx(1.0, abs=1e-9)
+
+    def test_repeated_feature_kind_rejected(self, workspace, capsys):
+        _, cfg, out, _ = workspace
+        feat = str(out / "features" / "sz000_pdc.feat")
+        capsys.readouterr()
+        assert main(["predict", "--config", str(cfg),
+                     "--model", str(out / "models" / "cnn2d_pdc_fold0.model"),
+                     "--input", feat, "--input", feat]) == 2
+        assert capsys.readouterr().err == "error: two --input containers of feature kind PDC\n"
 
     def test_fusion_prediction_needs_three_inputs(self, workspace, capsys):
         _, cfg, out, _ = workspace
@@ -1061,3 +1113,24 @@ class TestReport:
         assert len(table) - 1 == len(RESULT_IDS)
         for line in table[1:]:
             assert float(line.split(",")[2]) > 0.0
+
+
+@pytest.mark.skipif(len(os.sched_getaffinity(0)) < 2, reason="needs 2 usable CPUs")
+class TestOneBlasThread:
+    """Processes started with two BLAS threads in their environment."""
+
+    def test_fork_map_runs_a_pool_of_two_on_two_cpus(self):
+        proc = run_script(FORK_MAP_PIDS, OPENBLAS_NUM_THREADS="2", OMP_NUM_THREADS="2")
+        assert proc.returncode == 0, proc.stderr
+        parent, *workers = proc.stdout.split()
+        assert len(set(workers)) == 2 and parent not in workers
+
+    def test_main_leaves_one_thread_bytes(self, tmp_path):
+        one = run_script(BLAS_PRODUCT, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1")
+        two = run_script(BLAS_PRODUCT, OPENBLAS_NUM_THREADS="2", OMP_NUM_THREADS="2")
+        if one.stdout == two.stdout:
+            pytest.skip("this product has the same bytes at one and two BLAS threads here")
+        after_main = run_script(BLAS_PRODUCT, "extract", "--config", tmp_path / "none.cfg",
+                                OPENBLAS_NUM_THREADS="2", OMP_NUM_THREADS="2")
+        assert "error: config file not found" in after_main.stderr
+        assert after_main.stdout == one.stdout

@@ -279,11 +279,12 @@ def _sha256(path: Path) -> str:
     return hashlib.sha256(path.read_bytes()).hexdigest()
 
 
-def _golden_run(root: Path, blas_threads: int, cpus: int | None = None
+def _golden_run(root: Path, env_threads: int, cpus: int | None = None
                 ) -> tuple[dict[str, str], str]:
-    """Run the golden config in a subprocess, on ``cpus`` CPUs if given; the
-    sha256 of every pinned file, and the stdout with the root as ``<root>``."""
-    threads = str(blas_threads)
+    """Run the golden config in a subprocess started with ``env_threads`` as
+    its BLAS thread environment, on ``cpus`` CPUs if given; the sha256 of
+    every pinned file, and the stdout with the root as ``<root>``."""
+    threads = str(env_threads)
     env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads,
                PYTHONPATH=os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")])))
     pin = [] if cpus is None else [str(cpus)]
@@ -309,10 +310,11 @@ def test_golden_run_hashes_in_a_pool_of_two(tmp_path):
 
 @pytest.mark.skipif(len(os.sched_getaffinity(0)) < 2, reason="needs 2 usable CPUs")
 def test_blas_thread_count_changes_no_output(tmp_path):
-    # The two runs go one after the other, so no more threads run than there
-    # are cores.  README notes that fusion_feature bundles can differ between
-    # one and two BLAS threads at the published sizes; at this size they do
-    # not, so they are held to the same bytes, in their own assertion.
+    # The second run starts with two BLAS threads in its environment, which
+    # the command sets back to one at run time.  fusion_feature bundles are
+    # the outputs most likely to show a second thread (at the published
+    # sizes they differed), so they are held to the same bytes in their own
+    # assertion.
     one, one_stdout = _golden_run(tmp_path / "one", 1)
     two, two_stdout = _golden_run(tmp_path / "two", 2)
     assert one_stdout == two_stdout

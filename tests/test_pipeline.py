@@ -333,14 +333,21 @@ class TestForkMap:
     @pytest.mark.parametrize("cpus", [1, 2], ids=["in-process", "pool-of-2"])
     def test_results_in_job_order_with_exceptions_in_place(self, monkeypatch, cpus):
         monkeypatch.setattr(pipeline, "usable_cpus", lambda: cpus)
-        monkeypatch.setattr(pipeline, "blas_threads", lambda: 1)
         got = fork_map(_square_or_fail, [0, 1, 2, 3, 5, 6], str)
         assert [repr(g) if isinstance(g, Exception) else g for g in got] == [
             0, 1, 4, "ValueError('three')", 25, 36]
 
+    def test_where_blas_keeps_its_threads_forks_no_process(self, monkeypatch):
+        def no_fork():
+            raise AssertionError("fork_map forked while BLAS kept its threads")
+
+        monkeypatch.setattr(pipeline, "usable_cpus", lambda: 2)
+        monkeypatch.setattr(pipeline, "one_blas_thread", lambda: False)
+        monkeypatch.setattr(os, "fork", no_fork)
+        assert fork_map(_square_or_fail, [0, 1, 2], str) == [0, 1, 4]
+
     @pytest.mark.skipif(len(os.sched_getaffinity(0)) < 2, reason="needs 2 usable CPUs")
-    def test_dead_worker_fails_only_its_job(self, monkeypatch):
-        monkeypatch.setattr(pipeline, "blas_threads", lambda: 1)
+    def test_dead_worker_fails_only_its_job(self):
         got = fork_map(_square_or_fail, list(range(8)), lambda x: f"squaring {x}")
         assert [repr(g) if isinstance(g, Exception) else g for g in got] == [
             0, 1, 4, "ValueError('three')", "RuntimeError('the worker squaring 4 died')",
