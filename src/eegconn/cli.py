@@ -26,6 +26,7 @@ from .netmetrics import cn_features
 from .nn.network import Network
 from .nn.serialize import BundleRef, load_bundle, save_bundle
 from .pipeline import (
+    CACHED_NETS,
     DOMAINS,
     KINDS,
     NET_ROLE,
@@ -36,6 +37,7 @@ from .pipeline import (
     Member,
     MetricsReport,
     ModelSpec,
+    NetOutputs,
     ResultRow,
     band_indices,
     check_positive_class,
@@ -325,12 +327,17 @@ def cmd_train(cfg: RunConfig) -> int:
     _out_dir(cfg, "curves").mkdir(parents=True, exist_ok=True)
 
     kinds = model_kind_list(cfg)
-    runner.prefetch(kinds)
-    # file name -> its sha256 (None for a curve): each file is written once
-    written: dict[str, str | None] = {}
+    # file name -> its sha256 (None for a curve): each file is written once,
+    # a cached net's by the job that trained it
+    written: dict[str, str | None] = runner.prefetch(
+        kinds, functools.partial(_save_bundle, cfg, manifest))
     failures = 0
+    involved: set[str] = set()  # the model files of every row, and of the members it reads
+    kept: set[str] = set()  # those of the rows trained
     for kind in kinds:
         for row in KINDS[kind].results:
+            files = _row_files(kind, row, runner.k)
+            involved |= files
             try:
                 result = runner.run_result(kind, row)
             except Exception as exc:  # noqa: BLE001 - per-model isolation, nonzero exit below
@@ -338,10 +345,28 @@ def cmd_train(cfg: RunConfig) -> int:
                 print(f"{row.result_id}: FAILED ({exc})", file=sys.stderr)
                 continue
             _save_result(cfg, manifest, result, written)
+            kept |= files
             print(f"{result.result_id}: trained {len(result.folds)} folds, "
                   f"modified accuracy {result.report.mean['modified_accuracy']:.2f}% "
                   f"(+/-{result.report.sd['modified_accuracy']:.2f})")
+    # a failed row keeps no model file, not even one of an earlier run, and
+    # a member file that no trained row reads goes too: also where a worker
+    # died while writing it
+    for name in involved - kept:
+        (_out_dir(cfg, "models") / name).unlink(missing_ok=True)
     return 1 if failures else 0
+
+
+def _model_name(result_id: str, fold: int) -> str:
+    return f"{result_id}_fold{fold}.model"
+
+
+def _row_files(kind: str, row: ResultRow, k: int) -> set[str]:
+    """The model files of a result row and of the cached nets' files it
+    refers to, over ``k`` folds."""
+    ids = {row.result_id} | {KINDS[CACHED_NETS[label][1]].results[0].result_id
+                             for label in KINDS[kind].fits if label in CACHED_NETS}
+    return {_model_name(rid, fold) for rid in ids for fold in range(k)}
 
 
 def _save_result(cfg: RunConfig, manifest: CohortManifest, result: KindResult,
@@ -360,21 +385,19 @@ def _save_result(cfg: RunConfig, manifest: CohortManifest, result: KindResult,
 
 
 def _save_bundle(cfg: RunConfig, manifest: CohortManifest, kind: str, row: ResultRow,
-                 fitted: FittedModel, fold: int, written: dict[str, str | None]) -> str:
-    """Write a result row's model bundle of one fold unless ``written`` holds
-    it already; its sha256.  A ``Member`` entry is written first, as its own
-    kind's row writes it, and the bundle stores a reference to that file."""
-    name = f"{row.result_id}_fold{fold}.model"
+                 fitted: FittedModel, fold: int, written: dict[str, str | None]) -> None:
+    """Write a result row's model bundle of one fold, and record its name
+    and sha256 in ``written``, unless ``written`` holds it already.  A
+    ``Member`` entry becomes a reference to the file of its kind's row,
+    which ``written`` holds: the member's training job wrote it."""
+    name = _model_name(row.result_id, fold)
     if name in written:
-        return written[name]
+        return
     entries, extra_meta = KINDS[kind].bundle(fitted.core)
     for role, entry in entries.items():
         if isinstance(entry, Member):
-            member_row = KINDS[entry.kind].results[0]
-            digest = _save_bundle(cfg, manifest, entry.kind, member_row,
-                                  FittedModel(entry.net, fitted.stats), fold, written)
-            entries[role] = BundleRef(f"{member_row.result_id}_fold{fold}.model", digest,
-                                      NET_ROLE)
+            member = _model_name(KINDS[entry.kind].results[0].result_id, fold)
+            entries[role] = BundleRef(member, written[member], NET_ROLE)
     for domain, (mean, sd) in (fitted.stats or {}).items():
         entries[f"stats_{domain}"] = {"mean": mean, "sd": sd}
     meta = {
@@ -389,47 +412,28 @@ def _save_bundle(cfg: RunConfig, manifest: CohortManifest, kind: str, row: Resul
         **extra_meta,
     }
     written[name] = save_bundle(_out_dir(cfg, "models") / name, entries, meta)
-    return written[name]
 
 
 # -- eval ----------------------------------------------------------------------
 
 
-class _ForwardOnce:
-    """A loaded net that keeps its output for the last batch it ran on: in
-    one fold of eval every row that holds the net feeds it the same batch."""
-
-    def __init__(self, net: Network):
-        self.net = net
-        self._last: tuple[list, np.ndarray] | None = None
-
-    def predict_proba(self, x) -> np.ndarray:
-        key = [(a.shape, a.tobytes()) for a in (x if isinstance(x, list) else [x])]
-        if self._last is None or self._last[0] != key:
-            self._last = (key, self.net.predict_proba(x))
-        return self._last[1]
-
-    def predict(self, x):
-        probs = self.predict_proba(x)
-        return probs.argmax(axis=1), probs
-
-
 class FoldModels:
     """The model files of one fold as eval reads them: each file is read and
-    checked once, and each net in them runs forward once per batch."""
+    checked once, and each net in them runs forward once per batch (in one
+    fold of eval every row that holds a net feeds it the same batch)."""
 
     def __init__(self):
         self._files: dict = {}
-        self._nets: dict[int, _ForwardOnce] = {}
+        self._nets: dict[int, NetOutputs] = {}
 
     def load(self, path) -> tuple[dict, dict]:
         entries, meta = load_bundle(path, self._files)
         return {role: self._once(e) if isinstance(e, Network) else e
                 for role, e in entries.items()}, meta
 
-    def _once(self, net: Network) -> _ForwardOnce:
+    def _once(self, net: Network) -> NetOutputs:
         if id(net) not in self._nets:  # the file cache keeps every net, and its id, alive
-            self._nets[id(net)] = _ForwardOnce(net)
+            self._nets[id(net)] = NetOutputs(net)
         return self._nets[id(net)]
 
 

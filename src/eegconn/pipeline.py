@@ -13,6 +13,7 @@ a held-out validation split inside each fold driving epoch selection.
 from __future__ import annotations
 
 import ctypes
+import hashlib
 import os
 import time
 from dataclasses import dataclass, field
@@ -38,7 +39,6 @@ from .nn.layers import (
 )
 from .nn.network import MultiBranchNetwork, Network, cross_entropy
 from .nn.optim import AdamState, adam_step
-from .nn.serialize import rebuild
 from .seeding import derive_rng, derive_seed
 from .svm import LinearSvm, train_svm
 
@@ -165,7 +165,7 @@ class EnsembleModel:
     """Three domain CNNs combined by score- or decision-level fusion."""
 
     mode: str  # "score" | "decision"
-    members: dict[str, Network]
+    members: dict[str, Network | NetOutputs]
     stage2: Network | None = None
 
     def __post_init__(self):
@@ -187,9 +187,45 @@ class EnsembleModel:
         return bits, member.mean(axis=1)  # decision mode reports the mean score
 
 
-def member_probs(members: dict[str, Network], inputs: dict[str, np.ndarray]) -> np.ndarray:
+def member_probs(members: dict[str, Network | NetOutputs],
+                 inputs: dict[str, np.ndarray]) -> np.ndarray:
     """Stacked member probabilities, shape (B, 3, 2), domain order var/pdc/cn."""
     return np.stack([members[d].predict_proba(inputs[d]) for d in DOMAINS], axis=1)
+
+
+def batch_key(x) -> bytes:
+    """The sha256 of a net's input batch, one array or a list with one per
+    branch: the dtype, shape and bytes of each array."""
+    digest = hashlib.sha256()
+    for a in x if isinstance(x, list) else [x]:
+        digest.update(f"{a.dtype.str}{a.shape}".encode())
+        digest.update(np.ascontiguousarray(a))
+    return digest.digest()
+
+
+class NetOutputs:
+    """A net's class probabilities by input batch (:func:`batch_key`), so
+    that each batch runs forward once however many result rows read it.
+
+    Without a net it holds the outputs that the net's training job sent,
+    from the process that held the net; a batch not among them is an error.
+    """
+
+    def __init__(self, net: Network | None = None, outputs: dict[bytes, np.ndarray] | None = None):
+        self.net = net
+        self.outputs = {} if outputs is None else outputs
+
+    def predict_proba(self, x) -> np.ndarray:
+        key = batch_key(x)
+        if key not in self.outputs:
+            if self.net is None:
+                raise ValidationError("no output for this batch from the net's training job")
+            self.outputs[key] = self.net.predict_proba(x)
+        return self.outputs[key]
+
+    def predict(self, x):
+        probs = self.predict_proba(x)
+        return probs.argmax(axis=1), probs
 
 
 # -- fold plans --------------------------------------------------------------
@@ -458,7 +494,7 @@ class KindResult:
     feature_set: str
     folds: list[FoldOutcome]
     report: MetricsReport
-    models: list[FittedModel]  # per fold
+    models: list[FittedModel]  # per fold; a cached net's core is its NetOutputs
 
 
 def usable_cpus() -> int:
@@ -510,7 +546,7 @@ def _call(fn: Callable, job):
 def fork_map(fn: Callable, jobs: list, describe: Callable[[object], str]) -> list:
     """``fn(job)`` for every job, in job order, with the exception a job
     raised in place of its result.  ``extract`` maps it over the subjects,
-    ``train`` over the cached nets and ``eval`` over the folds.
+    ``train`` over the cached nets and SVMs and ``eval`` over the folds.
 
     The jobs run in a pool of processes started with ``fork``: ``fn`` reaches
     the workers through the fork, so only jobs and results are pickled.
@@ -563,10 +599,12 @@ class ExperimentRunner:
     """Trains every requested classifier kind over a shared fold plan.
 
     Every net, member or not, trains through :meth:`train_net`.
-    :meth:`prefetch` trains the nets of ``CACHED_NETS`` that the kinds read,
-    through :func:`fork_map`, into a cache per (label, fold), so that
-    single-domain kinds and the fusion ensembles reuse identical trained
-    members (identical seeds make this exact, not approximate).
+    :meth:`prefetch` trains the nets of ``CACHED_NETS`` and fits the SVMs of
+    ``SVM_FITS`` that the kinds read, through :func:`fork_map`, into a cache
+    per (label, fold), so that single-domain kinds and the fusion ensembles
+    reuse identical trained members (identical seeds make this exact, not
+    approximate).  The cache holds a net's outputs, not its weights: the job
+    that trained the net wrote its model file.
     """
 
     def __init__(self, features, manifest: CohortManifest, spec: ModelSpec,
@@ -591,9 +629,10 @@ class ExperimentRunner:
         self.positive_class = positive_class
         self.labels = manifest.labels()
         self.plan = stratified_kfold(manifest, k=k, seed=derive_seed(master_seed, "folds"))
-        # (label, fold) -> the trained net and its result, or the exception its
-        # prefetched training raised
-        self._member_cache: dict[tuple[str, int], tuple[Network, TrainResult] | Exception] = {}
+        # (label, fold) -> a cached net's outputs and training result, or an
+        # SVM; or the exception that its prefetch job raised
+        self._member_cache: dict[tuple[str, int],
+                                 tuple[NetOutputs, TrainResult] | LinearSvm | Exception] = {}
         self._splits: dict[int, tuple[list[str], list[str], list[str]]] = {}
 
     # ids and labels ---------------------------------------------------------
@@ -646,43 +685,77 @@ class ExperimentRunner:
                           seed=derive_seed(self.master_seed, "train", label, fold))
         return net, res
 
-    def trained_member(self, label: str, fold: int) -> tuple[Network, TrainResult]:
-        """The fold's trained net for a ``CACHED_NETS`` label, from the cache
-        that :meth:`prefetch` filled; a training that failed raises its
-        exception again."""
+    def trained_member(self, label: str, fold: int):
+        """The fold's prefetched fit for a ``CACHED_NETS`` label, its net's
+        outputs and training result, or for an ``SVM_FITS`` label, the SVM;
+        from the cache that :meth:`prefetch` filled.  A fit that failed
+        raises its exception again."""
         got = self._member_cache[label, fold]
         if isinstance(got, Exception):
             raise got
         return got
 
-    def prefetch(self, kinds) -> None:
-        """Train every cached net the kinds read into the cache, through
-        :func:`fork_map`.
+    def prefetch(self, kinds, save: Callable) -> dict[str, str]:
+        """Make every fit the kinds read, through :func:`fork_map`, into the
+        cache; the name and sha256 of every model file the jobs wrote.
 
-        The jobs are independent and each draws its seeds from its own
-        (label, fold), so the pool size changes no byte.  A job that raises,
-        or whose worker dies, leaves its exception in the cache for every
-        result row that reads the net.
+        A cached net's job trains the net and saves it as its kind's own
+        model file of the fold, by ``save(kind, result_row, fitted, fold,
+        written)``, which records the file's name and sha256 in ``written``.
+        The job returns that record, its :class:`TrainResult` and the net's
+        outputs on the batches that result rows read, so no weights come
+        back.  An SVM's job returns the SVM.  The jobs are independent and
+        each draws its seeds from its own (label, fold), so the pool size
+        changes no byte.  A job that raises, or whose worker dies, leaves
+        its exception in the cache for every result row that reads it.
         """
-        labels = {label for kind in kinds for label in KINDS[kind].nets}
-        jobs = [(label, fold) for label in CACHED_NETS if label in labels
+        labels = {label for kind in kinds for label in KINDS[kind].fits}
+        jobs = [(label, fold) for label in (*CACHED_NETS, *SVM_FITS) if label in labels
                 for fold in range(self.k)]  # largest nets first
-        results = fork_map(self._train_job, jobs,
-                           lambda job: f"training the {job[0]} net of fold {job[1]}")
+        results = fork_map(partial(self._prefetch_job, save), jobs, lambda job: (
+            f"training the {job[0]} net of fold {job[1]}" if job[0] in CACHED_NETS
+            else f"fitting the {job[0]} SVM of fold {job[1]}"))
+        written: dict[str, str] = {}
         for (label, fold), got in zip(jobs, results):
-            if not isinstance(got, Exception):
-                descriptor, params, res = got
-                got = (rebuild(f"{label} net of fold {fold}", descriptor, params), res)
+            if label in CACHED_NETS and not isinstance(got, Exception):
+                files, res, outputs = got
+                written.update(files)
+                got = (NetOutputs(outputs=outputs), res)
             self._member_cache[label, fold] = got
+        return written
 
-    def _train_job(self, job: tuple[str, int]):
-        """Train one cached net: what :meth:`prefetch` binds, in a form that
-        crosses a process boundary."""
+    def _prefetch_job(self, save: Callable, job: tuple[str, int]):
+        """One fit of :meth:`prefetch`, in a form that crosses a process
+        boundary: for a cached net, the files ``save`` wrote, its training
+        result and its outputs by :func:`batch_key`; for an SVM, the SVM."""
         label, fold = job
-        build, row = CACHED_NETS[label]
-        net, res = self.train_net(label, fold, lambda seed: build(self.spec, seed),
-                                  lambda sids: self.fold_inputs(row, sids, fold))
-        return net.descriptor(), net.param_dict(), res
+        train_ids, val_ids, test_ids = self.fold_split(fold)
+        if label in SVM_FITS:
+            fit_ids = train_ids + val_ids  # no epoch selection; use all non-test subjects
+            return train_svm(
+                KINDS["svm_linear"].inputs(self.features, fit_ids, self.band_idx, None,
+                                       SVM_FITS[label]),
+                self.bits_of(fit_ids),
+                l2=self.svm_l2,
+                learning_rate=self.svm_learning_rate,
+                steps=self.svm_steps,
+            )
+        build, kind = CACHED_NETS[label]
+        row = KINDS[kind]
+
+        def inputs(sids):
+            return self.fold_inputs(row, sids, fold)
+
+        net, res = self.train_net(label, fold, lambda seed: build(self.spec, seed), inputs)
+        written: dict[str, str] = {}
+        save(kind, row.results[0], FittedModel(net, self.fold_stats(fold)), fold, written)
+        # the batches that result rows read: every net's test batch, and a
+        # member's training and validation batches, on which score fusion
+        # fits its stage 2
+        outputs = NetOutputs(net)
+        for sids in ([train_ids, val_ids] if label in MEMBER_KINDS else []) + [test_ids]:
+            outputs.predict_proba(inputs(sids))
+        return written, res, outputs.outputs
 
     # per-result execution ---------------------------------------------------
 
@@ -707,7 +780,7 @@ class ExperimentRunner:
 # -- the model-kind table -----------------------------------------------------
 #
 # One row per kind.  ``fit`` fits the kind's core on one fold (reading the
-# cached ``nets``) and returns it with its learning curves by role; ``bundle``
+# prefetched ``fits``) and returns it with its learning curves by role; ``bundle``
 # and ``unbundle`` map a core to the named entries of a model file and back (a
 # ``Member`` entry comes back as the member's net); ``results`` lists the rows
 # the kind reports (the SVM reports one per feature set).
@@ -737,15 +810,17 @@ def _flat_concat(arrays: dict) -> np.ndarray:
 
 
 def _trained_members(runner: ExperimentRunner, row: "ModelKind", fold: int):
-    """The fold's cached domain CNNs that the kind reads, and their curves by domain."""
-    trained = {d: runner.trained_member(d, fold) for d in row.nets}
+    """The outputs of the fold's cached domain CNNs that the kind reads, and
+    their curves by domain."""
+    trained = {d: runner.trained_member(d, fold) for d in row.fits}
     return ({d: net for d, (net, _) in trained.items()},
             {d: res.curve for d, (_, res) in trained.items()})
 
 
 def _fit_net(runner: ExperimentRunner, row: "ModelKind", fold: int, feature_set: str):
-    """The kind's one cached net, and its curve by domain for a member net."""
-    (label,) = row.nets
+    """The outputs of the kind's one cached net, and its curve by domain for
+    a member net."""
+    (label,) = row.fits
     net, res = runner.trained_member(label, fold)
     return (FittedModel(net, runner.fold_stats(fold)),
             {label if label in DOMAINS else NET_ROLE: res.curve})
@@ -772,16 +847,7 @@ def _fit_score_fusion(runner: ExperimentRunner, row: "ModelKind", fold: int,
 
 
 def _fit_svm(runner: ExperimentRunner, row: "ModelKind", fold: int, feature_set: str):
-    train_ids, val_ids, _ = runner.fold_split(fold)
-    fit_ids = train_ids + val_ids  # no epoch selection; use all non-test subjects
-    svm = train_svm(
-        row.inputs(runner.features, fit_ids, runner.band_idx, None, feature_set),
-        runner.bits_of(fit_ids),
-        l2=runner.svm_l2,
-        learning_rate=runner.svm_learning_rate,
-        steps=runner.svm_steps,
-    )
-    return FittedModel(svm), {}
+    return FittedModel(runner.trained_member(f"svm_{feature_set}", fold)), {}
 
 
 NET_ROLE = "main"  # the entry that holds a single-net kind's net
@@ -796,16 +862,15 @@ def _unbundle_net(entries: dict, meta: dict):
 
 
 class Member(NamedTuple):
-    """A bundle entry that is the net of a single-net kind: it is saved as
-    that kind's own bundle of the fold, and the entry refers to its
-    ``NET_ROLE`` entry there."""
+    """A bundle entry that is the net of a single-net kind: the net's
+    training job saved it as that kind's own bundle of the fold, and the
+    entry refers to its ``NET_ROLE`` entry there."""
 
     kind: str
-    net: Network
 
 
 def _bundle_ensemble(ens: EnsembleModel) -> tuple[dict, dict]:
-    entries = {f"member_{d}": Member(MEMBER_KINDS[d], net) for d, net in ens.members.items()}
+    entries = {f"member_{d}": Member(MEMBER_KINDS[d]) for d in ens.members}
     if ens.stage2 is not None:
         entries["stage2"] = ens.stage2
     return entries, {"fusion_mode": ens.mode}
@@ -829,7 +894,7 @@ class ModelKind:
     """What one classifier kind reads, how it is fitted and saved, what it reports."""
 
     domains: tuple[str, ...]
-    nets: tuple[str, ...]           # the ``CACHED_NETS`` labels that ``fit`` reads, per fold
+    fits: tuple[str, ...]           # the prefetched fits that ``fit`` reads, per fold
     pack: Callable[[dict], object]  # {domain: batch array} -> the input form of the core
     fit: Callable                   # (runner, row, fold, feature_set) -> (FittedModel, curves)
     bundle: Callable[[object], tuple[dict, dict]]  # core -> (bundle entries, extra meta)
@@ -851,6 +916,7 @@ class ModelKind:
 
 
 _FUSED = "var+pdc+cn"
+_SVM_ROWS = tuple(ResultRow(f"svm_{f}", f, f) for f in (*DOMAINS, "all"))
 
 KINDS: dict[str, ModelKind] = {
     "cnn2d_var": ModelKind(("var",), ("var",), _one_array, _fit_net, _bundle_net,
@@ -868,22 +934,26 @@ KINDS: dict[str, ModelKind] = {
     "fusion_decision": ModelKind(DOMAINS, DOMAINS, _by_domain, _fit_decision_fusion,
                                  _bundle_ensemble, _unbundle_ensemble,
                                  (ResultRow("fusion_decision", _FUSED, "all"),)),
-    "svm_linear": ModelKind(DOMAINS, (), _flat_concat, _fit_svm, _bundle_svm, _unbundle_svm,
-                            tuple(ResultRow(f"svm_{f}", f, f) for f in (*DOMAINS, "all"))),
+    "svm_linear": ModelKind(DOMAINS, tuple(r.result_id for r in _SVM_ROWS), _flat_concat,
+                            _fit_svm, _bundle_svm, _unbundle_svm, _SVM_ROWS),
 }
 
 MODEL_KINDS = tuple(KINDS)
 
 # the single-domain CNN kind of each domain, whose net is the ensembles' member
-MEMBER_KINDS = {d: kind for kind, row in KINDS.items() for d in DOMAINS if row.nets == (d,)}
+MEMBER_KINDS = {d: kind for kind, row in KINDS.items() for d in DOMAINS if row.fits == (d,)}
 
 # Every net trained once per (label, fold) and cached by the runner: how to
-# build it from (spec, init seed), and the kind whose inputs it reads.  The
-# order is the prefetch order, largest nets first.
-CACHED_NETS: dict[str, tuple[Callable[[ModelSpec, int], Network], ModelKind]] = {
-    "fusion_feature": (build_feature_fusion, KINDS["fusion_feature"]),
-    **{d: (partial(build_domain_network, d), KINDS[kind]) for d, kind in MEMBER_KINDS.items()},
+# build it from (spec, init seed), and the kind whose inputs it reads and as
+# whose bundle it is saved.  The order is the prefetch order, largest first.
+CACHED_NETS: dict[str, tuple[Callable[[ModelSpec, int], Network], str]] = {
+    "fusion_feature": (build_feature_fusion, "fusion_feature"),
+    **{d: (partial(build_domain_network, d), kind) for d, kind in MEMBER_KINDS.items()},
 }
+
+# Every SVM fitted once per (label, fold) by the runner, after the nets: its
+# feature set.
+SVM_FITS = {row.result_id: row.feature_set for row in KINDS["svm_linear"].results}
 
 
 # -- prediction and timing ----------------------------------------------------

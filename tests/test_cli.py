@@ -47,6 +47,31 @@ pipeline.train_model = die_on_pdc
 sys.exit(main(["train", "--config", sys.argv[1]]))
 """
 
+# Trains with the save of one model file (argv 2) writing half of the file,
+# then killing its process, as a crash would.
+KILL_WHILE_SAVING = r"""
+import os
+import sys
+from pathlib import Path
+
+from eegconn import cli
+
+save_bundle = cli.save_bundle
+
+
+def die_mid_write(path, *args, **kwargs):
+    digest = save_bundle(path, *args, **kwargs)
+    if Path(path).name == sys.argv[2]:
+        data = Path(path).read_bytes()
+        Path(path).write_bytes(data[: len(data) // 2])
+        os._exit(9)
+    return digest
+
+
+cli.save_bundle = die_mid_write
+sys.exit(cli.main(["train", "--config", sys.argv[1]]))
+"""
+
 # Extracts with one subject's recording load killing its process, as a crash would.
 KILL_EXTRACT_WORKER = r"""
 import os
@@ -531,6 +556,46 @@ class TestTrain:
             f"{rid}: FAILED (the worker training the pdc net of fold 0 died)" for rid in failed]
         assert all(f"{rid}: trained 2 folds" in proc.stdout
                    for rid in set(RESULT_IDS) - set(failed))
+
+    @pytest.mark.skipif(len(os.sched_getaffinity(0)) < 2, reason="needs 2 usable CPUs")
+    def test_worker_dying_while_saving_leaves_no_partial_file(self, workspace, tmp_path):
+        _, _, out, manifest = workspace
+        copy = tmp_path / "out"
+        shutil.copytree(out / "features", copy / "features")
+        proc = run_script(KILL_WHILE_SAVING, write_config(tmp_path / "r.cfg", manifest, copy),
+                          "cnn2d_pdc_fold1.model")
+        assert proc.returncode == 1, proc.stderr
+        assert "Traceback" not in proc.stderr
+        failed = ("cnn2d_pdc", "fusion_score", "fusion_decision")
+        assert proc.stderr.strip().splitlines() == [
+            f"{rid}: FAILED (the worker training the pdc net of fold 1 died)" for rid in failed]
+        models = {p.name for p in (copy / "models").iterdir()}
+        assert models == {f"{rid}_fold{fold}.model" for fold in range(2)
+                          for rid in RESULT_IDS if rid not in failed}
+        for folder in ("models", "curves"):
+            for path in (copy / folder).iterdir():
+                assert path.read_bytes() == (out / folder / path.name).read_bytes(), path.name
+
+    def test_failed_retrain_keeps_no_model_file(self, tmp_path, capsys):
+        manifest = make_synthetic_cohort(tmp_path / "data", seed=3, n_group_a=9, n_group_b=9,
+                                         channels=4, samples=300)
+        out = tmp_path / "o"
+        kinds = "cnn2d_var,svm_linear"
+        cfg = write_config(tmp_path / "r.cfg", manifest, out, model_kinds=kinds, seed=1)
+        assert main(["extract", "--config", str(cfg)]) == 0
+        assert main(["train", "--config", str(cfg)]) == 0
+        # a retrain with other folds whose net diverges must not leave the
+        # earlier run's models, trained on this run's test subjects, to eval
+        cfg = write_config(tmp_path / "r.cfg", manifest, out, model_kinds=kinds, seed=2,
+                           learning_rate=1e300)
+        capsys.readouterr()
+        assert main(["train", "--config", str(cfg)]) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("cnn2d_var: FAILED (cnn_var: non-finite")
+        assert not list((out / "models").glob("cnn2d_var_*"))
+        assert main(["eval", "--config", str(cfg)]) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("cnn2d_var: FAILED (")
 
     def test_curve_length_matches_epochs(self, workspace):
         _, _, out, _ = workspace

@@ -1,13 +1,18 @@
+import functools
 import os
+import pickle
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from eegconn.cli import _save_bundle, core_from_bundle
+from eegconn.config import RunConfig
 from eegconn.eeg_io import CohortManifest, ManifestEntry
 from eegconn import pipeline
 from eegconn.errors import ValidationError
+from eegconn.nn import load_bundle
 from eegconn.pipeline import (
     DOMAINS,
     KINDS,
@@ -225,8 +230,14 @@ class TestBuildModel:
         assert built == set(LAYER_KINDS)
 
 
+def save_into(out, manifest):
+    """The save hook that ``train`` passes to prefetch, writing into ``out / "models"``."""
+    (out / "models").mkdir(parents=True, exist_ok=True)
+    return functools.partial(_save_bundle, RunConfig(output_dir=str(out)), manifest)
+
+
 @pytest.fixture(scope="module")
-def run():
+def run(tmp_path_factory):
     rng = derive_rng(99, "tinyexp")
     features, manifest = tiny_features(rng)
     spec = ModelSpec(kind="cnn2d_var", **TINY)
@@ -234,22 +245,23 @@ def run():
                               val_fraction=0.2, svm_steps=600)
     kinds = ["cnn2d_var", "cnn2d_pdc", "cnn1d_cn", "fusion_feature",
              "fusion_score", "fusion_decision", "svm_linear"]
-    runner.prefetch(kinds)
+    out = tmp_path_factory.mktemp("tinyexp")
+    runner.prefetch(kinds, save_into(out, manifest))
     results = [runner.run_result(kind, row) for kind in kinds for row in KINDS[kind].results]
-    return runner, results, manifest
+    return runner, results, manifest, out / "models"
 
 
 class TestExperimentRunner:
 
     def test_result_rows(self, run):
-        _, results, _ = run
+        _, results, _, _ = run
         ids = [r.result_id for r in results]
         assert ids == ["cnn2d_var", "cnn2d_pdc", "cnn1d_cn", "fusion_feature",
                        "fusion_score", "fusion_decision",
                        "svm_var", "svm_pdc", "svm_cn", "svm_all"]
 
     def test_no_leakage_by_construction(self, run):
-        runner, _, manifest = run
+        runner, _, manifest, _ = run
         all_ids = set(manifest.subject_ids())
         tested = []
         for fold in range(runner.k):
@@ -260,40 +272,65 @@ class TestExperimentRunner:
         assert sorted(tested) == sorted(all_ids)
 
     def test_separable_cohort_learned(self, run):
-        _, results, _ = run
+        _, results, _, _ = run
         by_id = {r.result_id: r for r in results}
         for rid in ("cnn2d_var", "cnn2d_pdc", "cnn1d_cn", "svm_all"):
             assert by_id[rid].report.mean["modified_accuracy"] >= 95.0, rid
 
     def test_decision_fusion_at_least_worst_member(self, run):
-        _, results, _ = run
+        _, results, _, _ = run
         by_id = {r.result_id: r for r in results}
         singles = [by_id[k].report.mean["modified_accuracy"]
                    for k in ("cnn2d_var", "cnn2d_pdc", "cnn1d_cn")]
         assert by_id["fusion_decision"].report.mean["modified_accuracy"] >= min(singles)
 
     def test_member_cache_updates_once(self, run):
-        runner, _, _ = run
+        runner, _, _, _ = run
         # 3 domains and the feature-fusion net x 2 folds, trained once each
-        # despite 6 kinds requesting them
+        # despite 6 kinds requesting them, and the 4 SVMs x 2 folds
         assert sorted(runner._member_cache) == sorted(
-            (label, fold) for label in (*DOMAINS, "fusion_feature") for fold in range(2))
+            (label, fold) for label in (*DOMAINS, "fusion_feature", "svm_var", "svm_pdc",
+                                        "svm_cn", "svm_all") for fold in range(2))
 
     def test_predictions_cover_all_subjects(self, run):
-        _, results, manifest = run
+        _, results, manifest, _ = run
         for result in results:
             counted = sum(f.metrics[c] for f in result.folds for c in ("tp", "fn", "tn", "fp"))
             assert counted == len(manifest.subject_ids()), result.result_id
 
     def test_latency_helper(self, run):
-        runner, results, manifest = run
-        by_id = {r.result_id: r for r in results}
+        runner, _, manifest, models = run
         sid = manifest.subject_ids()[0]
-        core = by_id["cnn2d_var"].models[0]
+        core = core_from_bundle(*load_bundle(models / "cnn2d_var_fold0.model"))
         ms = time_classification(core, "cnn2d_var", runner.features, sid, repetitions=3)
         assert ms > 0.0
         with pytest.raises(ValidationError):
             time_classification(core, "cnn2d_var", runner.features, sid, repetitions=0)
+
+
+def test_no_parameter_array_crosses_the_pool(tmp_path, monkeypatch):
+    # a cached net's job writes the net's file and returns its name and
+    # sha256, its training result and its outputs, not its weights
+    features, manifest = tiny_features(derive_rng(99, "tinyexp"))
+    spec = ModelSpec(kind="cnn2d_var", **{**TINY, "conv2d_filters": (32, 16), "dense2d": 32,
+                                          "epochs": 3})
+    runner = ExperimentRunner(features, manifest, spec, master_seed=5, k=2, val_fraction=0.2)
+    returned = []
+
+    def spy(fn, jobs, describe):
+        results = fork_map(fn, jobs, describe)
+        returned.extend(zip(jobs, results))
+        return results
+
+    monkeypatch.setattr(pipeline, "fork_map", spy)
+    runner.prefetch(["cnn2d_var", "fusion_feature"], save_into(tmp_path, manifest))
+    assert [job for job, _ in returned] == [
+        (label, fold) for label in ("fusion_feature", "var") for fold in range(2)]
+    for (label, fold), got in returned:
+        kind = pipeline.CACHED_NETS[label][1]
+        entries, _ = load_bundle(tmp_path / "models" / f"{kind}_fold{fold}.model")
+        param_bytes = sum(a.nbytes for a in entries["main"].param_dict().values())
+        assert len(pickle.dumps(got)) < param_bytes / 10, (label, fold)
 
 
 class TestEnsembleVote:
