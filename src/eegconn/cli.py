@@ -26,18 +26,17 @@ from .netmetrics import cn_features
 from .nn.network import Network
 from .nn.serialize import BundleRef, load_bundle, save_bundle
 from .pipeline import (
-    CACHED_NETS,
     DOMAINS,
+    FITS,
     KINDS,
     NET_ROLE,
     ExperimentRunner,
     FittedModel,
     FoldPlan,
-    KindResult,
     Member,
     MetricsReport,
     ModelSpec,
-    NetOutputs,
+    Outputs,
     ResultRow,
     band_indices,
     check_positive_class,
@@ -252,14 +251,6 @@ def _write_curve_csv(path: Path, curve) -> None:
     path.write_text("\n".join(lines) + "\n")
 
 
-def _curve_filename(kind: str, role: str, fold: int) -> str:
-    if role in DOMAINS:
-        return f"domain_{role}_fold{fold}.csv"
-    if role == "main":
-        return f"{kind}_fold{fold}.csv"
-    return f"{kind}_{role}_fold{fold}.csv"
-
-
 def write_fold_plan(path: Path, plan: FoldPlan, ordered_ids: list[str]) -> None:
     lines = ["subject_id,fold"]
     for sid in ordered_ids:
@@ -327,16 +318,13 @@ def cmd_train(cfg: RunConfig) -> int:
     _out_dir(cfg, "curves").mkdir(parents=True, exist_ok=True)
 
     kinds = model_kind_list(cfg)
-    # file name -> its sha256 (None for a curve): each file is written once,
-    # a cached net's by the job that trained it
-    written: dict[str, str | None] = runner.prefetch(
-        kinds, functools.partial(_save_bundle, cfg, manifest))
+    runner.prefetch(kinds, functools.partial(_save_fold, cfg, manifest))
     failures = 0
-    involved: set[str] = set()  # the model files of every row, and of the members it reads
-    kept: set[str] = set()  # those of the rows trained
+    involved: set[Path] = set()  # the files of every row, and of the fits it reads
+    kept: set[Path] = set()  # those of the rows trained
     for kind in kinds:
         for row in KINDS[kind].results:
-            files = _row_files(kind, row, runner.k)
+            files = _row_files(cfg, row, runner.k)
             involved |= files
             try:
                 result = runner.run_result(kind, row)
@@ -344,16 +332,15 @@ def cmd_train(cfg: RunConfig) -> int:
                 failures += 1
                 print(f"{row.result_id}: FAILED ({exc})", file=sys.stderr)
                 continue
-            _save_result(cfg, manifest, result, written)
             kept |= files
             print(f"{result.result_id}: trained {len(result.folds)} folds, "
                   f"modified accuracy {result.report.mean['modified_accuracy']:.2f}% "
                   f"(+/-{result.report.sd['modified_accuracy']:.2f})")
-    # a failed row keeps no model file, not even one of an earlier run, and
-    # a member file that no trained row reads goes too: also where a worker
-    # died while writing it
-    for name in involved - kept:
-        (_out_dir(cfg, "models") / name).unlink(missing_ok=True)
+    # a failed row keeps no model or curve file, not even one of an earlier
+    # run, and a fit's file that no trained row reads goes too: also where a
+    # worker died while writing it
+    for path in involved - kept:
+        path.unlink(missing_ok=True)
     return 1 if failures else 0
 
 
@@ -361,42 +348,33 @@ def _model_name(result_id: str, fold: int) -> str:
     return f"{result_id}_fold{fold}.model"
 
 
-def _row_files(kind: str, row: ResultRow, k: int) -> set[str]:
-    """The model files of a result row and of the cached nets' files it
-    refers to, over ``k`` folds."""
-    ids = {row.result_id} | {KINDS[CACHED_NETS[label][1]].results[0].result_id
-                             for label in KINDS[kind].fits if label in CACHED_NETS}
-    return {_model_name(rid, fold) for rid in ids for fold in range(k)}
+def _fold_files(cfg: RunConfig, row: ResultRow, fold: int) -> list[Path]:
+    """A result row's model file of one fold, then its learning-curve files."""
+    return [_out_dir(cfg, "models") / _model_name(row.result_id, fold),
+            *(_out_dir(cfg, "curves") / f"{stem}_fold{fold}.csv" for stem in row.curves)]
 
 
-def _save_result(cfg: RunConfig, manifest: CohortManifest, result: KindResult,
-                 written: dict[str, str | None]) -> None:
-    """One model bundle per fold plus its learning curves, unless ``written``
-    holds them already: the rows that share a member share its curve file."""
-    row = ResultRow(result.result_id, result.feature, result.feature_set)
-    for fold_outcome, fitted in zip(result.folds, result.models):
-        fold = fold_outcome.fold
-        _save_bundle(cfg, manifest, result.kind, row, fitted, fold, written)
-        for role, curve in fold_outcome.curves.items():
-            name = _curve_filename(result.result_id, role, fold)
-            if name not in written:
-                _write_curve_csv(_out_dir(cfg, "curves") / name, curve)
-                written[name] = None
+def _row_files(cfg: RunConfig, row: ResultRow, k: int) -> set[Path]:
+    """The files of a result row and of the rows whose files hold the fits
+    it reads, over ``k`` folds."""
+    rows = {row, *(FITS[label].row for label in row.fits)}
+    return {path for r in rows for fold in range(k) for path in _fold_files(cfg, r, fold)}
 
 
-def _save_bundle(cfg: RunConfig, manifest: CohortManifest, kind: str, row: ResultRow,
-                 fitted: FittedModel, fold: int, written: dict[str, str | None]) -> None:
-    """Write a result row's model bundle of one fold, and record its name
-    and sha256 in ``written``, unless ``written`` holds it already.  A
-    ``Member`` entry becomes a reference to the file of its kind's row,
-    which ``written`` holds: the member's training job wrote it."""
-    name = _model_name(row.result_id, fold)
-    if name in written:
+def _save_fold(cfg: RunConfig, manifest: CohortManifest, kind: str, row: ResultRow,
+               fitted: FittedModel, curves: tuple, fold: int, written: dict[str, str]) -> None:
+    """Write a result row's model bundle of one fold and its learning
+    curves, in ``row.curves`` order, and record the bundle's name and sha256
+    in ``written``, unless ``written`` holds the bundle already because the
+    job of the row's fit wrote them.  A ``Member`` entry becomes a reference
+    to the file of its row, which ``written`` holds."""
+    path, *curve_paths = _fold_files(cfg, row, fold)
+    if path.name in written:
         return
     entries, extra_meta = KINDS[kind].bundle(fitted.core)
     for role, entry in entries.items():
         if isinstance(entry, Member):
-            member = _model_name(KINDS[entry.kind].results[0].result_id, fold)
+            member = _model_name(entry.result_id, fold)
             entries[role] = BundleRef(member, written[member], NET_ROLE)
     for domain, (mean, sd) in (fitted.stats or {}).items():
         entries[f"stats_{domain}"] = {"mean": mean, "sd": sd}
@@ -411,7 +389,9 @@ def _save_bundle(cfg: RunConfig, manifest: CohortManifest, kind: str, row: Resul
         "standardized_inputs": bool(fitted.stats),
         **extra_meta,
     }
-    written[name] = save_bundle(_out_dir(cfg, "models") / name, entries, meta)
+    written[path.name] = save_bundle(path, entries, meta)
+    for curve_path, curve in zip(curve_paths, curves):
+        _write_curve_csv(curve_path, curve)
 
 
 # -- eval ----------------------------------------------------------------------
@@ -424,16 +404,16 @@ class FoldModels:
 
     def __init__(self):
         self._files: dict = {}
-        self._nets: dict[int, NetOutputs] = {}
+        self._nets: dict[int, Outputs] = {}
 
     def load(self, path) -> tuple[dict, dict]:
         entries, meta = load_bundle(path, self._files)
         return {role: self._once(e) if isinstance(e, Network) else e
                 for role, e in entries.items()}, meta
 
-    def _once(self, net: Network) -> NetOutputs:
+    def _once(self, net: Network) -> Outputs:
         if id(net) not in self._nets:  # the file cache keeps every net, and its id, alive
-            self._nets[id(net)] = NetOutputs(net)
+            self._nets[id(net)] = Outputs(net)
         return self._nets[id(net)]
 
 
@@ -516,7 +496,7 @@ def _eval_fold(cfg: RunConfig, manifest: CohortManifest, features: dict,
     outcomes: list = []
     for result_id, kind, feature_set in results:
         try:
-            core, meta, band_idx = load_model(models_dir / f"{result_id}_fold{fold}.model",
+            core, meta, band_idx = load_model(models_dir / _model_name(result_id, fold),
                                               band_names, models.load)
             bits, _ = predict_with_core(core, kind, features, test_ids, band_idx, feature_set)
             class_names = tuple(meta["class_names"])
@@ -590,7 +570,7 @@ def _report_feature_maps(cfg: RunConfig, manifest, features, load, report_dir: P
     sid = cfg.report_subject or manifest.subject_ids()[0]
     if sid not in features:
         raise ValidationError(f"report subject {sid!r} has no extracted features")
-    paths = {kind: _out_dir(cfg, "models") / f"{kind}_fold0.model"
+    paths = {kind: _out_dir(cfg, "models") / _model_name(kind, 0)
              for kind in ("cnn2d_pdc", "cnn2d_var")}
     kind = next((kind for kind, path in paths.items() if path.exists()), None)
     if kind is None:
@@ -627,7 +607,7 @@ def _report_latency(cfg: RunConfig, features, load, manifest, report_dir: Path) 
     models_dir = _out_dir(cfg, "models")
     rows = []
     for result_id, kind, feature_set in _expand_result_ids(model_kind_list(cfg)):
-        path = models_dir / f"{result_id}_fold0.model"
+        path = models_dir / _model_name(result_id, 0)
         if not path.exists():
             continue
         core, meta, band_idx = load(path)

@@ -6,8 +6,10 @@ topology feature matrices), three fusions of those domains (feature-level
 concatenation, score-level second-stage softmax, decision-level majority
 vote), and a linear SVM baseline.  Each kind is one row of the ``KINDS``
 table, which says what the kind reads, how one fold is fitted, how its core is
-saved, and which result rows it reports.  Evaluation is stratified k-fold with
-a held-out validation split inside each fold driving epoch selection.
+saved, and which result rows it reports; each model that the rows read, a
+net or an SVM, is one entry of the ``FITS`` table and is fitted once per fold.
+Evaluation is stratified k-fold with a held-out validation split inside each
+fold driving epoch selection.
 """
 
 from __future__ import annotations
@@ -165,7 +167,7 @@ class EnsembleModel:
     """Three domain CNNs combined by score- or decision-level fusion."""
 
     mode: str  # "score" | "decision"
-    members: dict[str, Network | NetOutputs]
+    members: dict[str, Network | Outputs]
     stage2: Network | None = None
 
     def __post_init__(self):
@@ -187,14 +189,14 @@ class EnsembleModel:
         return bits, member.mean(axis=1)  # decision mode reports the mean score
 
 
-def member_probs(members: dict[str, Network | NetOutputs],
+def member_probs(members: dict[str, Network | Outputs],
                  inputs: dict[str, np.ndarray]) -> np.ndarray:
     """Stacked member probabilities, shape (B, 3, 2), domain order var/pdc/cn."""
     return np.stack([members[d].predict_proba(inputs[d]) for d in DOMAINS], axis=1)
 
 
 def batch_key(x) -> bytes:
-    """The sha256 of a net's input batch, one array or a list with one per
+    """The sha256 of a core's input batch, one array or a list with one per
     branch: the dtype, shape and bytes of each array."""
     digest = hashlib.sha256()
     for a in x if isinstance(x, list) else [x]:
@@ -203,29 +205,30 @@ def batch_key(x) -> bytes:
     return digest.digest()
 
 
-class NetOutputs:
-    """A net's class probabilities by input batch (:func:`batch_key`), so
-    that each batch runs forward once however many result rows read it.
+class Outputs:
+    """A core's class bits and probabilities, ``core.predict(x)``, by input
+    batch (:func:`batch_key`), so that each batch runs once however many
+    result rows read it.  The bits are kept as the core gave them: an SVM
+    score just above zero is class 1 though its probability rounds to 0.5.
 
-    Without a net it holds the outputs that the net's training job sent,
-    from the process that held the net; a batch not among them is an error.
+    Without a core it holds the outputs that the fit's job sent, from the
+    process that held the core; a batch not among them is an error.
     """
 
-    def __init__(self, net: Network | None = None, outputs: dict[bytes, np.ndarray] | None = None):
-        self.net = net
-        self.outputs = {} if outputs is None else outputs
+    def __init__(self, core=None, pairs: dict[bytes, tuple] | None = None):
+        self.core = core
+        self.pairs = {} if pairs is None else pairs
+
+    def predict(self, x) -> tuple[np.ndarray, np.ndarray]:
+        key = batch_key(x)
+        if key not in self.pairs:
+            if self.core is None:
+                raise ValidationError("no output for this batch from the fit's job")
+            self.pairs[key] = self.core.predict(x)
+        return self.pairs[key]
 
     def predict_proba(self, x) -> np.ndarray:
-        key = batch_key(x)
-        if key not in self.outputs:
-            if self.net is None:
-                raise ValidationError("no output for this batch from the net's training job")
-            self.outputs[key] = self.net.predict_proba(x)
-        return self.outputs[key]
-
-    def predict(self, x):
-        probs = self.predict_proba(x)
-        return probs.argmax(axis=1), probs
+        return self.predict(x)[1]
 
 
 # -- fold plans --------------------------------------------------------------
@@ -437,7 +440,7 @@ def train_model(model, train_inputs, train_bits, val_inputs, val_bits,
 
     Full-batch Adam by default; ``spec.batch_size > 0`` switches to seeded
     shuffled mini-batches.  A non-finite validation loss aborts with
-    :class:`TrainingDivergedError`.
+    :class:`TrainingDivergedError`, without a numpy warning.
     """
     train_bits = np.asarray(train_bits, dtype=int)
     val_bits = np.asarray(val_bits, dtype=int)
@@ -450,26 +453,29 @@ def train_model(model, train_inputs, train_bits, val_inputs, val_bits,
     best_state = None
     shuffle_rng = derive_rng(seed, "batches") if spec.batch_size > 0 else None
 
-    for epoch in range(spec.epochs):
-        if spec.batch_size > 0:
-            order = shuffle_rng.permutation(n)
-            chunks = [order[i : i + spec.batch_size] for i in range(0, n, spec.batch_size)]
-        else:
-            chunks = [np.arange(n)]
-        total = 0.0
-        for idx in chunks:
-            loss, _ = model.loss_and_grads(_subset(train_inputs, idx), train_bits[idx], train=True)
-            adam_step(model.param_dict(), model.grad_dict(), adam)
-            total += loss * len(idx)
-        train_loss = total / n
-        val_loss = cross_entropy(model.predict_proba(val_inputs), val_bits)
-        if not np.isfinite(val_loss):
-            raise TrainingDivergedError(f"validation loss became non-finite at epoch {epoch}")
-        result.curve.append((train_loss, val_loss))
-        if val_loss < best_loss:
-            best_loss = val_loss
-            result.best_epoch = epoch
-            best_state = model.get_state()
+    # an overflow is a divergence, which the gradient and loss checks report
+    with np.errstate(over="ignore", invalid="ignore"):
+        for epoch in range(spec.epochs):
+            if spec.batch_size > 0:
+                order = shuffle_rng.permutation(n)
+                chunks = [order[i : i + spec.batch_size] for i in range(0, n, spec.batch_size)]
+            else:
+                chunks = [np.arange(n)]
+            total = 0.0
+            for idx in chunks:
+                loss, _ = model.loss_and_grads(_subset(train_inputs, idx), train_bits[idx],
+                                               train=True)
+                adam_step(model.param_dict(), model.grad_dict(), adam)
+                total += loss * len(idx)
+            train_loss = total / n
+            val_loss = cross_entropy(model.predict_proba(val_inputs), val_bits)
+            if not np.isfinite(val_loss):
+                raise TrainingDivergedError(f"validation loss became non-finite at epoch {epoch}")
+            result.curve.append((train_loss, val_loss))
+            if val_loss < best_loss:
+                best_loss = val_loss
+                result.best_epoch = epoch
+                best_state = model.get_state()
 
     if best_state is not None:
         model.set_state(best_state)
@@ -482,7 +488,6 @@ def train_model(model, train_inputs, train_bits, val_inputs, val_bits,
 @dataclass
 class FoldOutcome:
     fold: int
-    curves: dict[str, list[tuple[float, float]]]
     metrics: dict
 
 
@@ -490,11 +495,8 @@ class FoldOutcome:
 class KindResult:
     kind: str
     result_id: str
-    feature: str
-    feature_set: str
     folds: list[FoldOutcome]
     report: MetricsReport
-    models: list[FittedModel]  # per fold; a cached net's core is its NetOutputs
 
 
 def usable_cpus() -> int:
@@ -546,7 +548,7 @@ def _call(fn: Callable, job):
 def fork_map(fn: Callable, jobs: list, describe: Callable[[object], str]) -> list:
     """``fn(job)`` for every job, in job order, with the exception a job
     raised in place of its result.  ``extract`` maps it over the subjects,
-    ``train`` over the cached nets and SVMs and ``eval`` over the folds.
+    ``train`` over the fits of ``FITS`` and ``eval`` over the folds.
 
     The jobs run in a pool of processes started with ``fork``: ``fn`` reaches
     the workers through the fork, so only jobs and results are pickled.
@@ -599,12 +601,12 @@ class ExperimentRunner:
     """Trains every requested classifier kind over a shared fold plan.
 
     Every net, member or not, trains through :meth:`train_net`.
-    :meth:`prefetch` trains the nets of ``CACHED_NETS`` and fits the SVMs of
-    ``SVM_FITS`` that the kinds read, through :func:`fork_map`, into a cache
-    per (label, fold), so that single-domain kinds and the fusion ensembles
-    reuse identical trained members (identical seeds make this exact, not
-    approximate).  The cache holds a net's outputs, not its weights: the job
-    that trained the net wrote its model file.
+    :meth:`prefetch` makes the fits of ``FITS`` that the result rows read,
+    through :func:`fork_map`, into a cache per (label, fold), so that
+    single-domain kinds and the fusion ensembles reuse identical trained
+    members (identical seeds make this exact, not approximate).  The cache
+    holds a fit's outputs, not its parameters: the job that made the fit
+    wrote its files.
     """
 
     def __init__(self, features, manifest: CohortManifest, spec: ModelSpec,
@@ -629,11 +631,11 @@ class ExperimentRunner:
         self.positive_class = positive_class
         self.labels = manifest.labels()
         self.plan = stratified_kfold(manifest, k=k, seed=derive_seed(master_seed, "folds"))
-        # (label, fold) -> a cached net's outputs and training result, or an
-        # SVM; or the exception that its prefetch job raised
-        self._member_cache: dict[tuple[str, int],
-                                 tuple[NetOutputs, TrainResult] | LinearSvm | Exception] = {}
+        # (label, fold) -> a fit's outputs, or the exception its job raised
+        self._member_cache: dict[tuple[str, int], Outputs | Exception] = {}
         self._splits: dict[int, tuple[list[str], list[str], list[str]]] = {}
+        self._save: Callable | None = None  # the save hook given to prefetch
+        self._written: dict[str, str] = {}  # model file name -> its sha256
 
     # ids and labels ---------------------------------------------------------
 
@@ -655,8 +657,10 @@ class ExperimentRunner:
     def names_of_bits(self, bits: np.ndarray) -> list[str]:
         return [self.class_names[int(b)] for b in bits]
 
-    def fold_stats(self, fold: int) -> dict | None:
-        if not self.standardize_inputs:
+    def fold_stats(self, fold: int, row: "ModelKind") -> dict | None:
+        """The statistics of the fold's training subjects that standardize
+        the kind's inputs, or None where they are not standardized."""
+        if not (self.standardize_inputs and row.standardized):
             return None
         if fold not in self._stats_cache:
             train_ids, _, _ = self.fold_split(fold)
@@ -665,9 +669,11 @@ class ExperimentRunner:
             )
         return self._stats_cache[fold]
 
-    def fold_inputs(self, row: "ModelKind", sids: list[str], fold: int):
-        """The kind's input for a batch of subjects, standardized by the fold's stats."""
-        return row.inputs(self.features, sids, self.band_idx, self.fold_stats(fold))
+    def fold_inputs(self, row: "ModelKind", sids: list[str], fold: int,
+                    feature_set: str = "all"):
+        """The kind's input for a batch of subjects, standardized as the fold's fits are."""
+        return row.inputs(self.features, sids, self.band_idx, self.fold_stats(fold, row),
+                          feature_set)
 
     # net training -----------------------------------------------------------
 
@@ -685,111 +691,100 @@ class ExperimentRunner:
                           seed=derive_seed(self.master_seed, "train", label, fold))
         return net, res
 
-    def trained_member(self, label: str, fold: int):
-        """The fold's prefetched fit for a ``CACHED_NETS`` label, its net's
-        outputs and training result, or for an ``SVM_FITS`` label, the SVM;
-        from the cache that :meth:`prefetch` filled.  A fit that failed
-        raises its exception again."""
+    def trained_member(self, label: str, fold: int) -> Outputs:
+        """The outputs of the fold's fit of a ``FITS`` label, from the cache
+        that :meth:`prefetch` filled.  A fit that failed raises its
+        exception again."""
         got = self._member_cache[label, fold]
         if isinstance(got, Exception):
             raise got
         return got
 
-    def prefetch(self, kinds, save: Callable) -> dict[str, str]:
-        """Make every fit the kinds read, through :func:`fork_map`, into the
-        cache; the name and sha256 of every model file the jobs wrote.
+    def prefetch(self, kinds, save: Callable) -> None:
+        """Make every fit that the kinds' result rows read, through
+        :func:`fork_map`, into the cache, and keep ``save`` for
+        :meth:`run_result`.
 
-        A cached net's job trains the net and saves it as its kind's own
-        model file of the fold, by ``save(kind, result_row, fitted, fold,
-        written)``, which records the file's name and sha256 in ``written``.
-        The job returns that record, its :class:`TrainResult` and the net's
-        outputs on the batches that result rows read, so no weights come
-        back.  An SVM's job returns the SVM.  The jobs are independent and
-        each draws its seeds from its own (label, fold), so the pool size
-        changes no byte.  A job that raises, or whose worker dies, leaves
-        its exception in the cache for every result row that reads it.
+        A fit's job makes it and writes its files, the model file and
+        learning curves of its ``Fit.row``, by ``save(kind, result_row,
+        fitted, curves, fold, written)``, which records the model file's name
+        and sha256 in ``written``.  The job returns that record and the fit's
+        outputs on the batches that result rows read, so no parameters come
+        back.  The jobs are independent and each draws its seeds from its own
+        (label, fold), so the pool size changes no byte.  A job that raises,
+        or whose worker dies, leaves its exception in the cache for every
+        result row that reads it.
         """
-        labels = {label for kind in kinds for label in KINDS[kind].fits}
-        jobs = [(label, fold) for label in (*CACHED_NETS, *SVM_FITS) if label in labels
-                for fold in range(self.k)]  # largest nets first
-        results = fork_map(partial(self._prefetch_job, save), jobs, lambda job: (
-            f"training the {job[0]} net of fold {job[1]}" if job[0] in CACHED_NETS
-            else f"fitting the {job[0]} SVM of fold {job[1]}"))
-        written: dict[str, str] = {}
-        for (label, fold), got in zip(jobs, results):
-            if label in CACHED_NETS and not isinstance(got, Exception):
-                files, res, outputs = got
-                written.update(files)
-                got = (NetOutputs(outputs=outputs), res)
-            self._member_cache[label, fold] = got
-        return written
+        self._save = save
+        labels = {label for kind in kinds for row in KINDS[kind].results for label in row.fits}
+        jobs = [(label, fold) for label in FITS if label in labels for fold in range(self.k)]
+        results = fork_map(self._fit_job, jobs,
+                           lambda job: f"{FITS[job[0]].doing} of fold {job[1]}")
+        for job, got in zip(jobs, results):
+            if not isinstance(got, Exception):
+                written, pairs = got
+                self._written.update(written)
+                got = Outputs(pairs=pairs)
+            self._member_cache[job] = got
 
-    def _prefetch_job(self, save: Callable, job: tuple[str, int]):
+    def _fit_job(self, job: tuple[str, int]):
         """One fit of :meth:`prefetch`, in a form that crosses a process
-        boundary: for a cached net, the files ``save`` wrote, its training
-        result and its outputs by :func:`batch_key`; for an SVM, the SVM."""
+        boundary: the files the save hook wrote, and the fit's outputs by
+        :func:`batch_key`."""
         label, fold = job
-        train_ids, val_ids, test_ids = self.fold_split(fold)
-        if label in SVM_FITS:
-            fit_ids = train_ids + val_ids  # no epoch selection; use all non-test subjects
-            return train_svm(
-                KINDS["svm_linear"].inputs(self.features, fit_ids, self.band_idx, None,
-                                       SVM_FITS[label]),
-                self.bits_of(fit_ids),
-                l2=self.svm_l2,
-                learning_rate=self.svm_learning_rate,
-                steps=self.svm_steps,
-            )
-        build, kind = CACHED_NETS[label]
-        row = KINDS[kind]
-
-        def inputs(sids):
-            return self.fold_inputs(row, sids, fold)
-
-        net, res = self.train_net(label, fold, lambda seed: build(self.spec, seed), inputs)
+        fit = FITS[label]
+        row = KINDS[fit.kind]
+        core, curves = fit.make(self, label, fold)
         written: dict[str, str] = {}
-        save(kind, row.results[0], FittedModel(net, self.fold_stats(fold)), fold, written)
-        # the batches that result rows read: every net's test batch, and a
+        self._save(fit.kind, fit.row, FittedModel(core, self.fold_stats(fold, row)), curves,
+                   fold, written)
+        # the batches that result rows read: every fit's test batch, and a
         # member's training and validation batches, on which score fusion
         # fits its stage 2
-        outputs = NetOutputs(net)
-        for sids in ([train_ids, val_ids] if label in MEMBER_KINDS else []) + [test_ids]:
-            outputs.predict_proba(inputs(sids))
-        return written, res, outputs.outputs
+        train_ids, val_ids, test_ids = self.fold_split(fold)
+        outputs = Outputs(core)
+        for sids in ([train_ids, val_ids] if label in DOMAINS else []) + [test_ids]:
+            outputs.predict(self.fold_inputs(row, sids, fold, fit.row.feature_set))
+        return written, outputs.pairs
 
     # per-result execution ---------------------------------------------------
 
     def run_result(self, kind: str, result: "ResultRow") -> KindResult:
-        """Fit one result row of a kind on every fold and test it on the held-out subjects."""
+        """Fit one result row of a kind on every fold, save each fold through
+        the hook that :meth:`prefetch` was given, and test it on the
+        held-out subjects."""
         row = KINDS[kind]
         folds: list[FoldOutcome] = []
-        models: list[FittedModel] = []
         for fold in range(self.k):
             test_ids = self.fold_split(fold)[2]
-            fitted, curves = row.fit(self, row, fold, result.feature_set)
+            core, curves = row.fit(self, row, fold, result)
+            fitted = FittedModel(core, self.fold_stats(fold, row))
             bits, _ = predict_with_core(fitted, kind, self.features, test_ids,
                                         self.band_idx, result.feature_set)
-            folds.append(FoldOutcome(fold, curves, evaluate(
+            folds.append(FoldOutcome(fold, evaluate(
                 self.names_of_bits(bits), [self.labels[s] for s in test_ids],
                 self.positive_class)))
-            models.append(fitted)
+            self._save(kind, result, fitted, curves, fold, self._written)
         report = MetricsReport.from_folds([f.metrics for f in folds])
-        return KindResult(kind, *result, folds=folds, report=report, models=models)
+        return KindResult(kind, result.result_id, folds, report)
 
 
 # -- the model-kind table -----------------------------------------------------
 #
 # One row per kind.  ``fit`` fits the kind's core on one fold (reading the
-# prefetched ``fits``) and returns it with its learning curves by role; ``bundle``
-# and ``unbundle`` map a core to the named entries of a model file and back (a
-# ``Member`` entry comes back as the member's net); ``results`` lists the rows
-# the kind reports (the SVM reports one per feature set).
+# prefetched fits that its result row lists) and returns it with the learning
+# curves that the row's own curve files hold; ``bundle`` and ``unbundle`` map a
+# core to the named entries of a model file and back (a ``Member`` entry comes
+# back as the member's net); ``results`` lists the rows the kind reports (the
+# SVM reports one per feature set).  ``FITS``, after it, lists the fits.
 
 
 class ResultRow(NamedTuple):
     result_id: str
     feature: str      # the feature label written to bundles and metrics.json
     feature_set: str  # the domains the core reads: "all" of the kind's, or one
+    fits: tuple[str, ...]  # the labels of the prefetched fits (``FITS``) it reads
+    curves: tuple[str, ...] = ()  # the stems of its own learning-curve files
 
 
 def _one_array(arrays: dict) -> np.ndarray:
@@ -809,45 +804,44 @@ def _flat_concat(arrays: dict) -> np.ndarray:
     return np.concatenate([x.reshape(len(x), -1) for x in arrays.values()], axis=1)
 
 
-def _trained_members(runner: ExperimentRunner, row: "ModelKind", fold: int):
-    """The outputs of the fold's cached domain CNNs that the kind reads, and
-    their curves by domain."""
-    trained = {d: runner.trained_member(d, fold) for d in row.fits}
-    return ({d: net for d, (net, _) in trained.items()},
-            {d: res.curve for d, (_, res) in trained.items()})
+def _fit_single(runner: ExperimentRunner, row: "ModelKind", fold: int, result: ResultRow):
+    """The outputs of the row's one prefetched fit, whose job wrote its files."""
+    (label,) = result.fits
+    return runner.trained_member(label, fold), ()
 
 
-def _fit_net(runner: ExperimentRunner, row: "ModelKind", fold: int, feature_set: str):
-    """The outputs of the kind's one cached net, and its curve by domain for
-    a member net."""
-    (label,) = row.fits
-    net, res = runner.trained_member(label, fold)
-    return (FittedModel(net, runner.fold_stats(fold)),
-            {label if label in DOMAINS else NET_ROLE: res.curve})
-
-
-def _fit_decision_fusion(runner: ExperimentRunner, row: "ModelKind", fold: int,
-                         feature_set: str):
-    members, curves = _trained_members(runner, row, fold)
-    return FittedModel(EnsembleModel(mode="decision", members=members),
-                       runner.fold_stats(fold)), curves
-
-
-def _fit_score_fusion(runner: ExperimentRunner, row: "ModelKind", fold: int,
-                      feature_set: str):
-    members, curves = _trained_members(runner, row, fold)
+def _fit_ensemble(mode: str, runner: ExperimentRunner, row: "ModelKind", fold: int,
+                  result: ResultRow):
+    """The fold's members fused by ``mode``; score fusion trains its stage 2
+    here on the members' outputs, and returns that net's curve."""
+    members = {d: runner.trained_member(d, fold) for d in result.fits}
+    if mode == "decision":
+        return EnsembleModel(mode, members), ()
 
     def stage2_inputs(sids):
         return member_probs(members, runner.fold_inputs(row, sids, fold)).reshape(len(sids), 6)
 
     stage2, res = runner.train_net("stage2", fold, build_stage2, stage2_inputs)
-    curves["stage2"] = res.curve
-    return FittedModel(EnsembleModel(mode="score", members=members, stage2=stage2),
-                       runner.fold_stats(fold)), curves
+    return EnsembleModel(mode, members, stage2), (res.curve,)
 
 
-def _fit_svm(runner: ExperimentRunner, row: "ModelKind", fold: int, feature_set: str):
-    return FittedModel(runner.trained_member(f"svm_{feature_set}", fold)), {}
+def _train_fit(build: Callable, runner: ExperimentRunner, label: str, fold: int):
+    """A prefetched net, built by ``build(spec, seed)`` and trained, and its curve."""
+    row = KINDS[FITS[label].kind]
+    net, res = runner.train_net(label, fold, partial(build, runner.spec),
+                                lambda sids: runner.fold_inputs(row, sids, fold))
+    return net, (res.curve,)
+
+
+def _fit_svm(runner: ExperimentRunner, label: str, fold: int):
+    """A prefetched SVM, fitted on every non-test subject of the fold (an SVM
+    has no epoch to select), and no curve."""
+    fit = FITS[label]
+    train_ids, val_ids, _ = runner.fold_split(fold)
+    fit_ids = train_ids + val_ids
+    x = runner.fold_inputs(KINDS[fit.kind], fit_ids, fold, fit.row.feature_set)
+    return train_svm(x, runner.bits_of(fit_ids), l2=runner.svm_l2,
+                     learning_rate=runner.svm_learning_rate, steps=runner.svm_steps), ()
 
 
 NET_ROLE = "main"  # the entry that holds a single-net kind's net
@@ -862,15 +856,15 @@ def _unbundle_net(entries: dict, meta: dict):
 
 
 class Member(NamedTuple):
-    """A bundle entry that is the net of a single-net kind: the net's
-    training job saved it as that kind's own bundle of the fold, and the
-    entry refers to its ``NET_ROLE`` entry there."""
+    """A bundle entry that is a member net: the net's job saved it as the
+    model file of its fit's result row, and the entry refers to its
+    ``NET_ROLE`` entry there."""
 
-    kind: str
+    result_id: str
 
 
 def _bundle_ensemble(ens: EnsembleModel) -> tuple[dict, dict]:
-    entries = {f"member_{d}": Member(MEMBER_KINDS[d]) for d in ens.members}
+    entries = {f"member_{d}": Member(FITS[d].row.result_id) for d in ens.members}
     if ens.stage2 is not None:
         entries["stage2"] = ens.stage2
     return entries, {"fusion_mode": ens.mode}
@@ -894,12 +888,12 @@ class ModelKind:
     """What one classifier kind reads, how it is fitted and saved, what it reports."""
 
     domains: tuple[str, ...]
-    fits: tuple[str, ...]           # the prefetched fits that ``fit`` reads, per fold
     pack: Callable[[dict], object]  # {domain: batch array} -> the input form of the core
-    fit: Callable                   # (runner, row, fold, feature_set) -> (FittedModel, curves)
+    fit: Callable                   # (runner, row, fold, result_row) -> (core, curves)
     bundle: Callable[[object], tuple[dict, dict]]  # core -> (bundle entries, extra meta)
     unbundle: Callable[[dict, dict], object]       # (bundle entries, meta) -> core
     results: tuple[ResultRow, ...]
+    standardized: bool = True  # by the fold's input statistics; the SVM scales its own
 
     def inputs(self, features, sids: list[str], band_idx=None, stats: dict | None = None,
                feature_set: str = "all"):
@@ -916,44 +910,55 @@ class ModelKind:
 
 
 _FUSED = "var+pdc+cn"
-_SVM_ROWS = tuple(ResultRow(f"svm_{f}", f, f) for f in (*DOMAINS, "all"))
+_SVM_ROWS = tuple(ResultRow(f"svm_{f}", f, f, (f"svm_{f}",)) for f in (*DOMAINS, "all"))
 
 KINDS: dict[str, ModelKind] = {
-    "cnn2d_var": ModelKind(("var",), ("var",), _one_array, _fit_net, _bundle_net,
-                           _unbundle_net, (ResultRow("cnn2d_var", "var", "all"),)),
-    "cnn2d_pdc": ModelKind(("pdc",), ("pdc",), _one_array, _fit_net, _bundle_net,
-                           _unbundle_net, (ResultRow("cnn2d_pdc", "pdc", "all"),)),
-    "cnn1d_cn": ModelKind(("cn",), ("cn",), _one_array, _fit_net, _bundle_net,
-                          _unbundle_net, (ResultRow("cnn1d_cn", "cn", "all"),)),
-    "fusion_feature": ModelKind(DOMAINS, ("fusion_feature",), _array_list, _fit_net,
-                                _bundle_net, _unbundle_net,
-                                (ResultRow("fusion_feature", _FUSED, "all"),)),
-    "fusion_score": ModelKind(DOMAINS, DOMAINS, _by_domain, _fit_score_fusion,
+    "cnn2d_var": ModelKind(("var",), _one_array, _fit_single, _bundle_net, _unbundle_net,
+                           (ResultRow("cnn2d_var", "var", "all", ("var",), ("domain_var",)),)),
+    "cnn2d_pdc": ModelKind(("pdc",), _one_array, _fit_single, _bundle_net, _unbundle_net,
+                           (ResultRow("cnn2d_pdc", "pdc", "all", ("pdc",), ("domain_pdc",)),)),
+    "cnn1d_cn": ModelKind(("cn",), _one_array, _fit_single, _bundle_net, _unbundle_net,
+                          (ResultRow("cnn1d_cn", "cn", "all", ("cn",), ("domain_cn",)),)),
+    "fusion_feature": ModelKind(DOMAINS, _array_list, _fit_single, _bundle_net, _unbundle_net,
+                                (ResultRow("fusion_feature", _FUSED, "all", ("fusion_feature",),
+                                           ("fusion_feature",)),)),
+    "fusion_score": ModelKind(DOMAINS, _by_domain, partial(_fit_ensemble, "score"),
                               _bundle_ensemble, _unbundle_ensemble,
-                              (ResultRow("fusion_score", _FUSED, "all"),)),
-    "fusion_decision": ModelKind(DOMAINS, DOMAINS, _by_domain, _fit_decision_fusion,
+                              (ResultRow("fusion_score", _FUSED, "all", DOMAINS,
+                                         ("fusion_score_stage2",)),)),
+    "fusion_decision": ModelKind(DOMAINS, _by_domain, partial(_fit_ensemble, "decision"),
                                  _bundle_ensemble, _unbundle_ensemble,
-                                 (ResultRow("fusion_decision", _FUSED, "all"),)),
-    "svm_linear": ModelKind(DOMAINS, tuple(r.result_id for r in _SVM_ROWS), _flat_concat,
-                            _fit_svm, _bundle_svm, _unbundle_svm, _SVM_ROWS),
+                                 (ResultRow("fusion_decision", _FUSED, "all", DOMAINS),)),
+    "svm_linear": ModelKind(DOMAINS, _flat_concat, _fit_single, _bundle_svm, _unbundle_svm,
+                            _SVM_ROWS, standardized=False),
 }
 
 MODEL_KINDS = tuple(KINDS)
 
-# the single-domain CNN kind of each domain, whose net is the ensembles' member
-MEMBER_KINDS = {d: kind for kind, row in KINDS.items() for d in DOMAINS if row.fits == (d,)}
 
-# Every net trained once per (label, fold) and cached by the runner: how to
-# build it from (spec, init seed), and the kind whose inputs it reads and as
-# whose bundle it is saved.  The order is the prefetch order, largest first.
-CACHED_NETS: dict[str, tuple[Callable[[ModelSpec, int], Network], str]] = {
-    "fusion_feature": (build_feature_fusion, "fusion_feature"),
-    **{d: (partial(build_domain_network, d), kind) for d, kind in MEMBER_KINDS.items()},
+class Fit(NamedTuple):
+    """A model that :meth:`ExperimentRunner.prefetch` makes once per fold
+    for every result row that reads it."""
+
+    kind: str       # the kind whose inputs it reads
+    row: ResultRow  # the result row whose model and curve files hold it
+    make: Callable  # (runner, label, fold) -> (core, curves in ``row.curves`` order)
+    doing: str      # what its job does, for the message of a worker that dies
+
+
+def _net_fit(label: str, kind: str, build: Callable[[ModelSpec, int], Network]) -> Fit:
+    return Fit(kind, KINDS[kind].results[0], partial(_train_fit, build),
+               f"training the {label} net")
+
+
+# Every fit by label, in job order: the largest nets first, then the SVMs.
+FITS: dict[str, Fit] = {
+    "fusion_feature": _net_fit("fusion_feature", "fusion_feature", build_feature_fusion),
+    **{d: _net_fit(d, kind, partial(build_domain_network, d))
+       for d, kind in zip(DOMAINS, ("cnn2d_var", "cnn2d_pdc", "cnn1d_cn"))},
+    **{row.result_id: Fit("svm_linear", row, _fit_svm, f"fitting the {row.result_id} SVM")
+       for row in _SVM_ROWS},
 }
-
-# Every SVM fitted once per (label, fold) by the runner, after the nets: its
-# feature set.
-SVM_FITS = {row.result_id: row.feature_set for row in KINDS["svm_linear"].results}
 
 
 # -- prediction and timing ----------------------------------------------------

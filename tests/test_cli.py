@@ -597,6 +597,69 @@ class TestTrain:
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("cnn2d_var: FAILED (")
 
+    def test_failed_retrain_keeps_no_learning_curve(self, tmp_path, capsys):
+        manifest = make_synthetic_cohort(tmp_path / "data", seed=3, n_group_a=9, n_group_b=9,
+                                         channels=4, samples=300)
+        out = tmp_path / "o"
+        kinds = "cnn2d_var,svm_linear"
+        cfg = write_config(tmp_path / "r.cfg", manifest, out, model_kinds=kinds, seed=1)
+        assert main(["extract", "--config", str(cfg)]) == 0
+        assert main(["train", "--config", str(cfg)]) == 0
+        assert {p.name for p in (out / "curves").iterdir()} == {
+            "domain_var_fold0.csv", "domain_var_fold1.csv"}
+        cfg = write_config(tmp_path / "r.cfg", manifest, out, model_kinds=kinds, seed=2,
+                           learning_rate=1e300)
+        assert main(["train", "--config", str(cfg)]) == 1
+        assert not list((out / "curves").iterdir())
+        assert main(["report", "--config", str(cfg)]) == 0
+        assert "learning-curve SVGs: 0" in capsys.readouterr().out
+        assert not list((out / "report").glob("*.svg"))
+
+    def test_net_failing_in_one_fold_keeps_none_of_its_files(self, workspace, tmp_path,
+                                                             monkeypatch, capsys):
+        _, _, out, manifest = workspace
+        copy = tmp_path / "out"
+        shutil.copytree(out / "features", copy / "features")
+        cfg = write_config(tmp_path / "r.cfg", manifest, copy, model_kinds="cnn2d_var,svm_linear")
+        train_net = pipeline.ExperimentRunner.train_net
+
+        def diverge_var_fold1(runner, label, fold, *args):
+            if (label, fold) == ("var", 1):
+                raise TrainingDivergedError("validation loss became non-finite at epoch 0")
+            return train_net(runner, label, fold, *args)
+
+        monkeypatch.setattr(pipeline.ExperimentRunner, "train_net", diverge_var_fold1)
+        capsys.readouterr()
+        assert main(["train", "--config", str(cfg)]) == 1
+        assert capsys.readouterr().err.splitlines() == [
+            "cnn2d_var: FAILED (validation loss became non-finite at epoch 0)"]
+        # the fold-0 job wrote both files; the failed row keeps neither
+        assert not (copy / "models" / "cnn2d_var_fold0.model").exists()
+        assert not (copy / "curves" / "domain_var_fold0.csv").exists()
+        assert {p.name for p in (copy / "models").iterdir()} == {
+            f"{rid}_fold{fold}.model" for fold in range(2)
+            for rid in ("svm_var", "svm_pdc", "svm_cn", "svm_all")}
+
+    @pytest.mark.skipif(len(os.sched_getaffinity(0)) < 2, reason="needs 2 usable CPUs")
+    def test_diverging_nets_print_only_failed_lines_on_one_and_two_cpus(self, workspace,
+                                                                         tmp_path):
+        _, _, out, manifest = workspace
+        runs = {}
+        for cpus in (1, 2):
+            copy = tmp_path / f"o{cpus}"
+            shutil.copytree(out / "features", copy / "features")
+            cfg = write_config(tmp_path / f"r{cpus}.cfg", manifest, copy, folds=3,
+                               model_kinds="cnn2d_var,cnn2d_pdc,svm_linear",
+                               learning_rate=1e300)
+            proc = run_script(ON_CPUS, cfg, cpus, "train")
+            runs[cpus] = (proc.returncode, proc.stdout, proc.stderr)
+        assert runs[1] == runs[2]
+        code, _, stderr = runs[1]
+        assert code == 1
+        assert stderr.splitlines() == [
+            f"cnn2d_{d}: FAILED (cnn_{d}: non-finite gradient in layer 5 (dense).w)"
+            for d in ("var", "pdc")]
+
     def test_curve_length_matches_epochs(self, workspace):
         _, _, out, _ = workspace
         lines = (out / "curves" / "domain_var_fold0.csv").read_text().splitlines()
@@ -1141,13 +1204,14 @@ class TestWorkDoneOnce:
         copy = tmp_path / "out"
         shutil.copytree(out / "features", copy / "features")
         cfg = write_config(tmp_path / "r.cfg", manifest, copy)
+        # the fits' jobs may run in forked workers, so the spy logs to a file
+        writes = tmp_path / "writes.log"
         write_curve_csv = cli._write_curve_csv
-        writes = []
-        monkeypatch.setattr(cli, "_write_curve_csv", lambda path, curve: writes.append(path.name)
-                            or write_curve_csv(path, curve))
+        monkeypatch.setattr(cli, "_write_curve_csv", lambda path, curve: append_line(
+            writes, path.name) or write_curve_csv(path, curve))
         assert main(["train", "--config", str(cfg)]) == 0
         names = sorted(p.name for p in (out / "curves").glob("*.csv"))
-        assert Counter(writes) == {name: 1 for name in names}
+        assert Counter(logged(writes)) == {name: 1 for name in names}
         for name in names:
             assert (copy / "curves" / name).read_bytes() == (out / "curves" / name).read_bytes()
 

@@ -1,4 +1,5 @@
 import functools
+import hashlib
 import os
 import pickle
 
@@ -7,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from eegconn.cli import _save_bundle, core_from_bundle
+from eegconn.cli import _save_fold, core_from_bundle
 from eegconn.config import RunConfig
 from eegconn.eeg_io import CohortManifest, ManifestEntry
 from eegconn import pipeline
@@ -231,9 +232,11 @@ class TestBuildModel:
 
 
 def save_into(out, manifest):
-    """The save hook that ``train`` passes to prefetch, writing into ``out / "models"``."""
-    (out / "models").mkdir(parents=True, exist_ok=True)
-    return functools.partial(_save_bundle, RunConfig(output_dir=str(out)), manifest)
+    """The save hook that ``train`` passes to prefetch, writing into
+    ``out / "models"`` and ``out / "curves"``."""
+    for folder in ("models", "curves"):
+        (out / folder).mkdir(parents=True, exist_ok=True)
+    return functools.partial(_save_fold, RunConfig(output_dir=str(out)), manifest)
 
 
 @pytest.fixture(scope="module")
@@ -309,8 +312,8 @@ class TestExperimentRunner:
 
 
 def test_no_parameter_array_crosses_the_pool(tmp_path, monkeypatch):
-    # a cached net's job writes the net's file and returns its name and
-    # sha256, its training result and its outputs, not its weights
+    # a fit's job writes the fit's file and returns its name and sha256 and
+    # the fit's outputs: not a net's weights, and no SVM
     features, manifest = tiny_features(derive_rng(99, "tinyexp"))
     spec = ModelSpec(kind="cnn2d_var", **{**TINY, "conv2d_filters": (32, 16), "dense2d": 32,
                                           "epochs": 3})
@@ -323,12 +326,18 @@ def test_no_parameter_array_crosses_the_pool(tmp_path, monkeypatch):
         return results
 
     monkeypatch.setattr(pipeline, "fork_map", spy)
-    runner.prefetch(["cnn2d_var", "fusion_feature"], save_into(tmp_path, manifest))
+    runner.prefetch(["cnn2d_var", "fusion_feature", "svm_linear"], save_into(tmp_path, manifest))
+    svms = ("svm_var", "svm_pdc", "svm_cn", "svm_all")
     assert [job for job, _ in returned] == [
-        (label, fold) for label in ("fusion_feature", "var") for fold in range(2)]
+        (label, fold) for label in ("fusion_feature", "var", *svms) for fold in range(2)]
     for (label, fold), got in returned:
-        kind = pipeline.CACHED_NETS[label][1]
-        entries, _ = load_bundle(tmp_path / "models" / f"{kind}_fold{fold}.model")
+        name = f"{pipeline.FITS[label].row.result_id}_fold{fold}.model"
+        raw = (tmp_path / "models" / name).read_bytes()
+        assert got[0] == {name: hashlib.sha256(raw[:-32]).hexdigest()}, (label, fold)
+        if label in svms:
+            assert b"LinearSvm" not in pickle.dumps(got), (label, fold)
+            continue
+        entries, _ = load_bundle(tmp_path / "models" / name)
         param_bytes = sum(a.nbytes for a in entries["main"].param_dict().values())
         assert len(pickle.dumps(got)) < param_bytes / 10, (label, fold)
 
