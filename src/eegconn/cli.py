@@ -318,7 +318,8 @@ def cmd_train(cfg: RunConfig) -> int:
     _out_dir(cfg, "curves").mkdir(parents=True, exist_ok=True)
 
     kinds = model_kind_list(cfg)
-    runner.prefetch(kinds, functools.partial(_save_fold, cfg, manifest))
+    save = functools.partial(_save_fold, cfg, manifest)
+    written = runner.prefetch(kinds, save)
     failures = 0
     involved: set[Path] = set()  # the files of every row, and of the fits it reads
     kept: set[Path] = set()  # those of the rows trained
@@ -327,7 +328,7 @@ def cmd_train(cfg: RunConfig) -> int:
             files = _row_files(cfg, row, runner.k)
             involved |= files
             try:
-                result = runner.run_result(kind, row)
+                result = runner.run_result(kind, row, save, written)
             except Exception as exc:  # noqa: BLE001 - per-model isolation, nonzero exit below
                 failures += 1
                 print(f"{row.result_id}: FAILED ({exc})", file=sys.stderr)

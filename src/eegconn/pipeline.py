@@ -634,8 +634,6 @@ class ExperimentRunner:
         # (label, fold) -> a fit's outputs, or the exception its job raised
         self._member_cache: dict[tuple[str, int], Outputs | Exception] = {}
         self._splits: dict[int, tuple[list[str], list[str], list[str]]] = {}
-        self._save: Callable | None = None  # the save hook given to prefetch
-        self._written: dict[str, str] = {}  # model file name -> its sha256
 
     # ids and labels ---------------------------------------------------------
 
@@ -700,10 +698,10 @@ class ExperimentRunner:
             raise got
         return got
 
-    def prefetch(self, kinds, save: Callable) -> None:
+    def prefetch(self, kinds, save: Callable) -> dict[str, str]:
         """Make every fit that the kinds' result rows read, through
-        :func:`fork_map`, into the cache, and keep ``save`` for
-        :meth:`run_result`.
+        :func:`fork_map`, into the cache; the name and sha256 of every model
+        file the jobs wrote.
 
         A fit's job makes it and writes its files, the model file and
         learning curves of its ``Fit.row``, by ``save(kind, result_row,
@@ -715,19 +713,20 @@ class ExperimentRunner:
         or whose worker dies, leaves its exception in the cache for every
         result row that reads it.
         """
-        self._save = save
         labels = {label for kind in kinds for row in KINDS[kind].results for label in row.fits}
         jobs = [(label, fold) for label in FITS if label in labels for fold in range(self.k)]
-        results = fork_map(self._fit_job, jobs,
+        results = fork_map(partial(self._fit_job, save), jobs,
                            lambda job: f"{FITS[job[0]].doing} of fold {job[1]}")
+        written: dict[str, str] = {}
         for job, got in zip(jobs, results):
             if not isinstance(got, Exception):
-                written, pairs = got
-                self._written.update(written)
+                files, pairs = got
+                written.update(files)
                 got = Outputs(pairs=pairs)
             self._member_cache[job] = got
+        return written
 
-    def _fit_job(self, job: tuple[str, int]):
+    def _fit_job(self, save: Callable, job: tuple[str, int]):
         """One fit of :meth:`prefetch`, in a form that crosses a process
         boundary: the files the save hook wrote, and the fit's outputs by
         :func:`batch_key`."""
@@ -736,8 +735,8 @@ class ExperimentRunner:
         row = KINDS[fit.kind]
         core, curves = fit.make(self, label, fold)
         written: dict[str, str] = {}
-        self._save(fit.kind, fit.row, FittedModel(core, self.fold_stats(fold, row)), curves,
-                   fold, written)
+        save(fit.kind, fit.row, FittedModel(core, self.fold_stats(fold, row)), curves, fold,
+             written)
         # the batches that result rows read: every fit's test batch, and a
         # member's training and validation batches, on which score fusion
         # fits its stage 2
@@ -749,10 +748,13 @@ class ExperimentRunner:
 
     # per-result execution ---------------------------------------------------
 
-    def run_result(self, kind: str, result: "ResultRow") -> KindResult:
-        """Fit one result row of a kind on every fold, save each fold through
-        the hook that :meth:`prefetch` was given, and test it on the
-        held-out subjects."""
+    def run_result(self, kind: str, result: "ResultRow", save: Callable,
+                   written: dict[str, str]) -> KindResult:
+        """Fit one result row of a kind on every fold, save each fold by
+        ``save(kind, result, fitted, curves, fold, written)``, as a job of
+        :meth:`prefetch` saves its fit, and test it on the held-out
+        subjects.  ``written`` holds the model files that :meth:`prefetch`
+        wrote, which the row's bundles refer to."""
         row = KINDS[kind]
         folds: list[FoldOutcome] = []
         for fold in range(self.k):
@@ -764,7 +766,7 @@ class ExperimentRunner:
             folds.append(FoldOutcome(fold, evaluate(
                 self.names_of_bits(bits), [self.labels[s] for s in test_ids],
                 self.positive_class)))
-            self._save(kind, result, fitted, curves, fold, self._written)
+            save(kind, result, fitted, curves, fold, written)
         report = MetricsReport.from_folds([f.metrics for f in folds])
         return KindResult(kind, result.result_id, folds, report)
 

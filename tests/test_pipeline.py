@@ -249,8 +249,10 @@ def run(tmp_path_factory):
     kinds = ["cnn2d_var", "cnn2d_pdc", "cnn1d_cn", "fusion_feature",
              "fusion_score", "fusion_decision", "svm_linear"]
     out = tmp_path_factory.mktemp("tinyexp")
-    runner.prefetch(kinds, save_into(out, manifest))
-    results = [runner.run_result(kind, row) for kind in kinds for row in KINDS[kind].results]
+    save = save_into(out, manifest)
+    written = runner.prefetch(kinds, save)
+    results = [runner.run_result(kind, row, save, written)
+               for kind in kinds for row in KINDS[kind].results]
     return runner, results, manifest, out / "models"
 
 
