@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import shutil
 import sys
 import traceback
 import warnings
@@ -19,7 +20,7 @@ from pathlib import Path
 import numpy as np
 
 from .config import RunConfig, band_filter_list, model_kind_list, parse_config
-from .container import read_container, write_container
+from .container import PARTIAL, read_container, whole_file, write_container
 from .eeg_io import CohortManifest, ManifestEntry, load_manifest, load_recording, standardize
 from .errors import EegConnError, ValidationError
 from .netmetrics import cn_features
@@ -52,7 +53,7 @@ from .reporting import (
     format_latency_table,
     latency_table_csv,
     learning_curve_svg,
-    write_pgm,
+    pgm_heatmap,
 )
 from .spectral import BandSpec, band_pdc
 from .var_model import fit_var, var_feature_tensor
@@ -65,9 +66,14 @@ def _safe_name(sid: str) -> str:
     return "".join(c if (c.isalnum() or c in "-_") else "_" for c in sid)
 
 
-def _out_dir(cfg: RunConfig, name: str) -> Path:
-    """One of the output subdirectories: features, models, curves or report."""
-    return Path(cfg.output_dir) / name
+def _out(cfg: RunConfig, *parts: str) -> Path:
+    """The path of a file or folder under the output directory."""
+    return Path(cfg.output_dir).joinpath(*parts)
+
+
+def _write_text(path: Path, text: str) -> None:
+    with whole_file(path) as fh:
+        fh.write(text.encode())
 
 
 def _load_manifest(cfg: RunConfig) -> CohortManifest:
@@ -97,9 +103,7 @@ def cmd_extract(cfg: RunConfig) -> int:
     """Extract every manifest subject through :func:`fork_map`, then report
     them in manifest order; a failed subject keeps no feature containers."""
     manifest = _load_manifest(cfg)
-    feat_dir = _out_dir(cfg, "features")
-    feat_dir.mkdir(parents=True, exist_ok=True)
-    extract = functools.partial(_extract_subject, cfg, Path(cfg.manifest).parent, feat_dir)
+    extract = functools.partial(_extract_subject, cfg, Path(cfg.manifest).parent)
     results = fork_map(extract, manifest.entries,
                        lambda entry: f"extracting {entry.subject_id}")
     failures = 0
@@ -114,8 +118,9 @@ def cmd_extract(cfg: RunConfig) -> int:
         if isinstance(outcome, Exception):
             failures += 1
             # also where a dead worker could not clean up after itself
-            for path in _feature_paths(feat_dir, entry.subject_id).values():
+            for path in _feature_paths(cfg, entry.subject_id).values():
                 path.unlink(missing_ok=True)
+                path.with_name(path.name + PARTIAL).unlink(missing_ok=True)
             print(f"{entry.subject_id}: FAILED ({outcome})", file=sys.stderr)
         else:
             print(outcome)
@@ -123,8 +128,7 @@ def cmd_extract(cfg: RunConfig) -> int:
     return 1 if failures else 0
 
 
-def _extract_subject(cfg: RunConfig, base: Path, feat_dir: Path,
-                     entry: ManifestEntry) -> tuple[list, object]:
+def _extract_subject(cfg: RunConfig, base: Path, entry: ManifestEntry) -> tuple[list, object]:
     """Extract one subject and write its three containers: the warnings it
     raised, as (message, file, line), and its summary line or exception."""
     sid = entry.subject_id
@@ -141,21 +145,20 @@ def _extract_subject(cfg: RunConfig, base: Path, feat_dir: Path,
             bands = BandSpec()
             pdc = band_pdc(model, bands, cfg.band_grid_step, cfg.exclude_self)
             cn = cn_features(pdc)
-            paths = _feature_paths(feat_dir, sid)
-            write_container(paths["var"], "VAR", var_t, sid, entry.label)
-            write_container(paths["pdc"], "PDC", pdc.values, sid, entry.label, bands=bands)
-            write_container(paths["cn"], "CN", cn.values, sid, entry.label, bands=bands)
-            outcome = (f"{sid}: var={'x'.join(map(str, var_t.shape))} "
-                       f"pdc={'x'.join(map(str, pdc.values.shape))} "
-                       f"cn={'x'.join(map(str, cn.values.shape))} ok")
+            arrays = dict(zip(DOMAINS, (var_t, pdc.values, cn.values)))
+            for domain, path in _feature_paths(cfg, sid).items():
+                write_container(path, FEATURE_KIND_BY_DOMAIN[domain], arrays[domain], sid,
+                                entry.label, bands=None if domain == "var" else bands)
+            outcome = " ".join([f"{sid}:", *(f"{d}={'x'.join(map(str, a.shape))}"
+                                              for d, a in arrays.items()), "ok"])
         except Exception as exc:  # noqa: BLE001 - per-subject isolation is the contract
             outcome = exc
     return [(w.message, w.filename, w.lineno) for w in caught], outcome
 
 
-def _feature_paths(feat_dir: Path, sid: str) -> dict[str, Path]:
+def _feature_paths(cfg: RunConfig, sid: str) -> dict[str, Path]:
     """A subject's feature container per domain."""
-    return {d: feat_dir / f"{_safe_name(sid)}_{d}.feat" for d in DOMAINS}
+    return {d: _out(cfg, "features", f"{_safe_name(sid)}_{d}.feat") for d in DOMAINS}
 
 
 def load_features(cfg: RunConfig, manifest: CohortManifest) -> tuple[dict, tuple[str, ...]]:
@@ -165,9 +168,7 @@ def load_features(cfg: RunConfig, manifest: CohortManifest) -> tuple[dict, tuple
     after reading them all if any subject's arrays or bands differ from the
     first subject's, naming every such subject.
     """
-    feat_dir = _out_dir(cfg, "features")
-    paths = {entry.subject_id: _feature_paths(feat_dir, entry.subject_id)
-             for entry in manifest.entries}
+    paths = {entry.subject_id: _feature_paths(cfg, entry.subject_id) for entry in manifest.entries}
     missing = [sid for sid, per in paths.items() if not all(p.exists() for p in per.values())]
     if missing:
         raise ValidationError(
@@ -245,17 +246,8 @@ def core_from_bundle(entries: dict, meta: dict) -> FittedModel:
 
 
 def _write_curve_csv(path: Path, curve) -> None:
-    lines = ["epoch,train_loss,val_loss"]
-    for i, (tr, vl) in enumerate(curve):
-        lines.append(f"{i},{tr!r},{vl!r}")
-    path.write_text("\n".join(lines) + "\n")
-
-
-def write_fold_plan(path: Path, plan: FoldPlan, ordered_ids: list[str]) -> None:
-    lines = ["subject_id,fold"]
-    for sid in ordered_ids:
-        lines.append(f"{sid},{plan.assignments[sid]}")
-    path.write_text("\n".join(lines) + "\n")
+    _write_text(path, "".join(["epoch,train_loss,val_loss\n",
+                               *(f"{i},{tr!r},{vl!r}\n" for i, (tr, vl) in enumerate(curve))]))
 
 
 def read_fold_plan(path: Path) -> FoldPlan:
@@ -311,37 +303,36 @@ def cmd_train(cfg: RunConfig) -> int:
         svm_learning_rate=cfg.svm_learning_rate, svm_steps=cfg.svm_steps,
         standardize_inputs=cfg.standardize_features,
     )
-    out = Path(cfg.output_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    write_fold_plan(out / "folds.csv", runner.plan, manifest.subject_ids())
-    _out_dir(cfg, "models").mkdir(parents=True, exist_ok=True)
-    _out_dir(cfg, "curves").mkdir(parents=True, exist_ok=True)
+    # this run's folds replace those that the earlier scores and report describe
+    _out(cfg, "metrics.json").unlink(missing_ok=True)
+    if _out(cfg, "report").is_dir():
+        shutil.rmtree(_out(cfg, "report"))
+    _write_text(_out(cfg, "folds.csv"), "".join(
+        ["subject_id,fold\n",
+         *(f"{sid},{runner.plan.assignments[sid]}\n" for sid in manifest.subject_ids())]))
 
     kinds = model_kind_list(cfg)
     save = functools.partial(_save_fold, cfg, manifest)
     written = runner.prefetch(kinds, save)
     failures = 0
-    involved: set[Path] = set()  # the files of every row, and of the fits it reads
-    kept: set[Path] = set()  # those of the rows trained
+    kept: set[Path] = set()  # the files of the rows trained, and of the fits they read
     for kind in kinds:
         for row in KINDS[kind].results:
-            files = _row_files(cfg, row, runner.k)
-            involved |= files
             try:
                 result = runner.run_result(kind, row, save, written)
             except Exception as exc:  # noqa: BLE001 - per-model isolation, nonzero exit below
                 failures += 1
                 print(f"{row.result_id}: FAILED ({exc})", file=sys.stderr)
                 continue
-            kept |= files
+            kept |= _row_files(cfg, row, runner.k)
             print(f"{result.result_id}: trained {len(result.folds)} folds, "
                   f"modified accuracy {result.report.mean['modified_accuracy']:.2f}% "
                   f"(+/-{result.report.sd['modified_accuracy']:.2f})")
-    # a failed row keeps no model or curve file, not even one of an earlier
-    # run, and a fit's file that no trained row reads goes too: also where a
-    # worker died while writing it
-    for path in involved - kept:
-        path.unlink(missing_ok=True)
+    # nothing else stays: no file of a failed row, none of an earlier run's
+    # rows, trained on other folds, and nothing that a dead worker left
+    for path in [*_out(cfg, "models").glob("*"), *_out(cfg, "curves").glob("*")]:
+        if path not in kept:
+            path.unlink()
     return 1 if failures else 0
 
 
@@ -351,8 +342,8 @@ def _model_name(result_id: str, fold: int) -> str:
 
 def _fold_files(cfg: RunConfig, row: ResultRow, fold: int) -> list[Path]:
     """A result row's model file of one fold, then its learning-curve files."""
-    return [_out_dir(cfg, "models") / _model_name(row.result_id, fold),
-            *(_out_dir(cfg, "curves") / f"{stem}_fold{fold}.csv" for stem in row.curves)]
+    return [_out(cfg, "models", _model_name(row.result_id, fold)),
+            *(_out(cfg, "curves", f"{stem}_fold{fold}.csv") for stem in row.curves)]
 
 
 def _row_files(cfg: RunConfig, row: ResultRow, k: int) -> set[Path]:
@@ -433,7 +424,7 @@ def cmd_eval(cfg: RunConfig) -> int:
     manifest = _load_manifest(cfg)
     check_positive_class(cfg.positive_class, manifest.class_names)
     features, band_names = load_features(cfg, manifest)
-    plan_path = Path(cfg.output_dir) / "folds.csv"
+    plan_path = _out(cfg, "folds.csv")
     plan = read_fold_plan(plan_path)
     _check_fold_plan(plan, manifest.subject_ids(), plan_path)
     results = _expand_result_ids(model_kind_list(cfg))
@@ -475,8 +466,8 @@ def cmd_eval(cfg: RunConfig) -> int:
         "seed": cfg.seed,
         "rows": rows,
     }
-    out = Path(cfg.output_dir) / "metrics.json"
-    out.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
+    out = _out(cfg, "metrics.json")
+    _write_text(out, json.dumps(payload, indent=2, sort_keys=True) + "\n")
     print(f"wrote {out}")
     return 1 if failed else 0
 
@@ -490,14 +481,14 @@ def _eval_fold(cfg: RunConfig, manifest: CohortManifest, features: dict,
     The rows of a fold share its member files and nets, which one
     :class:`FoldModels` reads and runs once.
     """
-    models, models_dir = FoldModels(), _out_dir(cfg, "models")
+    models = FoldModels()
     test_ids = plan.test_ids(fold, manifest.subject_ids())
     labels = manifest.labels()
     truth = [labels[sid] for sid in test_ids]
     outcomes: list = []
     for result_id, kind, feature_set in results:
         try:
-            core, meta, band_idx = load_model(models_dir / _model_name(result_id, fold),
+            core, meta, band_idx = load_model(_out(cfg, "models", _model_name(result_id, fold)),
                                               band_names, models.load)
             bits, _ = predict_with_core(core, kind, features, test_ids, band_idx, feature_set)
             class_names = tuple(meta["class_names"])
@@ -550,28 +541,23 @@ def cmd_predict(cfg: RunConfig, model_path: str, input_paths: list[str]) -> int:
 # -- report --------------------------------------------------------------------
 
 
-def _report_curves(cfg: RunConfig, report_dir: Path) -> int:
-    curves_dir = _out_dir(cfg, "curves")
+def _report_curves(cfg: RunConfig) -> int:
     count = 0
-    for csv_path in sorted(curves_dir.glob("*.csv")):
-        lines = csv_path.read_text().splitlines()[1:]
-        curve = []
-        for line in lines:
-            _, tr, vl = line.split(",")
-            curve.append((float(tr), float(vl)))
+    for csv_path in sorted(_out(cfg, "curves").glob("*.csv")):
+        rows = (line.split(",") for line in csv_path.read_text().splitlines()[1:])
+        curve = [(float(tr), float(vl)) for _, tr, vl in rows]
         if not curve:
             continue
-        svg = learning_curve_svg(curve, csv_path.stem)
-        (report_dir / f"{csv_path.stem}.svg").write_text(svg)
+        _write_text(_out(cfg, "report", f"{csv_path.stem}.svg"),
+                    learning_curve_svg(curve, csv_path.stem))
         count += 1
     return count
 
 
-def _report_feature_maps(cfg: RunConfig, manifest, features, load, report_dir: Path) -> int:
-    sid = cfg.report_subject or manifest.subject_ids()[0]
+def _report_feature_maps(cfg: RunConfig, sid: str, features, load) -> int:
     if sid not in features:
         raise ValidationError(f"report subject {sid!r} has no extracted features")
-    paths = {kind: _out_dir(cfg, "models") / _model_name(kind, 0)
+    paths = {kind: _out(cfg, "models", _model_name(kind, 0))
              for kind in ("cnn2d_pdc", "cnn2d_var")}
     kind = next((kind for kind, path in paths.items() if path.exists()), None)
     if kind is None:
@@ -590,57 +576,54 @@ def _report_feature_maps(cfg: RunConfig, manifest, features, load, report_dir: P
     written = 0
     for li, rec_idx in enumerate(conv_post_relu[:2], start=1):
         maps = record[rec_idx][0]  # (H, W, R)
-        layer_dir = report_dir / "featmaps" / f"layer{li}"
-        layer_dir.mkdir(parents=True, exist_ok=True)
+        layer = ("report", "featmaps", f"layer{li}")
         for r in range(maps.shape[-1]):
             img = maps[:, :, r]
-            write_pgm(layer_dir / f"map_{r:03d}.pgm", img,
-                      comment=f"{kind} {sid} layer{li} map{r}")
+            _write_text(_out(cfg, *layer, f"map_{r:03d}.pgm"),
+                        pgm_heatmap(img, comment=f"{kind} {sid} layer{li} map{r}"))
             if cfg.report_ascii:
-                (layer_dir / f"map_{r:03d}.txt").write_text(ascii_heatmap(img) + "\n")
+                _write_text(_out(cfg, *layer, f"map_{r:03d}.txt"), ascii_heatmap(img) + "\n")
             written += 1
     print(f"feature maps for subject {sid} from {kind}: {written} heatmaps")
     return written
 
 
-def _report_latency(cfg: RunConfig, features, load, manifest, report_dir: Path) -> list[dict]:
-    sid = cfg.report_subject or manifest.subject_ids()[0]
-    models_dir = _out_dir(cfg, "models")
+def _report_latency(cfg: RunConfig, sid: str, features, load) -> int:
+    """Time each row's fold-0 model into latency.csv; the number of rows that failed."""
     rows = []
+    failures = 0
     for result_id, kind, feature_set in _expand_result_ids(model_kind_list(cfg)):
-        path = models_dir / _model_name(result_id, 0)
+        path = _out(cfg, "models", _model_name(result_id, 0))
         if not path.exists():
             continue
-        core, meta, band_idx = load(path)
-        ms = time_classification(core, kind, features, sid,
-                                 repetitions=cfg.latency_repetitions,
-                                 band_idx=band_idx, feature_set=feature_set)
-        rows.append({
-            "model": result_id,
-            "feature": meta.get("feature", feature_set),
-            "mean_ms": ms,
-            "repetitions": cfg.latency_repetitions,
-        })
+        try:
+            core, meta, band_idx = load(path)
+            ms = time_classification(core, kind, features, sid,
+                                     repetitions=cfg.latency_repetitions,
+                                     band_idx=band_idx, feature_set=feature_set)
+        except Exception as exc:  # noqa: BLE001 - per-model isolation, nonzero exit in cmd_report
+            failures += 1
+            print(f"{result_id}: FAILED ({exc})", file=sys.stderr)
+            continue
+        rows.append({"model": result_id, "feature": meta.get("feature", feature_set),
+                     "mean_ms": ms, "repetitions": cfg.latency_repetitions})
     if rows:
-        (report_dir / "latency.csv").write_text(latency_table_csv(rows))
+        _write_text(_out(cfg, "report", "latency.csv"), latency_table_csv(rows))
         print(format_latency_table(rows))
-    return rows
+    return failures
 
 
 def cmd_report(cfg: RunConfig) -> int:
     manifest = _load_manifest(cfg)
     features, band_names = load_features(cfg, manifest)
-    report_dir = _out_dir(cfg, "report")
-    report_dir.mkdir(parents=True, exist_ok=True)
-    n_curves = _report_curves(cfg, report_dir)
-    print(f"learning-curve SVGs: {n_curves}")
+    print(f"learning-curve SVGs: {_report_curves(cfg)}")
     # One plain load_bundle cache, so each model file is read once.  Not a
     # FoldModels: its forward memo would time cached outputs as latency.
     load = functools.partial(load_model, band_names=band_names,
                              load=functools.partial(load_bundle, cache={}))
-    _report_feature_maps(cfg, manifest, features, load, report_dir)
-    _report_latency(cfg, features, load, manifest, report_dir)
-    return 0
+    sid = cfg.report_subject or manifest.subject_ids()[0]
+    _report_feature_maps(cfg, sid, features, load)
+    return 1 if _report_latency(cfg, sid, features, load) else 0
 
 
 # -- entry point ---------------------------------------------------------------

@@ -9,6 +9,7 @@ container's header holds the feature kind, shape, bands, subject and label.
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
 import json
 import math
@@ -27,6 +28,23 @@ FORMAT_MINOR = 0
 
 FEATURE_KINDS = ("VAR", "PDC", "CN")
 BANDED_KINDS = ("PDC", "CN")  # last axis: one entry per band
+PARTIAL = ".partial"
+
+
+@contextlib.contextmanager
+def whole_file(path):
+    """``<path>.partial``, opened for binary writing in ``path``'s directory
+    (made if missing); it replaces ``path`` when the body returns and goes
+    when the body raises, so ``path`` is written whole or not at all."""
+    path = Path(path)
+    path.parent.mkdir(parents=True, exist_ok=True)
+    partial = path.with_name(path.name + PARTIAL)
+    try:
+        with open(partial, "wb") as fh:
+            yield fh
+        os.replace(partial, path)
+    finally:
+        partial.unlink(missing_ok=True)
 
 
 def write_framed(path, magic: bytes, major: int, header: dict, arrays: list[np.ndarray]) -> str:
@@ -35,7 +53,7 @@ def write_framed(path, magic: bytes, major: int, header: dict, arrays: list[np.n
     the hex sha256 of the file's bytes before the trailer."""
     header_bytes = json.dumps(header, sort_keys=True).encode()
     sha = hashlib.sha256()
-    with open(path, "wb") as fh:
+    with whole_file(path) as fh:
         for chunk in (magic, struct.pack("<II", major, len(header_bytes)), header_bytes,
                       *arrays):
             sha.update(chunk)

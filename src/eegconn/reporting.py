@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-from pathlib import Path
-
 import numpy as np
 
 from .errors import ValidationError
@@ -54,8 +52,8 @@ def learning_curve_svg(curve: list[tuple[float, float]], title: str) -> str:
     return "\n".join(parts)
 
 
-def write_pgm(path: str | Path, image: np.ndarray, comment: str = "") -> None:
-    """Write a 2-D array as an ASCII (P2) PGM, min/max scaled to 0..255."""
+def pgm_heatmap(image: np.ndarray, comment: str = "") -> str:
+    """A 2-D array as the text of an ASCII (P2) PGM, min/max scaled to 0..255."""
     img = np.asarray(image, dtype=float)
     if img.ndim != 2:
         raise ValidationError(f"heatmap must be 2-D, got shape {img.shape}")
@@ -68,7 +66,7 @@ def write_pgm(path: str | Path, image: np.ndarray, comment: str = "") -> None:
     lines.append(f"{img.shape[1]} {img.shape[0]}")
     lines.append("255")
     lines += [" ".join(str(v) for v in row) for row in pixels]
-    Path(path).write_text("\n".join(lines) + "\n")
+    return "\n".join(lines) + "\n"
 
 
 def ascii_heatmap(image: np.ndarray) -> str:

@@ -2,6 +2,7 @@
 
 import json
 import os
+import re
 import shutil
 import subprocess
 import sys
@@ -15,7 +16,7 @@ from oracles import flip_bit, resign, retarget
 from eegconn import cli, container, pipeline
 from eegconn.cli import main
 from eegconn.config import parse_config
-from eegconn.container import read_container, write_container
+from eegconn.container import PARTIAL, read_container, write_container
 from eegconn.errors import ConfigError, TrainingDivergedError
 from eegconn.nn import Network, save_bundle, serialize
 from eegconn.pipeline import ModelSpec, build_domain_network
@@ -241,6 +242,21 @@ def small_cohort(tmp_path: Path) -> Path:
     """Six subjects, sz000-sz002 then hc000-hc002; the manifest's path."""
     return make_synthetic_cohort(tmp_path / "data", seed=3, n_group_a=3, n_group_b=3,
                                  channels=4, samples=300)
+
+
+def readme_layout() -> dict[str, re.Pattern]:
+    """The file patterns of README's "Output artifacts" block by pattern, each
+    as a regex: ``<name>`` stands for one path segment, ``{a,b}`` for a or b."""
+    text = (SRC.parent / "README.md").read_text()
+    block = text.split("### Output artifacts", 1)[1].split("```")[1]
+    layout = {}
+    for line in block.splitlines():
+        if line.startswith("  ") and not line.startswith("   "):  # not a note's next line
+            glob = line.split()[0]
+            regex = re.sub(r"<[^>]+>", "[^/]+", re.escape(glob))
+            regex = re.sub(r"\\\{([^}]+)\\\}", lambda m: f"(?:{m[1].replace(',', '|')})", regex)
+            layout[glob] = re.compile(regex)
+    return layout
 
 
 def copy_for_eval(workspace, tmp_path: Path) -> Path:
@@ -614,6 +630,31 @@ class TestTrain:
         assert main(["report", "--config", str(cfg)]) == 0
         assert "learning-curve SVGs: 0" in capsys.readouterr().out
         assert not list((out / "report").glob("*.svg"))
+
+    def test_narrower_retrain_keeps_only_its_own_files(self, workspace, tmp_path, capsys):
+        _, _, out, manifest = workspace
+        copy = tmp_path / "out"
+        shutil.copytree(out, copy)  # all seven kinds trained, evaluated and reported, seed 11
+        cfg = write_config(tmp_path / "r.cfg", manifest, copy, model_kinds="cnn2d_var",
+                           seed=12, epochs=2)
+        assert main(["train", "--config", str(cfg)]) == 0
+        assert {p.name for p in (copy / "models").iterdir()} == {
+            "cnn2d_var_fold0.model", "cnn2d_var_fold1.model"}
+        assert {p.name for p in (copy / "curves").iterdir()} == {
+            "domain_var_fold0.csv", "domain_var_fold1.csv"}
+        assert not (copy / "metrics.json").exists()
+        assert not (copy / "report").exists()
+        # the earlier run's other models were trained on some of this run's
+        # test subjects, so eval must not score them
+        cfg = write_config(tmp_path / "r.cfg", manifest, copy, seed=12, epochs=2,
+                           model_kinds="cnn2d_var,cnn2d_pdc,svm_linear")
+        capsys.readouterr()
+        assert main(["eval", "--config", str(cfg)]) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert [line.partition(": FAILED (")[0] for line in err] == [
+            "cnn2d_pdc", "svm_var", "svm_pdc", "svm_cn", "svm_all"]
+        assert [row["model"] for row in json.loads((copy / "metrics.json").read_text())["rows"]
+                ] == ["cnn2d_var"]
 
     def test_net_failing_in_one_fold_keeps_none_of_its_files(self, workspace, tmp_path,
                                                              monkeypatch, capsys):
@@ -1242,6 +1283,36 @@ class TestReport:
         assert len(table) - 1 == len(RESULT_IDS)
         for line in table[1:]:
             assert float(line.split(",")[2]) > 0.0
+
+    def test_unreadable_model_fails_only_its_row(self, workspace, tmp_path, capsys):
+        _, _, _, manifest = workspace
+        copy = copy_for_eval(workspace, tmp_path)
+        bundle = copy / "models" / "svm_cn_fold0.model"
+        data = bundle.read_bytes()
+        bundle.write_bytes(data[: len(data) // 2])
+        cfg = write_config(tmp_path / "r.cfg", manifest, copy)
+        capsys.readouterr()
+        assert main(["report", "--config", str(cfg)]) == 1
+        assert capsys.readouterr().err.splitlines() == [
+            f"svm_cn: FAILED ({bundle}: checksum mismatch)"]
+        table = (copy / "report" / "latency.csv").read_text().splitlines()
+        assert [line.split(",")[0] for line in table[1:]] == [
+            rid for rid in RESULT_IDS if rid != "svm_cn"]
+
+
+class TestLayout:
+    def test_every_file_is_in_the_documented_layout(self, workspace):
+        _, _, out, _ = workspace
+        layout = readme_layout()
+        files = [p.relative_to(out).as_posix() for p in sorted(out.rglob("*")) if p.is_file()]
+        assert not [name for name in files if name.endswith(PARTIAL)]
+        assert [name for name in files
+                if not any(regex.fullmatch(name) for regex in layout.values())] == []
+        # and every pattern names files of this run, but the text heatmaps,
+        # which need report_ascii
+        assert [glob for glob, regex in layout.items()
+                if not any(regex.fullmatch(name) for name in files)] == [
+            "report/featmaps/layer<n>/map_<r>.txt"]
 
 
 @pytest.mark.skipif(len(os.sched_getaffinity(0)) < 2, reason="needs 2 usable CPUs")

@@ -1,14 +1,18 @@
 import hashlib
 import json
+import os
 import re
 import struct
+import subprocess
+import sys
+from pathlib import Path
 from typing import Callable, NamedTuple
 
 import numpy as np
 import pytest
 from oracles import flip_bit, resign, retarget
 
-from eegconn.container import MAGIC, read_container, write_container
+from eegconn.container import MAGIC, read_container, whole_file, write_container
 from eegconn.errors import ChecksumError, ShapeError, ValidationError
 from eegconn.nn import (
     Dense,
@@ -334,3 +338,56 @@ def test_writer_refuses_a_reference_outside_the_directory(tmp_path, name):
     with pytest.raises(ValidationError, match="is not a file name"):
         save_bundle(path, {"member_a": serialize.BundleRef(name, "0" * 64, "main")}, meta={})
     assert not path.exists()
+
+
+# Writes a VAR container over argv 1 with the writer's process killed after
+# the first two chunks of the file, as a crash would.
+KILL_MID_WRITE = r"""
+import os
+import sys
+import types
+
+import numpy as np
+
+from eegconn import container
+
+
+class DieOnThirdChunk:  # stands in for the sha256 that sees each chunk before the file
+    def __init__(self):
+        self.chunks = 0
+
+    def update(self, chunk):
+        self.chunks += 1
+        if self.chunks == 3:
+            os._exit(9)
+
+
+container.hashlib = types.SimpleNamespace(sha256=DieOnThirdChunk)
+container.write_container(sys.argv[1], "VAR", np.ones((2, 2, 1)), "s1")
+"""
+
+
+class TestWholeFile:
+    def test_body_that_raises_leaves_the_earlier_file(self, tmp_path):
+        path = tmp_path / "features" / "s1_var.feat"  # the writer makes the directory
+        write_container(path, "VAR", np.zeros((2, 2, 1)), "s1")
+        before = path.read_bytes()
+        with pytest.raises(RuntimeError, match="cut short"):
+            with whole_file(path) as fh:
+                fh.write(before[:10])
+                raise RuntimeError("cut short")
+        assert path.read_bytes() == before
+        assert [p.name for p in path.parent.iterdir()] == ["s1_var.feat"]
+
+    def test_killed_writer_leaves_the_earlier_container(self, tmp_path):
+        path = tmp_path / "s1_var.feat"
+        write_container(path, "VAR", np.zeros((2, 2, 1)), "s1")
+        before = path.read_bytes()
+        src = Path(__file__).resolve().parents[1] / "src"
+        proc = subprocess.run([sys.executable, "-c", KILL_MID_WRITE, str(path)],
+                              env=dict(os.environ, PYTHONPATH=str(src)),
+                              capture_output=True, text=True, timeout=60)
+        assert proc.returncode == 9, proc.stderr
+        assert path.read_bytes() == before
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["s1_var.feat",
+                                                              "s1_var.feat.partial"]
