@@ -20,7 +20,7 @@ from pathlib import Path
 import numpy as np
 
 from .config import RunConfig, band_filter_list, model_kind_list, parse_config
-from .container import PARTIAL, read_container, whole_file, write_container
+from .container import PARTIAL, header_field, read_container, whole_file, write_container
 from .eeg_io import CohortManifest, ManifestEntry, load_manifest, load_recording, standardize
 from .errors import EegConnError, ValidationError
 from .netmetrics import cn_features
@@ -34,7 +34,6 @@ from .pipeline import (
     ExperimentRunner,
     FittedModel,
     FoldPlan,
-    Member,
     MetricsReport,
     ModelSpec,
     Outputs,
@@ -91,9 +90,9 @@ def _load_manifest(cfg: RunConfig) -> CohortManifest:
     return manifest
 
 
-def _expand_result_ids(kinds: list[str]) -> list[tuple[str, str, str]]:
-    """(result_id, kind, feature_set) triples; the SVM expands to four rows."""
-    return [(row.result_id, kind, row.feature_set) for kind in kinds for row in KINDS[kind].results]
+def _result_rows(cfg: RunConfig) -> list[ResultRow]:
+    """The result rows of the configured kinds; the SVM has four."""
+    return [row for kind in model_kind_list(cfg) for row in KINDS[kind].results]
 
 
 # -- extract -----------------------------------------------------------------
@@ -311,23 +310,22 @@ def cmd_train(cfg: RunConfig) -> int:
         ["subject_id,fold\n",
          *(f"{sid},{runner.plan.assignments[sid]}\n" for sid in manifest.subject_ids())]))
 
-    kinds = model_kind_list(cfg)
+    rows = _result_rows(cfg)
     save = functools.partial(_save_fold, cfg, manifest)
-    written = runner.prefetch(kinds, save)
+    written = runner.prefetch(rows, save)
     failures = 0
     kept: set[Path] = set()  # the files of the rows trained, and of the fits they read
-    for kind in kinds:
-        for row in KINDS[kind].results:
-            try:
-                result = runner.run_result(kind, row, save, written)
-            except Exception as exc:  # noqa: BLE001 - per-model isolation, nonzero exit below
-                failures += 1
-                print(f"{row.result_id}: FAILED ({exc})", file=sys.stderr)
-                continue
-            kept |= _row_files(cfg, row, runner.k)
-            print(f"{result.result_id}: trained {len(result.folds)} folds, "
-                  f"modified accuracy {result.report.mean['modified_accuracy']:.2f}% "
-                  f"(+/-{result.report.sd['modified_accuracy']:.2f})")
+    for row in rows:
+        try:
+            report = runner.run_result(row, save, written)
+        except Exception as exc:  # noqa: BLE001 - per-model isolation, nonzero exit below
+            failures += 1
+            print(f"{row.result_id}: FAILED ({exc})", file=sys.stderr)
+            continue
+        kept |= _row_files(cfg, row, runner.k)
+        print(f"{row.result_id}: trained {len(report.per_fold)} folds, "
+              f"modified accuracy {report.mean['modified_accuracy']:.2f}% "
+              f"(+/-{report.sd['modified_accuracy']:.2f})")
     # nothing else stays: no file of a failed row, none of an earlier run's
     # rows, trained on other folds, and nothing that a dead worker left
     for path in [*_out(cfg, "models").glob("*"), *_out(cfg, "curves").glob("*")]:
@@ -336,13 +334,13 @@ def cmd_train(cfg: RunConfig) -> int:
     return 1 if failures else 0
 
 
-def _model_name(result_id: str, fold: int) -> str:
-    return f"{result_id}_fold{fold}.model"
+def _model_path(cfg: RunConfig, row: ResultRow, fold: int) -> Path:
+    return _out(cfg, "models", f"{row.result_id}_fold{fold}.model")
 
 
 def _fold_files(cfg: RunConfig, row: ResultRow, fold: int) -> list[Path]:
     """A result row's model file of one fold, then its learning-curve files."""
-    return [_out(cfg, "models", _model_name(row.result_id, fold)),
+    return [_model_path(cfg, row, fold),
             *(_out(cfg, "curves", f"{stem}_fold{fold}.csv") for stem in row.curves)]
 
 
@@ -353,25 +351,26 @@ def _row_files(cfg: RunConfig, row: ResultRow, k: int) -> set[Path]:
     return {path for r in rows for fold in range(k) for path in _fold_files(cfg, r, fold)}
 
 
-def _save_fold(cfg: RunConfig, manifest: CohortManifest, kind: str, row: ResultRow,
+def _save_fold(cfg: RunConfig, manifest: CohortManifest, row: ResultRow,
                fitted: FittedModel, curves: tuple, fold: int, written: dict[str, str]) -> None:
     """Write a result row's model bundle of one fold and its learning
     curves, in ``row.curves`` order, and record the bundle's name and sha256
     in ``written``, unless ``written`` holds the bundle already because the
-    job of the row's fit wrote them.  A ``Member`` entry becomes a reference
-    to the file of its row, which ``written`` holds."""
+    job of the row's fit wrote them.  A member's ``ResultRow`` entry becomes
+    a reference to the ``NET_ROLE`` entry of that row's file, which
+    ``written`` holds."""
     path, *curve_paths = _fold_files(cfg, row, fold)
     if path.name in written:
         return
-    entries, extra_meta = KINDS[kind].bundle(fitted.core)
+    entries, extra_meta = KINDS[row.kind].bundle(fitted.core)
     for role, entry in entries.items():
-        if isinstance(entry, Member):
-            member = _model_name(entry.result_id, fold)
+        if isinstance(entry, ResultRow):
+            member = _model_path(cfg, entry, fold).name
             entries[role] = BundleRef(member, written[member], NET_ROLE)
     for domain, (mean, sd) in (fitted.stats or {}).items():
         entries[f"stats_{domain}"] = {"mean": mean, "sd": sd}
     meta = {
-        "model_kind": kind,
+        "model_kind": row.kind,
         "feature": row.feature,
         "feature_set": row.feature_set,
         "class_names": list(manifest.class_names),
@@ -412,10 +411,30 @@ class FoldModels:
 def load_model(path, band_names: tuple[str, ...], load=load_bundle
                ) -> tuple[FittedModel, dict, list[int] | None]:
     """A saved model, its metadata, and the positions of its band filter in
-    ``band_names``; ``load(path)`` reads the bundle."""
+    ``band_names``; ``load(path)`` reads the bundle.  Metadata that lacks a
+    key that readers use, holds one at another type, or names no kind of
+    ``KINDS`` or not two classes, is a ValidationError naming the file."""
     entries, meta = load(path)
-    return (core_from_bundle(entries, meta), meta,
-            band_indices(meta.get("band_filter") or None, band_names))
+    kind = header_field(path, meta, "model_kind", str)
+    if kind not in KINDS:
+        raise ValidationError(f"{path}: unknown model kind {kind!r}")
+    class_names = header_field(path, meta, "class_names", list)
+    if len(class_names) != 2 or not all(isinstance(name, str) for name in class_names):
+        raise ValidationError(f"{path}: class_names {class_names!r} are not two names")
+    header_field(path, meta, "feature_set", str)
+    band_filter = header_field(path, meta, "band_filter", list)
+    return core_from_bundle(entries, meta), meta, band_indices(band_filter or None, band_names)
+
+
+def _load_row(load, path: Path, row: ResultRow, fold: int) -> tuple:
+    """``load(path)`` of a row's fold, refused where the metadata names another
+    kind, feature, feature set or fold, as a file copied over another's does."""
+    fitted, meta, band_idx = load(path)
+    for key, want in (("model_kind", row.kind), ("feature", row.feature),
+                      ("feature_set", row.feature_set), ("fold", fold)):
+        if meta.get(key) != want:
+            raise ValidationError(f"{path}: holds {key} {meta.get(key)!r}, not {want!r}")
+    return fitted, meta, band_idx
 
 
 def cmd_eval(cfg: RunConfig) -> int:
@@ -427,36 +446,31 @@ def cmd_eval(cfg: RunConfig) -> int:
     plan_path = _out(cfg, "folds.csv")
     plan = read_fold_plan(plan_path)
     _check_fold_plan(plan, manifest.subject_ids(), plan_path)
-    results = _expand_result_ids(model_kind_list(cfg))
+    rows = _result_rows(cfg)
     evaluate_fold = functools.partial(_eval_fold, cfg, manifest, features, band_names, plan,
-                                      results)
+                                      rows)
     outcomes = fork_map(evaluate_fold, list(range(plan.k)),
                         lambda fold: f"evaluating fold {fold}")
-    fold_metrics: dict[str, list[dict]] = {result_id: [] for result_id, _, _ in results}
-    feature_label = {result_id: feature_set for result_id, _, feature_set in results}
-    failed: dict[str, str] = {}  # the text of a row's failure in its first failed fold
-    for got in outcomes:  # in fold order
-        if isinstance(got, Exception):  # the job itself failed, or its worker died
-            got = [str(got)] * len(results)
-        for (result_id, _, _), outcome in zip(results, got):
-            if isinstance(outcome, str):
-                failed.setdefault(result_id, outcome)
-            else:
-                feature_label[result_id], metrics = outcome
-                fold_metrics[result_id].append(metrics)
-    rows = []
-    for result_id, kind, _ in results:
-        if result_id in failed:
-            print(f"{result_id}: FAILED ({failed[result_id]})", file=sys.stderr)
+    # per fold, each row's outcome; a job that failed itself, or whose worker
+    # died, fails every row with its text
+    per_fold = [[str(got)] * len(rows) if isinstance(got, Exception) else got
+                for got in outcomes]
+    scored = []
+    failures = 0
+    for row, folds in zip(rows, zip(*per_fold)):
+        failure = next((got for got in folds if isinstance(got, str)), None)
+        if failure is not None:  # the text of its first failed fold
+            failures += 1
+            print(f"{row.result_id}: FAILED ({failure})", file=sys.stderr)
             continue
-        report = MetricsReport.from_folds(fold_metrics[result_id])
-        rows.append({
-            "model": result_id,
-            "classifier": kind,
-            "feature": feature_label[result_id],
+        report = MetricsReport.from_folds(list(folds))
+        scored.append({
+            "model": row.result_id,
+            "classifier": row.kind,
+            "feature": row.feature,
             **report.to_dict(),
         })
-        print(f"{result_id}: acc {report.mean['accuracy']:.2f}% "
+        print(f"{row.result_id}: acc {report.mean['accuracy']:.2f}% "
               f"sens {report.mean['sensitivity']:.2f}% "
               f"spec {report.mean['specificity']:.2f}% "
               f"modified {report.mean['modified_accuracy']:.2f}%")
@@ -464,37 +478,36 @@ def cmd_eval(cfg: RunConfig) -> int:
         "folds": plan.k,
         "positive_class": cfg.positive_class,
         "seed": cfg.seed,
-        "rows": rows,
+        "rows": scored,
     }
     out = _out(cfg, "metrics.json")
     _write_text(out, json.dumps(payload, indent=2, sort_keys=True) + "\n")
     print(f"wrote {out}")
-    return 1 if failed else 0
+    return 1 if failures else 0
 
 
 def _eval_fold(cfg: RunConfig, manifest: CohortManifest, features: dict,
-               band_names: tuple[str, ...], plan: FoldPlan, results: list, fold: int) -> list:
+               band_names: tuple[str, ...], plan: FoldPlan, rows: list[ResultRow],
+               fold: int) -> list:
     """Evaluate every result row on one fold's test subjects: per row, its
-    feature label and metrics, or the text of its failure, which is all
-    that eval prints of it and crosses a process boundary as it is.
+    metrics, or the text of its failure, which is all that eval prints of
+    it and crosses a process boundary as it is.
 
     The rows of a fold share its member files and nets, which one
     :class:`FoldModels` reads and runs once.
     """
-    models = FoldModels()
+    load = functools.partial(load_model, band_names=band_names, load=FoldModels().load)
     test_ids = plan.test_ids(fold, manifest.subject_ids())
     labels = manifest.labels()
     truth = [labels[sid] for sid in test_ids]
     outcomes: list = []
-    for result_id, kind, feature_set in results:
+    for row in rows:
         try:
-            core, meta, band_idx = load_model(_out(cfg, "models", _model_name(result_id, fold)),
-                                              band_names, models.load)
-            bits, _ = predict_with_core(core, kind, features, test_ids, band_idx, feature_set)
-            class_names = tuple(meta["class_names"])
-            predicted = [class_names[int(b)] for b in bits]
-            outcomes.append((meta.get("feature", feature_set),
-                             evaluate(predicted, truth, cfg.positive_class)))
+            core, meta, band_idx = _load_row(load, _model_path(cfg, row, fold), row, fold)
+            bits, _ = predict_with_core(core, row.kind, features, test_ids, band_idx,
+                                        row.feature_set)
+            predicted = [meta["class_names"][int(b)] for b in bits]
+            outcomes.append(evaluate(predicted, truth, cfg.positive_class))
         except Exception as exc:  # noqa: BLE001 - per-model isolation, nonzero exit in cmd_eval
             outcomes.append(str(exc))
     return outcomes
@@ -527,8 +540,8 @@ def cmd_predict(cfg: RunConfig, model_path: str, input_paths: list[str]) -> int:
         raise ValidationError("predict needs at least one --input feature container")
     core, meta, band_idx = load_model(model_path, band_names or BandSpec().names)
     bits, probs = predict_with_core(core, meta["model_kind"], {sid: per_domain}, [sid],
-                                    band_idx, meta.get("feature_set", "all"))
-    class_names = tuple(meta["class_names"])
+                                    band_idx, meta["feature_set"])
+    class_names = meta["class_names"]
     result = {
         "subject_id": sid,
         "label": class_names[int(bits[0])],
@@ -555,16 +568,14 @@ def _report_curves(cfg: RunConfig) -> int:
 
 
 def _report_feature_maps(cfg: RunConfig, sid: str, features, load) -> int:
-    if sid not in features:
-        raise ValidationError(f"report subject {sid!r} has no extracted features")
-    paths = {kind: _out(cfg, "models", _model_name(kind, 0))
-             for kind in ("cnn2d_pdc", "cnn2d_var")}
-    kind = next((kind for kind, path in paths.items() if path.exists()), None)
-    if kind is None:
+    paths = {row: _model_path(cfg, row, 0)
+             for row in (KINDS["cnn2d_pdc"].results[0], KINDS["cnn2d_var"].results[0])}
+    row = next((row for row, path in paths.items() if path.exists()), None)
+    if row is None:
         return 0
-    fitted, _, band_idx = load(paths[kind])
+    fitted, _, band_idx = _load_row(load, paths[row], row, 0)
     net: Network = fitted.core
-    x = standardized_inputs(kind, features, [sid], band_idx, fitted.stats)
+    x = standardized_inputs(row.kind, features, [sid], band_idx, fitted.stats)
     record: list[np.ndarray] = []
     net.forward(x, train=False, record=record)
     conv_post_relu = [
@@ -580,11 +591,11 @@ def _report_feature_maps(cfg: RunConfig, sid: str, features, load) -> int:
         for r in range(maps.shape[-1]):
             img = maps[:, :, r]
             _write_text(_out(cfg, *layer, f"map_{r:03d}.pgm"),
-                        pgm_heatmap(img, comment=f"{kind} {sid} layer{li} map{r}"))
+                        pgm_heatmap(img, comment=f"{row.kind} {sid} layer{li} map{r}"))
             if cfg.report_ascii:
                 _write_text(_out(cfg, *layer, f"map_{r:03d}.txt"), ascii_heatmap(img) + "\n")
             written += 1
-    print(f"feature maps for subject {sid} from {kind}: {written} heatmaps")
+    print(f"feature maps for subject {sid} from {row.kind}: {written} heatmaps")
     return written
 
 
@@ -592,20 +603,20 @@ def _report_latency(cfg: RunConfig, sid: str, features, load) -> int:
     """Time each row's fold-0 model into latency.csv; the number of rows that failed."""
     rows = []
     failures = 0
-    for result_id, kind, feature_set in _expand_result_ids(model_kind_list(cfg)):
-        path = _out(cfg, "models", _model_name(result_id, 0))
+    for row in _result_rows(cfg):
+        path = _model_path(cfg, row, 0)
         if not path.exists():
             continue
         try:
-            core, meta, band_idx = load(path)
-            ms = time_classification(core, kind, features, sid,
+            core, _, band_idx = _load_row(load, path, row, 0)
+            ms = time_classification(core, row.kind, features, sid,
                                      repetitions=cfg.latency_repetitions,
-                                     band_idx=band_idx, feature_set=feature_set)
+                                     band_idx=band_idx, feature_set=row.feature_set)
         except Exception as exc:  # noqa: BLE001 - per-model isolation, nonzero exit in cmd_report
             failures += 1
-            print(f"{result_id}: FAILED ({exc})", file=sys.stderr)
+            print(f"{row.result_id}: FAILED ({exc})", file=sys.stderr)
             continue
-        rows.append({"model": result_id, "feature": meta.get("feature", feature_set),
+        rows.append({"model": row.result_id, "feature": row.feature,
                      "mean_ms": ms, "repetitions": cfg.latency_repetitions})
     if rows:
         _write_text(_out(cfg, "report", "latency.csv"), latency_table_csv(rows))
@@ -622,8 +633,16 @@ def cmd_report(cfg: RunConfig) -> int:
     load = functools.partial(load_model, band_names=band_names,
                              load=functools.partial(load_bundle, cache={}))
     sid = cfg.report_subject or manifest.subject_ids()[0]
-    _report_feature_maps(cfg, sid, features, load)
-    return 1 if _report_latency(cfg, sid, features, load) else 0
+    if sid not in features:
+        raise ValidationError(f"report subject {sid!r} has no extracted features")
+    try:
+        _report_feature_maps(cfg, sid, features, load)
+        failures = 0
+    except Exception as exc:  # noqa: BLE001 - isolated as a latency row is, nonzero exit below
+        failures = 1
+        print(f"feature maps: FAILED ({exc})", file=sys.stderr)
+    failures += _report_latency(cfg, sid, features, load)
+    return 1 if failures else 0
 
 
 # -- entry point ---------------------------------------------------------------

@@ -6,8 +6,10 @@ topology feature matrices), three fusions of those domains (feature-level
 concatenation, score-level second-stage softmax, decision-level majority
 vote), and a linear SVM baseline.  Each kind is one row of the ``KINDS``
 table, which says what the kind reads, how one fold is fitted, how its core is
-saved, and which result rows it reports; each model that the rows read, a
-net or an SVM, is one entry of the ``FITS`` table and is fitted once per fold.
+saved, and which result rows it reports; a result row names its kind, and is
+the unit that training, evaluation and reporting walk.  Each model that the
+rows read, a net or an SVM, is one entry of the ``FITS`` table and is fitted
+once per fold.
 Evaluation is stratified k-fold with a held-out validation split inside each
 fold driving epoch selection.
 """
@@ -485,20 +487,6 @@ def train_model(model, train_inputs, train_bits, val_inputs, val_bits,
 # -- cross-validated experiment ----------------------------------------------
 
 
-@dataclass
-class FoldOutcome:
-    fold: int
-    metrics: dict
-
-
-@dataclass
-class KindResult:
-    kind: str
-    result_id: str
-    folds: list[FoldOutcome]
-    report: MetricsReport
-
-
 def usable_cpus() -> int:
     """The CPUs this process may run on (its affinity mask where there is one)."""
     if hasattr(os, "sched_getaffinity"):
@@ -652,13 +640,10 @@ class ExperimentRunner:
     def bits_of(self, sids: list[str]) -> np.ndarray:
         return np.array([self.class_names.index(self.labels[s]) for s in sids], dtype=int)
 
-    def names_of_bits(self, bits: np.ndarray) -> list[str]:
-        return [self.class_names[int(b)] for b in bits]
-
-    def fold_stats(self, fold: int, row: "ModelKind") -> dict | None:
+    def fold_stats(self, fold: int, row: "ResultRow") -> dict | None:
         """The statistics of the fold's training subjects that standardize
-        the kind's inputs, or None where they are not standardized."""
-        if not (self.standardize_inputs and row.standardized):
+        the row's inputs, or None where its kind does not standardize them."""
+        if not (self.standardize_inputs and KINDS[row.kind].standardized):
             return None
         if fold not in self._stats_cache:
             train_ids, _, _ = self.fold_split(fold)
@@ -667,11 +652,10 @@ class ExperimentRunner:
             )
         return self._stats_cache[fold]
 
-    def fold_inputs(self, row: "ModelKind", sids: list[str], fold: int,
-                    feature_set: str = "all"):
-        """The kind's input for a batch of subjects, standardized as the fold's fits are."""
-        return row.inputs(self.features, sids, self.band_idx, self.fold_stats(fold, row),
-                          feature_set)
+    def fold_inputs(self, row: "ResultRow", sids: list[str], fold: int):
+        """The row's input for a batch of subjects, standardized as the fold's fits are."""
+        return KINDS[row.kind].inputs(self.features, sids, self.band_idx,
+                                      self.fold_stats(fold, row), row.feature_set)
 
     # net training -----------------------------------------------------------
 
@@ -698,22 +682,22 @@ class ExperimentRunner:
             raise got
         return got
 
-    def prefetch(self, kinds, save: Callable) -> dict[str, str]:
-        """Make every fit that the kinds' result rows read, through
+    def prefetch(self, rows: list["ResultRow"], save: Callable) -> dict[str, str]:
+        """Make every fit that the result rows read, through
         :func:`fork_map`, into the cache; the name and sha256 of every model
         file the jobs wrote.
 
         A fit's job makes it and writes its files, the model file and
-        learning curves of its ``Fit.row``, by ``save(kind, result_row,
-        fitted, curves, fold, written)``, which records the model file's name
-        and sha256 in ``written``.  The job returns that record and the fit's
-        outputs on the batches that result rows read, so no parameters come
-        back.  The jobs are independent and each draws its seeds from its own
+        learning curves of its ``Fit.row``, by ``save(row, fitted, curves,
+        fold, written)``, which records the model file's name and sha256 in
+        ``written``.  The job returns that record and the fit's outputs on
+        the batches that result rows read, so no parameters come back.  The
+        jobs are independent and each draws its seeds from its own
         (label, fold), so the pool size changes no byte.  A job that raises,
         or whose worker dies, leaves its exception in the cache for every
         result row that reads it.
         """
-        labels = {label for kind in kinds for row in KINDS[kind].results for label in row.fits}
+        labels = {label for row in rows for label in row.fits}
         jobs = [(label, fold) for label in FITS if label in labels for fold in range(self.k)]
         results = fork_map(partial(self._fit_job, save), jobs,
                            lambda job: f"{FITS[job[0]].doing} of fold {job[1]}")
@@ -731,58 +715,55 @@ class ExperimentRunner:
         boundary: the files the save hook wrote, and the fit's outputs by
         :func:`batch_key`."""
         label, fold = job
-        fit = FITS[label]
-        row = KINDS[fit.kind]
-        core, curves = fit.make(self, label, fold)
+        row = FITS[label].row
+        core, curves = FITS[label].make(self, label, fold)
         written: dict[str, str] = {}
-        save(fit.kind, fit.row, FittedModel(core, self.fold_stats(fold, row)), curves, fold,
-             written)
+        save(row, FittedModel(core, self.fold_stats(fold, row)), curves, fold, written)
         # the batches that result rows read: every fit's test batch, and a
         # member's training and validation batches, on which score fusion
         # fits its stage 2
         train_ids, val_ids, test_ids = self.fold_split(fold)
         outputs = Outputs(core)
         for sids in ([train_ids, val_ids] if label in DOMAINS else []) + [test_ids]:
-            outputs.predict(self.fold_inputs(row, sids, fold, fit.row.feature_set))
+            outputs.predict(self.fold_inputs(row, sids, fold))
         return written, outputs.pairs
 
     # per-result execution ---------------------------------------------------
 
-    def run_result(self, kind: str, result: "ResultRow", save: Callable,
-                   written: dict[str, str]) -> KindResult:
-        """Fit one result row of a kind on every fold, save each fold by
-        ``save(kind, result, fitted, curves, fold, written)``, as a job of
-        :meth:`prefetch` saves its fit, and test it on the held-out
-        subjects.  ``written`` holds the model files that :meth:`prefetch`
-        wrote, which the row's bundles refer to."""
-        row = KINDS[kind]
-        folds: list[FoldOutcome] = []
+    def run_result(self, row: "ResultRow", save: Callable,
+                   written: dict[str, str]) -> MetricsReport:
+        """Fit one result row on every fold, save each fold by ``save(row,
+        fitted, curves, fold, written)``, as a job of :meth:`prefetch` saves
+        its fit, and test it on the held-out subjects.  ``written`` holds the
+        model files that :meth:`prefetch` wrote, which the row's bundles
+        refer to."""
+        per_fold = []
         for fold in range(self.k):
             test_ids = self.fold_split(fold)[2]
-            core, curves = row.fit(self, row, fold, result)
+            core, curves = KINDS[row.kind].fit(self, row, fold)
             fitted = FittedModel(core, self.fold_stats(fold, row))
-            bits, _ = predict_with_core(fitted, kind, self.features, test_ids,
-                                        self.band_idx, result.feature_set)
-            folds.append(FoldOutcome(fold, evaluate(
-                self.names_of_bits(bits), [self.labels[s] for s in test_ids],
-                self.positive_class)))
-            save(kind, result, fitted, curves, fold, written)
-        report = MetricsReport.from_folds([f.metrics for f in folds])
-        return KindResult(kind, result.result_id, folds, report)
+            bits, _ = predict_with_core(fitted, row.kind, self.features, test_ids,
+                                        self.band_idx, row.feature_set)
+            per_fold.append(evaluate([self.class_names[int(b)] for b in bits],
+                                     [self.labels[s] for s in test_ids], self.positive_class))
+            save(row, fitted, curves, fold, written)
+        return MetricsReport.from_folds(per_fold)
 
 
 # -- the model-kind table -----------------------------------------------------
 #
-# One row per kind.  ``fit`` fits the kind's core on one fold (reading the
-# prefetched fits that its result row lists) and returns it with the learning
-# curves that the row's own curve files hold; ``bundle`` and ``unbundle`` map a
-# core to the named entries of a model file and back (a ``Member`` entry comes
-# back as the member's net); ``results`` lists the rows the kind reports (the
-# SVM reports one per feature set).  ``FITS``, after it, lists the fits.
+# One row per kind.  ``fit`` fits a result row's core on one fold (reading the
+# prefetched fits that the row lists) and returns it with the learning curves
+# that the row's own curve files hold; ``bundle`` and ``unbundle`` map a core
+# to the named entries of a model file and back (a member's ``ResultRow``
+# entry, saved as a reference to that row's file, comes back as the member's
+# net); ``results`` lists the rows the kind reports (the SVM reports one per
+# feature set).  ``FITS``, after it, lists the fits.
 
 
 class ResultRow(NamedTuple):
     result_id: str
+    kind: str         # the key of its ``KINDS`` row
     feature: str      # the feature label written to bundles and metrics.json
     feature_set: str  # the domains the core reads: "all" of the kind's, or one
     fits: tuple[str, ...]  # the labels of the prefetched fits (``FITS``) it reads
@@ -806,17 +787,16 @@ def _flat_concat(arrays: dict) -> np.ndarray:
     return np.concatenate([x.reshape(len(x), -1) for x in arrays.values()], axis=1)
 
 
-def _fit_single(runner: ExperimentRunner, row: "ModelKind", fold: int, result: ResultRow):
+def _fit_single(runner: ExperimentRunner, row: ResultRow, fold: int):
     """The outputs of the row's one prefetched fit, whose job wrote its files."""
-    (label,) = result.fits
+    (label,) = row.fits
     return runner.trained_member(label, fold), ()
 
 
-def _fit_ensemble(mode: str, runner: ExperimentRunner, row: "ModelKind", fold: int,
-                  result: ResultRow):
+def _fit_ensemble(mode: str, runner: ExperimentRunner, row: ResultRow, fold: int):
     """The fold's members fused by ``mode``; score fusion trains its stage 2
     here on the members' outputs, and returns that net's curve."""
-    members = {d: runner.trained_member(d, fold) for d in result.fits}
+    members = {d: runner.trained_member(d, fold) for d in row.fits}
     if mode == "decision":
         return EnsembleModel(mode, members), ()
 
@@ -829,7 +809,7 @@ def _fit_ensemble(mode: str, runner: ExperimentRunner, row: "ModelKind", fold: i
 
 def _train_fit(build: Callable, runner: ExperimentRunner, label: str, fold: int):
     """A prefetched net, built by ``build(spec, seed)`` and trained, and its curve."""
-    row = KINDS[FITS[label].kind]
+    row = FITS[label].row
     net, res = runner.train_net(label, fold, partial(build, runner.spec),
                                 lambda sids: runner.fold_inputs(row, sids, fold))
     return net, (res.curve,)
@@ -838,10 +818,9 @@ def _train_fit(build: Callable, runner: ExperimentRunner, label: str, fold: int)
 def _fit_svm(runner: ExperimentRunner, label: str, fold: int):
     """A prefetched SVM, fitted on every non-test subject of the fold (an SVM
     has no epoch to select), and no curve."""
-    fit = FITS[label]
     train_ids, val_ids, _ = runner.fold_split(fold)
     fit_ids = train_ids + val_ids
-    x = runner.fold_inputs(KINDS[fit.kind], fit_ids, fold, fit.row.feature_set)
+    x = runner.fold_inputs(FITS[label].row, fit_ids, fold)
     return train_svm(x, runner.bits_of(fit_ids), l2=runner.svm_l2,
                      learning_rate=runner.svm_learning_rate, steps=runner.svm_steps), ()
 
@@ -857,24 +836,16 @@ def _unbundle_net(entries: dict, meta: dict):
     return entries[NET_ROLE]
 
 
-class Member(NamedTuple):
-    """A bundle entry that is a member net: the net's job saved it as the
-    model file of its fit's result row, and the entry refers to its
-    ``NET_ROLE`` entry there."""
-
-    result_id: str
-
-
 def _bundle_ensemble(ens: EnsembleModel) -> tuple[dict, dict]:
-    entries = {f"member_{d}": Member(FITS[d].row.result_id) for d in ens.members}
+    entries = {f"member_{d}": FITS[d].row for d in ens.members}
     if ens.stage2 is not None:
         entries["stage2"] = ens.stage2
     return entries, {"fusion_mode": ens.mode}
 
 
-def _unbundle_ensemble(entries: dict, meta: dict) -> EnsembleModel:
+def _unbundle_ensemble(mode: str, entries: dict, meta: dict) -> EnsembleModel:
     members = {d: entries[f"member_{d}"] for d in DOMAINS}
-    return EnsembleModel(mode=meta["fusion_mode"], members=members, stage2=entries.get("stage2"))
+    return EnsembleModel(mode=mode, members=members, stage2=entries.get("stage2"))
 
 
 def _bundle_svm(svm: LinearSvm) -> tuple[dict, dict]:
@@ -891,7 +862,7 @@ class ModelKind:
 
     domains: tuple[str, ...]
     pack: Callable[[dict], object]  # {domain: batch array} -> the input form of the core
-    fit: Callable                   # (runner, row, fold, result_row) -> (core, curves)
+    fit: Callable                   # (runner, result_row, fold) -> (core, curves)
     bundle: Callable[[object], tuple[dict, dict]]  # core -> (bundle entries, extra meta)
     unbundle: Callable[[dict, dict], object]       # (bundle entries, meta) -> core
     results: tuple[ResultRow, ...]
@@ -912,25 +883,25 @@ class ModelKind:
 
 
 _FUSED = "var+pdc+cn"
-_SVM_ROWS = tuple(ResultRow(f"svm_{f}", f, f, (f"svm_{f}",)) for f in (*DOMAINS, "all"))
+_DOMAIN_CNNS = {"cnn2d_var": "var", "cnn2d_pdc": "pdc", "cnn1d_cn": "cn"}  # kind: its domain
+_SVM_ROWS = tuple(ResultRow(f"svm_{f}", "svm_linear", f, f, (f"svm_{f}",))
+                  for f in (*DOMAINS, "all"))
 
 KINDS: dict[str, ModelKind] = {
-    "cnn2d_var": ModelKind(("var",), _one_array, _fit_single, _bundle_net, _unbundle_net,
-                           (ResultRow("cnn2d_var", "var", "all", ("var",), ("domain_var",)),)),
-    "cnn2d_pdc": ModelKind(("pdc",), _one_array, _fit_single, _bundle_net, _unbundle_net,
-                           (ResultRow("cnn2d_pdc", "pdc", "all", ("pdc",), ("domain_pdc",)),)),
-    "cnn1d_cn": ModelKind(("cn",), _one_array, _fit_single, _bundle_net, _unbundle_net,
-                          (ResultRow("cnn1d_cn", "cn", "all", ("cn",), ("domain_cn",)),)),
+    **{kind: ModelKind((d,), _one_array, _fit_single, _bundle_net, _unbundle_net,
+                       (ResultRow(kind, kind, d, "all", (d,), (f"domain_{d}",)),))
+       for kind, d in _DOMAIN_CNNS.items()},
     "fusion_feature": ModelKind(DOMAINS, _array_list, _fit_single, _bundle_net, _unbundle_net,
-                                (ResultRow("fusion_feature", _FUSED, "all", ("fusion_feature",),
-                                           ("fusion_feature",)),)),
+                                (ResultRow("fusion_feature", "fusion_feature", _FUSED, "all",
+                                           ("fusion_feature",), ("fusion_feature",)),)),
     "fusion_score": ModelKind(DOMAINS, _by_domain, partial(_fit_ensemble, "score"),
-                              _bundle_ensemble, _unbundle_ensemble,
-                              (ResultRow("fusion_score", _FUSED, "all", DOMAINS,
+                              _bundle_ensemble, partial(_unbundle_ensemble, "score"),
+                              (ResultRow("fusion_score", "fusion_score", _FUSED, "all", DOMAINS,
                                          ("fusion_score_stage2",)),)),
     "fusion_decision": ModelKind(DOMAINS, _by_domain, partial(_fit_ensemble, "decision"),
-                                 _bundle_ensemble, _unbundle_ensemble,
-                                 (ResultRow("fusion_decision", _FUSED, "all", DOMAINS),)),
+                                 _bundle_ensemble, partial(_unbundle_ensemble, "decision"),
+                                 (ResultRow("fusion_decision", "fusion_decision", _FUSED, "all",
+                                            DOMAINS),)),
     "svm_linear": ModelKind(DOMAINS, _flat_concat, _fit_single, _bundle_svm, _unbundle_svm,
                             _SVM_ROWS, standardized=False),
 }
@@ -942,14 +913,13 @@ class Fit(NamedTuple):
     """A model that :meth:`ExperimentRunner.prefetch` makes once per fold
     for every result row that reads it."""
 
-    kind: str       # the kind whose inputs it reads
     row: ResultRow  # the result row whose model and curve files hold it
     make: Callable  # (runner, label, fold) -> (core, curves in ``row.curves`` order)
     doing: str      # what its job does, for the message of a worker that dies
 
 
 def _net_fit(label: str, kind: str, build: Callable[[ModelSpec, int], Network]) -> Fit:
-    return Fit(kind, KINDS[kind].results[0], partial(_train_fit, build),
+    return Fit(KINDS[kind].results[0], partial(_train_fit, build),
                f"training the {label} net")
 
 
@@ -957,8 +927,8 @@ def _net_fit(label: str, kind: str, build: Callable[[ModelSpec, int], Network]) 
 FITS: dict[str, Fit] = {
     "fusion_feature": _net_fit("fusion_feature", "fusion_feature", build_feature_fusion),
     **{d: _net_fit(d, kind, partial(build_domain_network, d))
-       for d, kind in zip(DOMAINS, ("cnn2d_var", "cnn2d_pdc", "cnn1d_cn"))},
-    **{row.result_id: Fit("svm_linear", row, _fit_svm, f"fitting the {row.result_id} SVM")
+       for kind, d in _DOMAIN_CNNS.items()},
+    **{row.result_id: Fit(row, _fit_svm, f"fitting the {row.result_id} SVM")
        for row in _SVM_ROWS},
 }
 

@@ -897,6 +897,33 @@ class TestEval:
         assert "sz001 (var 4x4x3)" in err[0] and "hc003 (cn bands b0,b1,b2,b3,b4)" in err[0]
         assert not (out9 / "models").exists() and not (out9 / "metrics.json").exists()
 
+    @pytest.mark.parametrize("command", ["eval", "report"])
+    @pytest.mark.parametrize("source, target, holds", [
+        ("cnn2d_var_fold1", "cnn2d_var_fold0", "fold 1, not 0"),
+        ("cnn2d_pdc_fold0", "cnn2d_var_fold0", "model_kind 'cnn2d_pdc', not 'cnn2d_var'"),
+        ("svm_var_fold0", "svm_pdc_fold0", "feature 'var', not 'pdc'"),
+    ], ids=["other-fold", "other-kind", "other-feature"])
+    def test_file_of_another_row_or_fold_fails_its_row(self, workspace, tmp_path, capsys,
+                                                       source, target, holds, command):
+        _, _, out, manifest = workspace
+        copy = copy_for_eval(workspace, tmp_path)
+        models = copy / "models"
+        shutil.copy(models / f"{source}.model", models / f"{target}.model")
+        cfg = write_config(tmp_path / "r.cfg", manifest, copy, model_kinds="cnn2d_var,svm_linear")
+        capsys.readouterr()
+        assert main([command, "--config", str(cfg)]) == 1
+        failed = target.rsplit("_fold", 1)[0]
+        assert capsys.readouterr().err.splitlines() == [
+            f"{failed}: FAILED ({models}/{target}.model: holds {holds})"]
+        kept = [rid for rid in ("cnn2d_var", "svm_var", "svm_pdc", "svm_cn", "svm_all")
+                if rid != failed]
+        if command == "eval":
+            want = _rows_by_model(out)
+            assert list(_rows_by_model(copy).values()) == [want[rid] for rid in kept]
+        else:
+            table = (copy / "report" / "latency.csv").read_text().splitlines()
+            assert [line.split(",")[0] for line in table[1:]] == kept
+
     def test_seed_override_changes_results(self, workspace, tmp_path):
         root, _, out, manifest = workspace
         out3 = tmp_path / "out3"
@@ -994,6 +1021,18 @@ class TestPredict:
         assert rc == 2
 
 
+# id, edit of a bundle's metadata, what the error says after the file's name
+META_FAULTS = [
+    ("unknown-kind", lambda meta: meta.update(model_kind="bogus"), "unknown model kind 'bogus'"),
+    ("no-kind", lambda meta: meta.pop("model_kind"),
+     "header key 'model_kind' is missing or of the wrong type"),
+    ("no-class-names", lambda meta: meta.pop("class_names"),
+     "header key 'class_names' is missing or of the wrong type"),
+    ("one-class-name", lambda meta: meta.update(class_names=["HC"]),
+     "class_names ['HC'] are not two names"),
+]
+
+
 class TestMalformedFiles:
     """A malformed container or bundle gives one error line and exit 2; in
     eval, where result rows are isolated, one FAILED line and exit 1."""
@@ -1063,6 +1102,32 @@ class TestMalformedFiles:
                      "--input", str(out / "features" / "sz000_var.feat")]) == 2
         err = capsys.readouterr().err.strip().splitlines()
         assert len(err) == 1 and err[0].startswith(f"error: {model}: ") and f"'{key}'" in err[0]
+
+    @pytest.mark.parametrize("edit, message", [row[1:] for row in META_FAULTS],
+                             ids=[row[0] for row in META_FAULTS])
+    def test_bundle_meta_in_predict(self, workspace, tmp_path, capsys, edit, message):
+        _, cfg, out, _ = workspace
+        model = tmp_path / "cnn2d_var_fold0.model"
+        shutil.copy(out / "models" / model.name, model)
+        resign(model, serialize.MAGIC, lambda h: edit(h["meta"]))
+        capsys.readouterr()
+        assert main(["predict", "--config", str(cfg), "--model", str(model),
+                     "--input", str(out / "features" / "sz000_var.feat")]) == 2
+        assert capsys.readouterr().err.splitlines() == [f"error: {model}: {message}"]
+
+    @pytest.mark.parametrize("edit, message", [row[1:] for row in META_FAULTS],
+                             ids=[row[0] for row in META_FAULTS])
+    def test_bundle_meta_in_eval_fails_its_row(self, workspace, tmp_path, capsys, edit,
+                                               message):
+        _, _, out, manifest = workspace
+        copy = copy_for_eval(workspace, tmp_path)
+        model = copy / "models" / "cnn2d_var_fold1.model"
+        resign(model, serialize.MAGIC, lambda h: edit(h["meta"]))
+        cfg = write_config(tmp_path / "r.cfg", manifest, copy, model_kinds="cnn2d_var,cnn1d_cn")
+        capsys.readouterr()
+        assert main(["eval", "--config", str(cfg)]) == 1
+        assert capsys.readouterr().err.splitlines() == [f"cnn2d_var: FAILED ({model}: {message})"]
+        assert list(_rows_by_model(copy).values()) == [_rows_by_model(out)["cnn1d_cn"]]
 
     def test_bundle_in_eval_fails_its_row(self, workspace, tmp_path, capsys):
         _, _, out, manifest = workspace
@@ -1298,6 +1363,24 @@ class TestReport:
         table = (copy / "report" / "latency.csv").read_text().splitlines()
         assert [line.split(",")[0] for line in table[1:]] == [
             rid for rid in RESULT_IDS if rid != "svm_cn"]
+
+
+    def test_unreadable_feature_map_model_fails_only_the_maps(self, workspace, tmp_path,
+                                                              capsys):
+        _, _, _, manifest = workspace
+        copy = copy_for_eval(workspace, tmp_path)
+        bundle = copy / "models" / "cnn2d_pdc_fold0.model"
+        data = bundle.read_bytes()
+        bundle.write_bytes(data[: len(data) // 2])
+        cfg = write_config(tmp_path / "r.cfg", manifest, copy, model_kinds="cnn2d_var,svm_linear")
+        capsys.readouterr()
+        assert main(["report", "--config", str(cfg)]) == 1
+        assert capsys.readouterr().err.splitlines() == [
+            f"feature maps: FAILED ({bundle}: checksum mismatch)"]
+        assert not (copy / "report" / "featmaps").exists()
+        table = (copy / "report" / "latency.csv").read_text().splitlines()
+        assert [line.split(",")[0] for line in table[1:]] == [
+            "cnn2d_var", "svm_var", "svm_pdc", "svm_cn", "svm_all"]
 
 
 class TestLayout:

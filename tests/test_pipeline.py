@@ -231,6 +231,17 @@ class TestBuildModel:
         assert built == set(LAYER_KINDS)
 
 
+def test_kind_table_invariants():
+    rows = [row for entry in KINDS.values() for row in entry.results]
+    for kind, entry in KINDS.items():
+        assert all(row.kind == kind for row in entry.results), kind
+    ids = [row.result_id for row in rows]
+    assert len(ids) == len(set(ids))
+    for label, fit in pipeline.FITS.items():
+        assert fit.row in KINDS[fit.row.kind].results, label
+    assert {label for row in rows for label in row.fits} <= set(pipeline.FITS)
+
+
 def save_into(out, manifest):
     """The save hook that ``train`` passes to prefetch, writing into
     ``out / "models"`` and ``out / "curves"``."""
@@ -250,18 +261,17 @@ def run(tmp_path_factory):
              "fusion_score", "fusion_decision", "svm_linear"]
     out = tmp_path_factory.mktemp("tinyexp")
     save = save_into(out, manifest)
-    written = runner.prefetch(kinds, save)
-    results = [runner.run_result(kind, row, save, written)
-               for kind in kinds for row in KINDS[kind].results]
-    return runner, results, manifest, out / "models"
+    rows = [row for kind in kinds for row in KINDS[kind].results]
+    written = runner.prefetch(rows, save)
+    reports = {row.result_id: runner.run_result(row, save, written) for row in rows}
+    return runner, reports, manifest, out / "models"
 
 
 class TestExperimentRunner:
 
     def test_result_rows(self, run):
-        _, results, _, _ = run
-        ids = [r.result_id for r in results]
-        assert ids == ["cnn2d_var", "cnn2d_pdc", "cnn1d_cn", "fusion_feature",
+        _, reports, _, _ = run
+        assert list(reports) == ["cnn2d_var", "cnn2d_pdc", "cnn1d_cn", "fusion_feature",
                        "fusion_score", "fusion_decision",
                        "svm_var", "svm_pdc", "svm_cn", "svm_all"]
 
@@ -277,17 +287,15 @@ class TestExperimentRunner:
         assert sorted(tested) == sorted(all_ids)
 
     def test_separable_cohort_learned(self, run):
-        _, results, _, _ = run
-        by_id = {r.result_id: r for r in results}
+        _, reports, _, _ = run
         for rid in ("cnn2d_var", "cnn2d_pdc", "cnn1d_cn", "svm_all"):
-            assert by_id[rid].report.mean["modified_accuracy"] >= 95.0, rid
+            assert reports[rid].mean["modified_accuracy"] >= 95.0, rid
 
     def test_decision_fusion_at_least_worst_member(self, run):
-        _, results, _, _ = run
-        by_id = {r.result_id: r for r in results}
-        singles = [by_id[k].report.mean["modified_accuracy"]
+        _, reports, _, _ = run
+        singles = [reports[k].mean["modified_accuracy"]
                    for k in ("cnn2d_var", "cnn2d_pdc", "cnn1d_cn")]
-        assert by_id["fusion_decision"].report.mean["modified_accuracy"] >= min(singles)
+        assert reports["fusion_decision"].mean["modified_accuracy"] >= min(singles)
 
     def test_member_cache_updates_once(self, run):
         runner, _, _, _ = run
@@ -298,10 +306,10 @@ class TestExperimentRunner:
                                         "svm_cn", "svm_all") for fold in range(2))
 
     def test_predictions_cover_all_subjects(self, run):
-        _, results, manifest, _ = run
-        for result in results:
-            counted = sum(f.metrics[c] for f in result.folds for c in ("tp", "fn", "tn", "fp"))
-            assert counted == len(manifest.subject_ids()), result.result_id
+        _, reports, manifest, _ = run
+        for rid, report in reports.items():
+            counted = sum(m[c] for m in report.per_fold for c in ("tp", "fn", "tn", "fp"))
+            assert counted == len(manifest.subject_ids()), rid
 
     def test_latency_helper(self, run):
         runner, _, manifest, models = run
@@ -328,7 +336,8 @@ def test_no_parameter_array_crosses_the_pool(tmp_path, monkeypatch):
         return results
 
     monkeypatch.setattr(pipeline, "fork_map", spy)
-    runner.prefetch(["cnn2d_var", "fusion_feature", "svm_linear"], save_into(tmp_path, manifest))
+    runner.prefetch([row for kind in ("cnn2d_var", "fusion_feature", "svm_linear")
+                     for row in KINDS[kind].results], save_into(tmp_path, manifest))
     svms = ("svm_var", "svm_pdc", "svm_cn", "svm_all")
     assert [job for job, _ in returned] == [
         (label, fold) for label in ("fusion_feature", "var", *svms) for fold in range(2)]
