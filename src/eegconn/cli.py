@@ -413,7 +413,8 @@ def load_model(path, band_names: tuple[str, ...], load=load_bundle
     """A saved model, its metadata, and the positions of its band filter in
     ``band_names``; ``load(path)`` reads the bundle.  Metadata that lacks a
     key that readers use, holds one at another type, or names no kind of
-    ``KINDS`` or not two classes, is a ValidationError naming the file."""
+    ``KINDS`` or not two classes, and a bundle that lacks an entry its kind
+    reads, is a ValidationError naming the file."""
     entries, meta = load(path)
     kind = header_field(path, meta, "model_kind", str)
     if kind not in KINDS:
@@ -423,7 +424,11 @@ def load_model(path, band_names: tuple[str, ...], load=load_bundle
         raise ValidationError(f"{path}: class_names {class_names!r} are not two names")
     header_field(path, meta, "feature_set", str)
     band_filter = header_field(path, meta, "band_filter", list)
-    return core_from_bundle(entries, meta), meta, band_indices(band_filter or None, band_names)
+    try:
+        fitted = core_from_bundle(entries, meta)
+    except ValidationError as exc:
+        raise ValidationError(f"{path}: {exc}") from None
+    return fitted, meta, band_indices(band_filter or None, band_names)
 
 
 def _load_row(load, path: Path, row: ResultRow, fold: int) -> tuple:

@@ -16,7 +16,7 @@ of a layer that was never initialized raises instead of training from zeros.
 from __future__ import annotations
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
+from numpy.lib.stride_tricks import as_strided, sliding_window_view
 
 from ..errors import ShapeError, ValidationError
 
@@ -72,18 +72,43 @@ class Layer:
 #
 # The 1-D kinds run on the 2-D code: ``_wide`` inserts the width-1 second
 # axis into inputs and weights and ``_narrow`` drops it from results.  Every
-# convolution has stride 1 and runs as one matmul per kernel offset on
-# shifted views of the padded input, which avoids an im2col gather.
+# convolution has stride 1.  A layer whose im2col matrix is no wider than its
+# output (taps x in_channels <= filters, such as a first layer on a few input
+# channels) runs its forward pass and its weight gradient as one matmul each
+# over that matrix.  Every other layer runs one matmul per kernel offset on
+# shifted views of the padded input, where a single im2col matmul measured
+# slower; the input gradient always runs per offset.
+
+
+def _thin(w) -> bool:
+    """Whether kernel ``w``'s im2col matrix is no wider than its output."""
+    kh, kw, c, r = w.shape
+    return kh * kw * c <= r
+
+
+def _columns(xp, kh, kw):
+    """The (B*Ho*Wo, kh*kw*C) im2col matrix of a padded input, rows ordered
+    as ``w.reshape(-1, filters)``."""
+    b, hp, wp, c = xp.shape
+    s0, s1, s2, s3 = xp.strides
+    windows = as_strided(xp, (b, hp - kh + 1, wp - kw + 1, kh, kw, c),
+                         (s0, s1, s2, s1, s2, s3), writeable=False)
+    return windows.reshape(-1, kh * kw * c)
 
 
 def _conv_forward(x, w, bias, pad):
-    kh, kw = w.shape[:2]
+    kh, kw, c, r = w.shape
     ph, pw = pad
-    xp = np.pad(x, ((0, 0), (ph, ph), (pw, pw), (0, 0)))
-    b = x.shape[0]
-    ho = xp.shape[1] - kh + 1
-    wo = xp.shape[2] - kw + 1
-    out = np.empty((b, ho, wo, w.shape[-1]))
+    b, h, wd, _ = x.shape
+    xp = np.zeros((b, h + 2 * ph, wd + 2 * pw, c))
+    xp[:, ph : ph + h, pw : pw + wd] = x
+    ho = h + 2 * ph - kh + 1
+    wo = wd + 2 * pw - kw + 1
+    if _thin(w):
+        out = _columns(xp, kh, kw) @ w.reshape(-1, r)
+        out += bias
+        return out.reshape(b, ho, wo, r), xp
+    out = np.empty((b, ho, wo, r))
     out[...] = bias
     tmp = np.empty_like(out)  # one product buffer per call, not one per kernel offset
     for u in range(kh):
@@ -101,16 +126,21 @@ def _conv_backward(dout, xp, w, pad, need_dx=True):
     db = dflat.sum(axis=0)
     b, ho, wo, _ = dout.shape
     h, wd = xp.shape[1] - 2 * ph, xp.shape[2] - 2 * pw
-    dw = np.empty_like(w)
-    dxp = np.zeros_like(xp) if need_dx else None
+    if _thin(w):
+        dw = (_columns(xp, kh, kw).T @ dflat).reshape(w.shape)
+    else:
+        dw = np.empty_like(w)
+        for u in range(kh):
+            for v in range(kw):
+                xs = np.ascontiguousarray(xp[:, u : u + ho, v : v + wo, :]).reshape(-1, c)
+                dw[u, v] = xs.T @ dflat
+    if not need_dx:
+        return None, dw, db
+    dxp = np.zeros_like(xp)
     for u in range(kh):
         for v in range(kw):
-            xs = np.ascontiguousarray(xp[:, u : u + ho, v : v + wo, :]).reshape(-1, c)
-            dw[u, v] = xs.T @ dflat
-            if need_dx:
-                dxp[:, u : u + ho, v : v + wo, :] += (dflat @ w[u, v].T).reshape(b, ho, wo, c)
-    dx = dxp[:, ph : ph + h, pw : pw + wd] if need_dx else None
-    return dx, dw, db
+            dxp[:, u : u + ho, v : v + wo, :] += (dflat @ w[u, v].T).reshape(b, ho, wo, c)
+    return dxp[:, ph : ph + h, pw : pw + wd], dw, db
 
 
 class _Spatial(Layer):
@@ -344,11 +374,12 @@ class ReLU(Layer):
         return in_shape
 
     def forward(self, x, train=False):
+        # fmax, unlike maximum, maps NaN to +0.0 as np.where(x > 0, x, 0.0) does
         self._mask = x > 0
-        return np.where(self._mask, x, 0.0)
+        return np.fmax(x, 0.0)
 
     def backward(self, dout, need_dx=True):
-        return np.where(self._mask, dout, 0.0)
+        return dout * self._mask
 
 
 class Dropout(Layer):

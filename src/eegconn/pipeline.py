@@ -832,8 +832,15 @@ def _bundle_net(net) -> tuple[dict, dict]:
     return {NET_ROLE: net}, {}
 
 
+def _entry(entries: dict, role: str):
+    """A bundle's ``role`` entry; a ValidationError naming it where the bundle has none."""
+    if role not in entries:
+        raise ValidationError(f"bundle has no entry {role!r}")
+    return entries[role]
+
+
 def _unbundle_net(entries: dict, meta: dict):
-    return entries[NET_ROLE]
+    return _entry(entries, NET_ROLE)
 
 
 def _bundle_ensemble(ens: EnsembleModel) -> tuple[dict, dict]:
@@ -844,7 +851,7 @@ def _bundle_ensemble(ens: EnsembleModel) -> tuple[dict, dict]:
 
 
 def _unbundle_ensemble(mode: str, entries: dict, meta: dict) -> EnsembleModel:
-    members = {d: entries[f"member_{d}"] for d in DOMAINS}
+    members = {d: _entry(entries, f"member_{d}") for d in DOMAINS}
     return EnsembleModel(mode=mode, members=members, stage2=entries.get("stage2"))
 
 
@@ -853,7 +860,7 @@ def _bundle_svm(svm: LinearSvm) -> tuple[dict, dict]:
 
 
 def _unbundle_svm(entries: dict, meta: dict) -> LinearSvm:
-    return LinearSvm.from_param_arrays(entries["svm"])
+    return LinearSvm.from_param_arrays(_entry(entries, "svm"))
 
 
 @dataclass(frozen=True)

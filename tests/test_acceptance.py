@@ -34,6 +34,7 @@ from eegconn.pipeline import (
     band_indices,
     build_domain_network,
     build_feature_fusion,
+    predict_with_core,
     time_classification,
 )
 from eegconn.seeding import derive_rng
@@ -412,3 +413,23 @@ def test_decision_fusion_latency_is_compositional(synthetic_runs):
               for kind in order}
         ratios.append(ms["fusion_decision"] / sum(ms[m] for m in members))
     assert abs(float(np.median(ratios)) - 1.0) <= 0.2, ratios
+
+
+def test_decision_fusion_runs_each_member_forward_once(synthetic_runs, monkeypatch):
+    # the operation-count form of the latency test above, which no host noise
+    # moves: one fusion_decision request runs each member net's forward once
+    cfg = parse_config(synthetic_runs["a"]["cfg"])
+    manifest = load_manifest(cfg.manifest)
+    features, band_names = load_features(cfg, manifest)
+    entries, meta = load_bundle(synthetic_runs["a"]["out"] / "models" / "fusion_decision_fold0.model")
+    fused = core_from_bundle(entries, meta)
+    calls = {}
+    for domain, net in fused.core.members.items():
+        def forward(x, *args, _domain=domain, _forward=net.forward, **kwargs):
+            calls[_domain] = calls.get(_domain, 0) + 1
+            return _forward(x, *args, **kwargs)
+        monkeypatch.setattr(net, "forward", forward)
+    predict_with_core(fused, "fusion_decision", features, [manifest.subject_ids()[0]],
+                      band_indices(meta.get("band_filter") or None, band_names),
+                      KIND_TABLE["fusion_decision"].results[0].feature_set)
+    assert calls == {"var": 1, "pdc": 1, "cn": 1}

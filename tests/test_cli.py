@@ -1087,6 +1087,25 @@ class TestMalformedFiles:
         err = capsys.readouterr().err.strip().splitlines()
         assert err == [f"error: {model}: header key {key!r} is missing or of the wrong type"]
 
+    @pytest.mark.parametrize("name, role", [
+        ("cnn2d_var_fold0.model", "main"),
+        ("fusion_decision_fold0.model", "member_cn"),
+        ("svm_all_fold0.model", "svm"),
+    ], ids=["net", "ensemble", "svm"])
+    def test_bundle_without_its_entry_in_predict(self, workspace, tmp_path, capsys, name, role):
+        _, cfg, out, _ = workspace
+        entries, meta = serialize.load_bundle(out / "models" / name)
+        entries["other"] = entries.pop(role)
+        model = tmp_path / name
+        save_bundle(model, entries, meta=meta)
+        args = ["predict", "--config", str(cfg), "--model", str(model)]
+        for dom in ("var", "pdc", "cn"):
+            args += ["--input", str(out / "features" / f"sz000_{dom}.feat")]
+        capsys.readouterr()
+        assert main(args) == 2
+        err = capsys.readouterr().err.strip().splitlines()
+        assert err == [f"error: {model}: bundle has no entry {role!r}"]
+
     @pytest.mark.parametrize("edit, key", [
         (lambda d: d.pop("seed"), "seed"),
         (lambda d: d["layers"][0].pop("kind"), "kind"),

@@ -79,29 +79,29 @@ GOLDEN = {
     "curves/domain_cn_fold2.csv":
         "55a58457eb41fa0fab578a8cd187430599dd15826f923c644684ca4776ad8358",
     "curves/domain_pdc_fold0.csv":
-        "e13ed3558ab1da73ba273d2737668b2f82ed1804c2d0cb6879ca95e49a4a18d4",
+        "474066679136a0f7813f629091f5e20c38f8b5325df6be8022c1ec53dbbec8ef",
     "curves/domain_pdc_fold1.csv":
-        "be1d346338198354bae9f249c2f57492d608e36f30f390e2ae9c52fa492dad12",
+        "65f3a7605fda8ee4e7a31b0871e741b9f5d51454ba55fe67f392bfd2f4890ab9",
     "curves/domain_pdc_fold2.csv":
-        "751467c56f54dedc696e0dd9ffcf28ec74b64fa8c0fe96a03aa215a49a494f0c",
+        "ead7e518cdd16a2e5c2464e220adfd5800d4047e953bcf825c2111cf8d7250bf",
     "curves/domain_var_fold0.csv":
-        "7ed18a9edc720b2398208391c57317279f1d4aafe9e0dfd0e4ef2c5ee30d9366",
+        "0888bfcb1092330f791d1c46caf8d4307926f33a3a613afbbb508754bb1f03b5",
     "curves/domain_var_fold1.csv":
-        "3360cbfbb60f81c2669ddd89028e2191d335a6c7001811f3a3cdbc0669780818",
+        "df2ea71034a7564b3d3aca16ad57d054ee01b2276025e91a36dce4009454b1fe",
     "curves/domain_var_fold2.csv":
-        "f89376fca06d8a4078df50b542e63caa9dcc21e94963934eba3a35def28fd723",
+        "0975bedc3868313fe93b1b0a54a1f71e6c5e8a93d563918224525e648f119056",
     "curves/fusion_feature_fold0.csv":
-        "5af2809c4666ae9b52523f1528b30894fe0f948701fc4c0237409074b1f06882",
+        "bd54e6316ef0354d591ff0efc1f1c04c367f35b5050b8d789b17ba9da0817ef3",
     "curves/fusion_feature_fold1.csv":
-        "a63d84f75d0523a3b55eba031309450d6ecf9addfced099b33df971837825737",
+        "da3e924e4b26654966f2ec01053ae096aec70376cfc95b2aca38cb57a25d879b",
     "curves/fusion_feature_fold2.csv":
-        "b145745b34714662e575c4ab4cac4cb442b1229a7e095803e7551a54c3487190",
+        "37f2b6b6f2df97bde4a0f997669888f4d3f010647069bd663d2a9d63cc6e32a4",
     "curves/fusion_score_stage2_fold0.csv":
-        "961499d89c4126d80c4acae19aab1fbff1ac734c44d5fc244c207dac35a145c8",
+        "863b49f02eca8f5576dcbb1df90a6ebf3849a08aa421bb249fc7769da0e2dc7c",
     "curves/fusion_score_stage2_fold1.csv":
         "a2549e7cb6ab3b5c5d0202eb818d0d89eb299d8751e1041e6922ae693e01ced3",
     "curves/fusion_score_stage2_fold2.csv":
-        "860e4c7473e89ea774103e3b1d18b0b8d532cf36fad0eb627e649aafdcbd1786",
+        "211ddf3c494c9e0029581dbffe843cf7c82a862493556bfd1f4fc80f8b758389",
     "models/cnn1d_cn_fold0.model":
         "4086cdadb089ac25d64ac9bafb848afa9539b2fc352842c99e41e853a02c24af",
     "models/cnn1d_cn_fold1.model":
@@ -109,35 +109,35 @@ GOLDEN = {
     "models/cnn1d_cn_fold2.model":
         "eb8d0862a5ff5ab68dbf9bb6d7c8260bb58e192e02a1d5c9b85c12f604b070ba",
     "models/cnn2d_pdc_fold0.model":
-        "ee3fe4708436cbc1e0703e4fea67c95684affb46f42f334b4538223c6ac8ac7b",
+        "1db9564881e1146838c301e34a371419a5d577a8d68cad263b40993c7a15930d",
     "models/cnn2d_pdc_fold1.model":
-        "d0c445bfaada320c77cf53d23a8156c8952af9d55d51a4677eb4c732043a22e0",
+        "640f3110c09b059657aca70ce778d937e0b18db0af9c7343c09e1f888eac0199",
     "models/cnn2d_pdc_fold2.model":
-        "770c033f5ac5a564c4fc1d09c083e02226b29629c64146f3815355940e770d1a",
+        "6fe67e186f6f7d6923eead6329e99e368fd5137be2500cf5356fa05113c75e96",
     "models/cnn2d_var_fold0.model":
-        "ac7bfd7d455d9b7f2208b21d3065f299c018f22fea49dc30ca57eca673bda416",
+        "8e2013a3204a4ce7daa52da8d604cfd4f2342ebeef5ff3243e2724170542a5ba",
     "models/cnn2d_var_fold1.model":
-        "b299170c322ecd52b1000a2f9acef0fd550c3f5bb646b5db75f0633579e654b9",
+        "013dad5a359d160b9aa5bb497e201e2cd4fd19fd6b9c4aba3c4340bd2a01f920",
     "models/cnn2d_var_fold2.model":
-        "aaae188da3653721c68ae517cc97594fef00083898c4e0cdb498880f37740224",
+        "7e1162727add00e922a9f21fbdee528ae157c45c856041e6dd89b6440c2a4826",
     "models/fusion_decision_fold0.model":
-        "888b7f6e7a0d7409a068061d95aa0ad2a38cf42d9424344dd3d9ceb53f7c4ad6",
+        "37b6213605af31f1fe92350596bd350a63c1c76d24d5586d457591e15d8ef259",
     "models/fusion_decision_fold1.model":
-        "2b2a1e4418c3f70102a3fd7c1ca90fd99440b52d07a698faba83b7d132d4d519",
+        "b532e2f12ca704a8fd6e0a6f0418485b06208ed59c56fcf950cbbf479cc2b79c",
     "models/fusion_decision_fold2.model":
-        "9406f3e26929a666e89598a7068c7b22a85d86ea77ecad46707273da3367c748",
+        "a13e885817d688bf5e07be52c9374452dc90e3849e5e914fe906adbec7fc64d0",
     "models/fusion_feature_fold0.model":
-        "bd90c241753a280483ad1042e55a02e533f5eae703fd6c72435175430455c505",
+        "87201b2bda1ae9dc4b59d4ed3ffb40e3fa7c429b225eab919f65dbbfa8d6e9a9",
     "models/fusion_feature_fold1.model":
-        "a7d1a835f5fea2299e28621ae1bae66f0d74e409918e6a65dfef0c6954416f1b",
+        "420fc87d47983150d5812de33034413347dcfa64ecabe40a8cad9c27d52d6b97",
     "models/fusion_feature_fold2.model":
-        "525c5b9483070701d4f33ff82a6ae03d2f055f6c99887da53ede753ab81c5686",
+        "70c57191b9667c9888728994f29275449e79b7058ac04f0aace59595116b27ae",
     "models/fusion_score_fold0.model":
-        "97ceb13c8c2042a4dc4b5b8e5edffd3fd3e0f5a511f9ac95000e57a827177e28",
+        "51646bfd2eea5d55bb387af54276fc92b94487f59fff6ff5112660797a60b609",
     "models/fusion_score_fold1.model":
-        "1e3ceafc905e8fec8f165d0f0a441fc104e7a09ddac5011a2a07873feff13117",
+        "930b74108cf027b2ef8228ff71ce0405e0044357d4a538cbcb87ecfd65af960e",
     "models/fusion_score_fold2.model":
-        "d567be05608c5d92e040ae9f147203d31b2493ea9270e6737d916e1cb02527e7",
+        "0fe5f93507b4785d6f312700d84caa946525f8d546966eb61ef1be0ebfea010c",
     "models/svm_all_fold0.model":
         "0aaadcb6cd31d3c70ab3f5cb5263533fdac685a1e3d7af1f65ca7be5896c6689",
     "models/svm_all_fold1.model":

@@ -59,6 +59,30 @@ class TestLayerGradients:
         layer.init(rng)
         check_layer(layer, rng.standard_normal((2, 8, 3)), rng)
 
+    @pytest.mark.parametrize("need_dx", [True, False])
+    @pytest.mark.parametrize("make, shape", [
+        (lambda: Conv2d(1, 12, 3), (2, 5, 5, 1)),
+        (lambda: Conv1d(2, 8, 3), (2, 8, 2)),
+    ], ids=["conv2d", "conv1d"])
+    def test_thin_conv(self, make, shape, need_dx, rng):
+        """taps x in_channels <= filters: forward and dw run as one im2col matmul."""
+        layer = make()
+        layer.init(rng)
+        x = rng.standard_normal(shape)
+        upstream = rng.standard_normal(layer.forward(x).shape)
+
+        def loss():
+            return float((layer.forward(x) * upstream).sum())
+
+        layer.forward(x)
+        dx = layer.backward(upstream, need_dx=need_dx)
+        for name, param in layer.params.items():
+            assert rel_err(layer.grads[name], numeric_grad(loss, param)) < TOL, f"param {name}"
+        if need_dx:
+            assert rel_err(dx, numeric_grad(loss, x)) < TOL, "input gradient"
+        else:
+            assert dx is None
+
     def test_dense(self, rng):
         layer = Dense(6, 4)
         layer.init(rng)

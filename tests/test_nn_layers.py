@@ -18,6 +18,7 @@ from eegconn.nn import (
     ReLU,
     Softmax,
     cross_entropy,
+    layers,
     softmax,
 )
 from eegconn.pipeline import ModelSpec, build_domain_network, build_feature_fusion, build_stage2
@@ -188,9 +189,66 @@ class TestDense:
         np.testing.assert_allclose(layer.forward(x), expected, atol=1e-12)
 
 
+class TestThinConvolution:
+    """A convolution whose im2col matrix is no wider than its output
+    (taps x in_channels <= filters) runs its forward pass and weight gradient
+    as one matmul each over that matrix; the per-offset body is the reference."""
+
+    @staticmethod
+    def run(layer, x, dout):
+        out = layer.forward(x)
+        layer.backward(dout, need_dx=False)
+        return out, layer.grads["w"]
+
+    @staticmethod
+    def count_columns(monkeypatch):
+        calls = []
+        columns = layers._columns
+        monkeypatch.setattr(layers, "_columns", lambda *a: calls.append(a) or columns(*a))
+        return calls
+
+    @pytest.mark.parametrize("make, shape", [
+        (lambda: Conv2d(5, 128, 3), (3, 16, 16, 5)),
+        (lambda: Conv2d(1, 12, 3), (2, 5, 5, 1)),
+        (lambda: Conv2d(2, 18, 3, same_padding=False), (2, 6, 5, 2)),
+        (lambda: Conv1d(2, 8, 3), (2, 9, 2)),
+    ], ids=["conv2d-5-128", "conv2d-1-12", "conv2d-unpadded", "conv1d-2-8"])
+    def test_matches_the_per_offset_body(self, make, shape, rng, monkeypatch):
+        layer = make()
+        layer.init(rng)
+        x = rng.standard_normal(shape)
+        dout = rng.standard_normal((shape[0], *layer.output_shape(shape[1:])))
+        calls = self.count_columns(monkeypatch)
+        out, dw = self.run(layer, x, dout)
+        assert len(calls) == 2
+        monkeypatch.setattr(layers, "_thin", lambda w: False)
+        ref_out, ref_dw = self.run(layer, x, dout)
+        assert len(calls) == 2
+        for got, ref in ((out, ref_out), (dw, ref_dw)):
+            assert np.abs(got - ref).max() <= 1e-13 * np.abs(ref).max()
+
+    @pytest.mark.parametrize("make, shape", [
+        (lambda: Conv2d(128, 64, 3), (1, 4, 4, 128)),
+        (lambda: Conv1d(5, 8, 3), (2, 34, 5)),
+    ], ids=["conv2d-128-64", "conv1d-5-8"])
+    def test_wider_layers_run_per_offset(self, make, shape, rng, monkeypatch):
+        layer = make()
+        layer.init(rng)
+        x = rng.standard_normal(shape)
+        calls = self.count_columns(monkeypatch)
+        self.run(layer, x, rng.standard_normal(layer.forward(x).shape))
+        assert calls == []
+
+
 class TestActivations:
     def test_relu_definition(self):
         np.testing.assert_array_equal(ReLU().forward(np.array([-1.0, 0.0, 2.0])), [0.0, 0.0, 2.0])
+
+    def test_relu_matches_where_on_nonfinite_and_signed_zero(self):
+        x = np.array([np.nan, -np.nan, np.inf, -np.inf, -0.0, 0.0, -1.0, 2.0])
+        out = ReLU().forward(x)
+        assert out.tobytes() == np.where(x > 0, x, 0.0).tobytes()
+        assert not np.signbit(out).any()
 
     def test_softmax_symmetry(self):
         np.testing.assert_allclose(softmax(np.array([0.0, 0.0])), [0.5, 0.5])
