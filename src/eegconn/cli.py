@@ -22,7 +22,7 @@ import numpy as np
 from .config import RunConfig, band_filter_list, model_kind_list, parse_config
 from .container import PARTIAL, header_field, read_container, whole_file, write_container
 from .eeg_io import CohortManifest, ManifestEntry, load_manifest, load_recording, standardize
-from .errors import EegConnError, ValidationError
+from .errors import EegConnError, ShapeError, ValidationError
 from .netmetrics import cn_features
 from .nn.network import Network
 from .nn.serialize import BundleRef, load_bundle, save_bundle
@@ -239,8 +239,11 @@ def core_from_bundle(entries: dict, meta: dict) -> FittedModel:
         stats = {}
         for domain in DOMAINS:
             rec = entries.get(f"stats_{domain}")
-            if rec is not None:
-                stats[domain] = (rec["mean"], rec["sd"])
+            if rec is None:
+                continue
+            if not (isinstance(rec, dict) and {"mean", "sd"} <= rec.keys()):
+                raise ValidationError(f"bundle entry 'stats_{domain}' is not a mean and an sd")
+            stats[domain] = (rec["mean"], rec["sd"])
     return FittedModel(core=KINDS[meta["model_kind"]].unbundle(entries, meta), stats=stats)
 
 
@@ -311,16 +314,13 @@ def cmd_train(cfg: RunConfig) -> int:
          *(f"{sid},{runner.plan.assignments[sid]}\n" for sid in manifest.subject_ids())]))
 
     rows = _result_rows(cfg)
-    save = functools.partial(_save_fold, cfg, manifest)
-    written = runner.prefetch(rows, save)
+    reports = runner.fit_rows(rows, functools.partial(_save_fold, cfg, manifest))
     failures = 0
     kept: set[Path] = set()  # the files of the rows trained, and of the fits they read
-    for row in rows:
-        try:
-            report = runner.run_result(row, save, written)
-        except Exception as exc:  # noqa: BLE001 - per-model isolation, nonzero exit below
+    for row, report in zip(rows, reports):
+        if isinstance(report, Exception):  # per-model isolation, nonzero exit below
             failures += 1
-            print(f"{row.result_id}: FAILED ({exc})", file=sys.stderr)
+            print(f"{row.result_id}: FAILED ({report})", file=sys.stderr)
             continue
         kept |= _row_files(cfg, row, runner.k)
         print(f"{row.result_id}: trained {len(report.per_fold)} folds, "
@@ -347,21 +347,18 @@ def _fold_files(cfg: RunConfig, row: ResultRow, fold: int) -> list[Path]:
 def _row_files(cfg: RunConfig, row: ResultRow, k: int) -> set[Path]:
     """The files of a result row and of the rows whose files hold the fits
     it reads, over ``k`` folds."""
-    rows = {row, *(FITS[label].row for label in row.fits)}
+    rows = {row, *(FITS[label] for label in row.fits)}
     return {path for r in rows for fold in range(k) for path in _fold_files(cfg, r, fold)}
 
 
 def _save_fold(cfg: RunConfig, manifest: CohortManifest, row: ResultRow,
-               fitted: FittedModel, curves: tuple, fold: int, written: dict[str, str]) -> None:
+               fitted: FittedModel, curves: tuple, fold: int,
+               written: dict[str, str]) -> dict[str, str]:
     """Write a result row's model bundle of one fold and its learning
-    curves, in ``row.curves`` order, and record the bundle's name and sha256
-    in ``written``, unless ``written`` holds the bundle already because the
-    job of the row's fit wrote them.  A member's ``ResultRow`` entry becomes
-    a reference to the ``NET_ROLE`` entry of that row's file, which
-    ``written`` holds."""
+    curves, in ``row.curves`` order; the bundle's name and sha256.  A
+    member's ``ResultRow`` entry becomes a reference to the ``NET_ROLE``
+    entry of that row's file, whose name and sha256 ``written`` holds."""
     path, *curve_paths = _fold_files(cfg, row, fold)
-    if path.name in written:
-        return
     entries, extra_meta = KINDS[row.kind].bundle(fitted.core)
     for role, entry in entries.items():
         if isinstance(entry, ResultRow):
@@ -380,9 +377,10 @@ def _save_fold(cfg: RunConfig, manifest: CohortManifest, row: ResultRow,
         "standardized_inputs": bool(fitted.stats),
         **extra_meta,
     }
-    written[path.name] = save_bundle(path, entries, meta)
+    digest = save_bundle(path, entries, meta)
     for curve_path, curve in zip(curve_paths, curves):
         _write_curve_csv(curve_path, curve)
+    return {path.name: digest}
 
 
 # -- eval ----------------------------------------------------------------------
@@ -544,8 +542,11 @@ def cmd_predict(cfg: RunConfig, model_path: str, input_paths: list[str]) -> int:
     if sid is None:
         raise ValidationError("predict needs at least one --input feature container")
     core, meta, band_idx = load_model(model_path, band_names or BandSpec().names)
-    bits, probs = predict_with_core(core, meta["model_kind"], {sid: per_domain}, [sid],
-                                    band_idx, meta["feature_set"])
+    try:
+        bits, probs = predict_with_core(core, meta["model_kind"], {sid: per_domain}, [sid],
+                                        band_idx, meta["feature_set"])
+    except ShapeError as exc:  # the model does not fit the inputs
+        raise ShapeError(f"{model_path}: {exc}") from None
     class_names = meta["class_names"]
     result = {
         "subject_id": sid,

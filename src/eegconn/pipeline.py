@@ -7,9 +7,9 @@ concatenation, score-level second-stage softmax, decision-level majority
 vote), and a linear SVM baseline.  Each kind is one row of the ``KINDS``
 table, which says what the kind reads, how one fold is fitted, how its core is
 saved, and which result rows it reports; a result row names its kind, and is
-the unit that training, evaluation and reporting walk.  Each model that the
-rows read, a net or an SVM, is one entry of the ``FITS`` table and is fitted
-once per fold.
+the unit that training, evaluation and reporting walk.  A row whose fit other
+rows read, a net or an SVM, is one entry of the ``FITS`` table; its fit is
+made once per fold, before the ensembles that read it.
 Evaluation is stratified k-fold with a held-out validation split inside each
 fold driving epoch selection.
 """
@@ -400,6 +400,9 @@ def apply_input_stats(x: np.ndarray, stat: tuple[np.ndarray, np.ndarray] | None)
     if stat is None:
         return x
     mean, sd = stat
+    if mean.shape != x.shape[1:] or sd.shape != x.shape[1:]:
+        raise ShapeError(f"input statistics of shapes {mean.shape} and {sd.shape} for inputs "
+                         f"of shape {x.shape[1:]}")
     return (x - mean) / sd
 
 
@@ -536,7 +539,7 @@ def _call(fn: Callable, job):
 def fork_map(fn: Callable, jobs: list, describe: Callable[[object], str]) -> list:
     """``fn(job)`` for every job, in job order, with the exception a job
     raised in place of its result.  ``extract`` maps it over the subjects,
-    ``train`` over the fits of ``FITS`` and ``eval`` over the folds.
+    ``train`` over its (result row, fold) pairs and ``eval`` over the folds.
 
     The jobs run in a pool of processes started with ``fork``: ``fn`` reaches
     the workers through the fork, so only jobs and results are pickled.
@@ -589,12 +592,12 @@ class ExperimentRunner:
     """Trains every requested classifier kind over a shared fold plan.
 
     Every net, member or not, trains through :meth:`train_net`.
-    :meth:`prefetch` makes the fits of ``FITS`` that the result rows read,
-    through :func:`fork_map`, into a cache per (label, fold), so that
-    single-domain kinds and the fusion ensembles reuse identical trained
-    members (identical seeds make this exact, not approximate).  The cache
-    holds a fit's outputs, not its parameters: the job that made the fit
-    wrote its files.
+    :meth:`fit_rows` fits, saves and scores each result row on each fold in
+    one :func:`fork_map` job; the jobs of the ``FITS`` rows run first and
+    fill a cache per (label, fold), so that the fusion ensembles reuse the
+    single-domain kinds' trained members (identical seeds make this exact,
+    not approximate).  The cache holds a member's outputs, not its
+    parameters: the job that made the fit wrote its files.
     """
 
     def __init__(self, features, manifest: CohortManifest, spec: ModelSpec,
@@ -675,90 +678,86 @@ class ExperimentRunner:
 
     def trained_member(self, label: str, fold: int) -> Outputs:
         """The outputs of the fold's fit of a ``FITS`` label, from the cache
-        that :meth:`prefetch` filled.  A fit that failed raises its
+        that :meth:`fit_rows` filled.  A fit that failed raises its
         exception again."""
         got = self._member_cache[label, fold]
         if isinstance(got, Exception):
             raise got
         return got
 
-    def prefetch(self, rows: list["ResultRow"], save: Callable) -> dict[str, str]:
-        """Make every fit that the result rows read, through
-        :func:`fork_map`, into the cache; the name and sha256 of every model
-        file the jobs wrote.
+    def fit_rows(self, rows: list["ResultRow"],
+                 save: Callable) -> list[MetricsReport | Exception]:
+        """Fit, save and score every result row on every fold, one
+        :func:`fork_map` job per (row, fold); per row, in ``rows`` order, its
+        :class:`MetricsReport`, or the exception of its first failed fold.
 
-        A fit's job makes it and writes its files, the model file and
-        learning curves of its ``Fit.row``, by ``save(row, fitted, curves,
-        fold, written)``, which records the model file's name and sha256 in
-        ``written``.  The job returns that record and the fit's outputs on
-        the batches that result rows read, so no parameters come back.  The
+        The jobs run in two waves: first the ``FITS`` rows that the rows
+        read, whose outcomes fill the member cache, then the ensembles, in
+        jobs forked after it is filled.  A job writes its row's model file
+        and learning curves by ``save(row, fitted, curves, fold, written)``,
+        which returns the model file's name and sha256; ``written`` holds
+        those of the first wave, which an ensemble's file refers to.  The
         jobs are independent and each draws its seeds from its own
-        (label, fold), so the pool size changes no byte.  A job that raises,
-        or whose worker dies, leaves its exception in the cache for every
-        result row that reads it.
+        (label, fold), so the pool size changes no byte.  A fit whose job
+        raises, or whose worker dies, fails every row that reads it.
         """
-        labels = {label for row in rows for label in row.fits}
-        jobs = [(label, fold) for label in FITS if label in labels for fold in range(self.k)]
-        results = fork_map(partial(self._fit_job, save), jobs,
-                           lambda job: f"{FITS[job[0]].doing} of fold {job[1]}")
+        reading = {label for row in rows for label in row.fits}
+        fits = [row for label, row in FITS.items() if label in reading]
         written: dict[str, str] = {}
-        for job, got in zip(jobs, results):
-            if not isinstance(got, Exception):
-                files, pairs = got
-                written.update(files)
-                got = Outputs(pairs=pairs)
-            self._member_cache[job] = got
-        return written
+        per_fold: dict[tuple, dict | Exception] = {}
+        fit = partial(self._fit_job, save, written)
+        for wave in (fits, [row for row in rows if row not in fits]):
+            jobs = [(row, fold) for row in wave for fold in range(self.k)]
+            results = fork_map(fit, jobs, lambda job: (
+                f"{KINDS[job[0].kind].doing.format(row=job[0])} of fold {job[1]}"))
+            for (row, fold), got in zip(jobs, results):
+                if isinstance(got, Exception):
+                    per_fold[row, fold] = outputs = got
+                else:
+                    files, per_fold[row, fold], pairs = got
+                    written.update(files)
+                    outputs = Outputs(pairs=pairs)
+                if wave is fits:
+                    self._member_cache[row.fits[0], fold] = outputs
+        reports = []
+        for row in rows:
+            folds = [per_fold[row, fold] for fold in range(self.k)]
+            failed = next((got for got in folds if isinstance(got, Exception)), None)
+            reports.append(MetricsReport.from_folds(folds) if failed is None else failed)
+        return reports
 
-    def _fit_job(self, save: Callable, job: tuple[str, int]):
-        """One fit of :meth:`prefetch`, in a form that crosses a process
-        boundary: the files the save hook wrote, and the fit's outputs by
-        :func:`batch_key`."""
-        label, fold = job
-        row = FITS[label].row
-        core, curves = FITS[label].make(self, label, fold)
-        written: dict[str, str] = {}
-        save(row, FittedModel(core, self.fold_stats(fold, row)), curves, fold, written)
-        # the batches that result rows read: every fit's test batch, and a
-        # member's training and validation batches, on which score fusion
-        # fits its stage 2
+    def _fit_job(self, save: Callable, written: dict[str, str], job: tuple):
+        """One (row, fold) of :meth:`fit_rows`, in a form that crosses a
+        process boundary: the files the save hook wrote, the fold's metrics,
+        and a member's outputs by :func:`batch_key` on the batches that
+        ensembles read (score fusion fits its stage 2 on the training and
+        validation ones)."""
+        row, fold = job
+        core, curves = KINDS[row.kind].fit(self, row, fold)
+        files = save(row, FittedModel(core, self.fold_stats(fold, row)), curves, fold, written)
         train_ids, val_ids, test_ids = self.fold_split(fold)
         outputs = Outputs(core)
-        for sids in ([train_ids, val_ids] if label in DOMAINS else []) + [test_ids]:
-            outputs.predict(self.fold_inputs(row, sids, fold))
-        return written, outputs.pairs
-
-    # per-result execution ---------------------------------------------------
-
-    def run_result(self, row: "ResultRow", save: Callable,
-                   written: dict[str, str]) -> MetricsReport:
-        """Fit one result row on every fold, save each fold by ``save(row,
-        fitted, curves, fold, written)``, as a job of :meth:`prefetch` saves
-        its fit, and test it on the held-out subjects.  ``written`` holds the
-        model files that :meth:`prefetch` wrote, which the row's bundles
-        refer to."""
-        per_fold = []
-        for fold in range(self.k):
-            test_ids = self.fold_split(fold)[2]
-            core, curves = KINDS[row.kind].fit(self, row, fold)
-            fitted = FittedModel(core, self.fold_stats(fold, row))
-            bits, _ = predict_with_core(fitted, row.kind, self.features, test_ids,
-                                        self.band_idx, row.feature_set)
-            per_fold.append(evaluate([self.class_names[int(b)] for b in bits],
-                                     [self.labels[s] for s in test_ids], self.positive_class))
-            save(row, fitted, curves, fold, written)
-        return MetricsReport.from_folds(per_fold)
+        predict = core.predict
+        if row in (FITS[d] for d in DOMAINS):
+            predict = outputs.predict
+            for sids in (train_ids, val_ids):
+                predict(self.fold_inputs(row, sids, fold))
+        bits, _ = predict(self.fold_inputs(row, test_ids, fold))
+        metrics = evaluate([self.class_names[int(b)] for b in bits],
+                           [self.labels[s] for s in test_ids], self.positive_class)
+        return files, metrics, outputs.pairs
 
 
 # -- the model-kind table -----------------------------------------------------
 #
-# One row per kind.  ``fit`` fits a result row's core on one fold (reading the
-# prefetched fits that the row lists) and returns it with the learning curves
-# that the row's own curve files hold; ``bundle`` and ``unbundle`` map a core
-# to the named entries of a model file and back (a member's ``ResultRow``
-# entry, saved as a reference to that row's file, comes back as the member's
-# net); ``results`` lists the rows the kind reports (the SVM reports one per
-# feature set).  ``FITS``, after it, lists the fits.
+# One row per kind.  ``fit`` fits a result row's core on one fold (an
+# ensemble reads the member fits that the row lists) and returns it with the
+# learning curves that the row's own curve files hold; ``bundle`` and
+# ``unbundle`` map a core to the named entries of a model file and back (a
+# member's ``ResultRow`` entry, saved as a reference to that row's file, comes
+# back as the member's net); ``results`` lists the rows the kind reports (the
+# SVM reports one per feature set); ``doing`` says what a row's job does.
+# ``FITS``, after it, lists the rows whose fits other rows read.
 
 
 class ResultRow(NamedTuple):
@@ -766,7 +765,7 @@ class ResultRow(NamedTuple):
     kind: str         # the key of its ``KINDS`` row
     feature: str      # the feature label written to bundles and metrics.json
     feature_set: str  # the domains the core reads: "all" of the kind's, or one
-    fits: tuple[str, ...]  # the labels of the prefetched fits (``FITS``) it reads
+    fits: tuple[str, ...]  # the labels of the fits (``FITS``) it reads
     curves: tuple[str, ...] = ()  # the stems of its own learning-curve files
 
 
@@ -787,12 +786,6 @@ def _flat_concat(arrays: dict) -> np.ndarray:
     return np.concatenate([x.reshape(len(x), -1) for x in arrays.values()], axis=1)
 
 
-def _fit_single(runner: ExperimentRunner, row: ResultRow, fold: int):
-    """The outputs of the row's one prefetched fit, whose job wrote its files."""
-    (label,) = row.fits
-    return runner.trained_member(label, fold), ()
-
-
 def _fit_ensemble(mode: str, runner: ExperimentRunner, row: ResultRow, fold: int):
     """The fold's members fused by ``mode``; score fusion trains its stage 2
     here on the members' outputs, and returns that net's curve."""
@@ -807,20 +800,20 @@ def _fit_ensemble(mode: str, runner: ExperimentRunner, row: ResultRow, fold: int
     return EnsembleModel(mode, members, stage2), (res.curve,)
 
 
-def _train_fit(build: Callable, runner: ExperimentRunner, label: str, fold: int):
-    """A prefetched net, built by ``build(spec, seed)`` and trained, and its curve."""
-    row = FITS[label].row
+def _train_fit(build: Callable, runner: ExperimentRunner, row: ResultRow, fold: int):
+    """The row's net, built by ``build(spec, seed)`` and trained, and its curve."""
+    (label,) = row.fits
     net, res = runner.train_net(label, fold, partial(build, runner.spec),
                                 lambda sids: runner.fold_inputs(row, sids, fold))
     return net, (res.curve,)
 
 
-def _fit_svm(runner: ExperimentRunner, label: str, fold: int):
-    """A prefetched SVM, fitted on every non-test subject of the fold (an SVM
+def _fit_svm(runner: ExperimentRunner, row: ResultRow, fold: int):
+    """The row's SVM, fitted on every non-test subject of the fold (an SVM
     has no epoch to select), and no curve."""
     train_ids, val_ids, _ = runner.fold_split(fold)
     fit_ids = train_ids + val_ids
-    x = runner.fold_inputs(FITS[label].row, fit_ids, fold)
+    x = runner.fold_inputs(row, fit_ids, fold)
     return train_svm(x, runner.bits_of(fit_ids), l2=runner.svm_l2,
                      learning_rate=runner.svm_learning_rate, steps=runner.svm_steps), ()
 
@@ -844,7 +837,7 @@ def _unbundle_net(entries: dict, meta: dict):
 
 
 def _bundle_ensemble(ens: EnsembleModel) -> tuple[dict, dict]:
-    entries = {f"member_{d}": FITS[d].row for d in ens.members}
+    entries = {f"member_{d}": FITS[d] for d in ens.members}
     if ens.stage2 is not None:
         entries["stage2"] = ens.stage2
     return entries, {"fusion_mode": ens.mode}
@@ -873,6 +866,7 @@ class ModelKind:
     bundle: Callable[[object], tuple[dict, dict]]  # core -> (bundle entries, extra meta)
     unbundle: Callable[[dict, dict], object]       # (bundle entries, meta) -> core
     results: tuple[ResultRow, ...]
+    doing: str  # what a row's job does, ``.format(row=row)``, for a worker that dies
     standardized: bool = True  # by the fold's input statistics; the SVM scales its own
 
     def inputs(self, features, sids: list[str], band_idx=None, stats: dict | None = None,
@@ -894,49 +888,38 @@ _DOMAIN_CNNS = {"cnn2d_var": "var", "cnn2d_pdc": "pdc", "cnn1d_cn": "cn"}  # kin
 _SVM_ROWS = tuple(ResultRow(f"svm_{f}", "svm_linear", f, f, (f"svm_{f}",))
                   for f in (*DOMAINS, "all"))
 
+_TRAINING = "training the {row.fits[0]} net"
+_FUSING = "fusing the {row.result_id} members"
+
 KINDS: dict[str, ModelKind] = {
-    **{kind: ModelKind((d,), _one_array, _fit_single, _bundle_net, _unbundle_net,
-                       (ResultRow(kind, kind, d, "all", (d,), (f"domain_{d}",)),))
+    **{kind: ModelKind((d,), _one_array, partial(_train_fit, partial(build_domain_network, d)),
+                       _bundle_net, _unbundle_net,
+                       (ResultRow(kind, kind, d, "all", (d,), (f"domain_{d}",)),), _TRAINING)
        for kind, d in _DOMAIN_CNNS.items()},
-    "fusion_feature": ModelKind(DOMAINS, _array_list, _fit_single, _bundle_net, _unbundle_net,
+    "fusion_feature": ModelKind(DOMAINS, _array_list, partial(_train_fit, build_feature_fusion),
+                                _bundle_net, _unbundle_net,
                                 (ResultRow("fusion_feature", "fusion_feature", _FUSED, "all",
-                                           ("fusion_feature",), ("fusion_feature",)),)),
+                                           ("fusion_feature",), ("fusion_feature",)),),
+                                _TRAINING),
     "fusion_score": ModelKind(DOMAINS, _by_domain, partial(_fit_ensemble, "score"),
                               _bundle_ensemble, partial(_unbundle_ensemble, "score"),
                               (ResultRow("fusion_score", "fusion_score", _FUSED, "all", DOMAINS,
-                                         ("fusion_score_stage2",)),)),
+                                         ("fusion_score_stage2",)),), _FUSING),
     "fusion_decision": ModelKind(DOMAINS, _by_domain, partial(_fit_ensemble, "decision"),
                                  _bundle_ensemble, partial(_unbundle_ensemble, "decision"),
                                  (ResultRow("fusion_decision", "fusion_decision", _FUSED, "all",
-                                            DOMAINS),)),
-    "svm_linear": ModelKind(DOMAINS, _flat_concat, _fit_single, _bundle_svm, _unbundle_svm,
-                            _SVM_ROWS, standardized=False),
+                                            DOMAINS),), _FUSING),
+    "svm_linear": ModelKind(DOMAINS, _flat_concat, _fit_svm, _bundle_svm, _unbundle_svm,
+                            _SVM_ROWS, "fitting the {row.result_id} SVM", standardized=False),
 }
 
 MODEL_KINDS = tuple(KINDS)
 
-
-class Fit(NamedTuple):
-    """A model that :meth:`ExperimentRunner.prefetch` makes once per fold
-    for every result row that reads it."""
-
-    row: ResultRow  # the result row whose model and curve files hold it
-    make: Callable  # (runner, label, fold) -> (core, curves in ``row.curves`` order)
-    doing: str      # what its job does, for the message of a worker that dies
-
-
-def _net_fit(label: str, kind: str, build: Callable[[ModelSpec, int], Network]) -> Fit:
-    return Fit(KINDS[kind].results[0], partial(_train_fit, build),
-               f"training the {label} net")
-
-
-# Every fit by label, in job order: the largest nets first, then the SVMs.
-FITS: dict[str, Fit] = {
-    "fusion_feature": _net_fit("fusion_feature", "fusion_feature", build_feature_fusion),
-    **{d: _net_fit(d, kind, partial(build_domain_network, d))
-       for kind, d in _DOMAIN_CNNS.items()},
-    **{row.result_id: Fit(row, _fit_svm, f"fitting the {row.result_id} SVM")
-       for row in _SVM_ROWS},
+# The rows whose fits other rows read, by the one label of their ``fits``, in
+# job order: the largest nets first, then the SVMs.
+FITS: dict[str, ResultRow] = {
+    row.fits[0]: row
+    for kind in ("fusion_feature", *_DOMAIN_CNNS, "svm_linear") for row in KINDS[kind].results
 }
 
 

@@ -48,6 +48,27 @@ pipeline.train_model = die_on_pdc
 sys.exit(main(["train", "--config", sys.argv[1]]))
 """
 
+# Trains with score fusion's stage-2 training killing its process, as a crash would.
+KILL_STAGE2_WORKER = r"""
+import os
+import sys
+
+from eegconn import pipeline
+from eegconn.cli import main
+
+train_model = pipeline.train_model
+
+
+def die_on_stage2(model, *args, **kwargs):
+    if model.name == "stage2":
+        os._exit(9)
+    return train_model(model, *args, **kwargs)
+
+
+pipeline.train_model = die_on_stage2
+sys.exit(main(["train", "--config", sys.argv[1]]))
+"""
+
 # Trains with the save of one model file (argv 2) writing half of the file,
 # then killing its process, as a crash would.
 KILL_WHILE_SAVING = r"""
@@ -574,6 +595,45 @@ class TestTrain:
                    for rid in set(RESULT_IDS) - set(failed))
 
     @pytest.mark.skipif(len(os.sched_getaffinity(0)) < 2, reason="needs 2 usable CPUs")
+    def test_dead_ensemble_worker_fails_only_its_row(self, workspace, tmp_path):
+        _, _, out, manifest = workspace
+        copy = tmp_path / "out"
+        shutil.copytree(out / "features", copy / "features")
+        proc = run_script(KILL_STAGE2_WORKER,
+                          write_config(tmp_path / "r.cfg", manifest, copy, epochs=2))
+        assert proc.returncode == 1, proc.stderr
+        assert "Traceback" not in proc.stderr
+        assert proc.stderr.strip().splitlines() == [
+            "fusion_score: FAILED (the worker fusing the fusion_score members of fold 0 died)"]
+        assert all(f"{rid}: trained 2 folds" in proc.stdout
+                   for rid in RESULT_IDS if rid != "fusion_score")
+        assert not list((copy / "models").glob("fusion_score_*"))
+        assert not list((copy / "curves").glob("fusion_score_*"))
+
+    def test_unstandardized_inputs_score_as_eval_does(self, workspace, tmp_path, capsys):
+        _, _, out, manifest = workspace
+        copy = tmp_path / "out"
+        shutil.copytree(out / "features", copy / "features")
+        cfg = write_config(tmp_path / "r.cfg", manifest, copy, standardize_features="false")
+        capsys.readouterr()
+        assert main(["train", "--config", str(cfg)]) == 0
+        printed = dict(re.fullmatch(r"(\w+): trained 2 folds, modified accuracy "
+                                    r"([\d.]+)% \(\+/-[\d.]+\)", line).groups()
+                       for line in capsys.readouterr().out.splitlines())
+        for path in (copy / "models").glob("*.model"):
+            entries, meta = serialize.load_bundle(path)
+            assert meta["standardized_inputs"] is False, path.name
+            assert not [role for role in entries if role.startswith("stats_")], path.name
+        assert main(["eval", "--config", str(cfg)]) == 0
+        assert printed == {rid: f"{row['mean']['modified_accuracy']:.2f}"
+                           for rid, row in _rows_by_model(copy).items()}
+        args = ["predict", "--config", str(cfg),
+                "--model", str(copy / "models" / "fusion_score_fold0.model")]
+        for dom in ("var", "pdc", "cn"):
+            args += ["--input", str(copy / "features" / f"sz000_{dom}.feat")]
+        assert main(args) == 0
+
+    @pytest.mark.skipif(len(os.sched_getaffinity(0)) < 2, reason="needs 2 usable CPUs")
     def test_worker_dying_while_saving_leaves_no_partial_file(self, workspace, tmp_path):
         _, _, out, manifest = workspace
         copy = tmp_path / "out"
@@ -1032,6 +1092,25 @@ META_FAULTS = [
      "class_names ['HC'] are not two names"),
 ]
 
+# id, edit of a cnn2d_var bundle's stats_var entry ({"mean": ..., "sd": ...}),
+# what the error says after the file's name
+STATS_FAULTS = [
+    ("no-sd", lambda rec: rec.pop("sd"), "bundle entry 'stats_var' is not a mean and an sd"),
+    ("broadcastable-shape",
+     lambda rec: rec.update(mean=rec["mean"][..., :1], sd=rec["sd"][..., :1]),
+     "input statistics of shapes (4, 4, 1) and (4, 4, 1) for inputs of shape (4, 4, 2)"),
+    ("flat-shape", lambda rec: rec.update(mean=rec["mean"].ravel()),
+     "input statistics of shapes (32,) and (4, 4, 2) for inputs of shape (4, 4, 2)"),
+]
+
+
+def _edit_stats(src: Path, dst: Path, edit) -> None:
+    """Save ``src`` at ``dst`` with ``edit`` applied to its stats_var entry."""
+    entries, meta = serialize.load_bundle(src)
+    entries["stats_var"] = rec = dict(entries["stats_var"])
+    edit(rec)
+    save_bundle(dst, entries, meta=meta)
+
 
 class TestMalformedFiles:
     """A malformed container or bundle gives one error line and exit 2; in
@@ -1146,6 +1225,31 @@ class TestMalformedFiles:
         capsys.readouterr()
         assert main(["eval", "--config", str(cfg)]) == 1
         assert capsys.readouterr().err.splitlines() == [f"cnn2d_var: FAILED ({model}: {message})"]
+        assert list(_rows_by_model(copy).values()) == [_rows_by_model(out)["cnn1d_cn"]]
+
+    @pytest.mark.parametrize("edit, message", [row[1:] for row in STATS_FAULTS],
+                             ids=[row[0] for row in STATS_FAULTS])
+    def test_stats_in_predict(self, workspace, tmp_path, capsys, edit, message):
+        _, cfg, out, _ = workspace
+        model = tmp_path / "cnn2d_var_fold0.model"
+        _edit_stats(out / "models" / model.name, model, edit)
+        capsys.readouterr()
+        assert main(["predict", "--config", str(cfg), "--model", str(model),
+                     "--input", str(out / "features" / "sz000_var.feat")]) == 2
+        assert capsys.readouterr().err.splitlines() == [f"error: {model}: {message}"]
+
+    @pytest.mark.parametrize("edit, message", [row[1:] for row in STATS_FAULTS],
+                             ids=[row[0] for row in STATS_FAULTS])
+    def test_stats_in_eval_fail_their_row(self, workspace, tmp_path, capsys, edit, message):
+        _, _, out, manifest = workspace
+        copy = copy_for_eval(workspace, tmp_path)
+        name = "cnn2d_var_fold1.model"
+        _edit_stats(out / "models" / name, copy / "models" / name, edit)
+        cfg = write_config(tmp_path / "r.cfg", manifest, copy, model_kinds="cnn2d_var,cnn1d_cn")
+        capsys.readouterr()
+        assert main(["eval", "--config", str(cfg)]) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("cnn2d_var: FAILED (") and message in err[0]
         assert list(_rows_by_model(copy).values()) == [_rows_by_model(out)["cnn1d_cn"]]
 
     def test_bundle_in_eval_fails_its_row(self, workspace, tmp_path, capsys):

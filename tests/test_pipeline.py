@@ -237,13 +237,13 @@ def test_kind_table_invariants():
         assert all(row.kind == kind for row in entry.results), kind
     ids = [row.result_id for row in rows]
     assert len(ids) == len(set(ids))
-    for label, fit in pipeline.FITS.items():
-        assert fit.row in KINDS[fit.row.kind].results, label
+    for label, row in pipeline.FITS.items():
+        assert row in KINDS[row.kind].results and row.fits == (label,), label
     assert {label for row in rows for label in row.fits} <= set(pipeline.FITS)
 
 
 def save_into(out, manifest):
-    """The save hook that ``train`` passes to prefetch, writing into
+    """The save hook that ``train`` passes to fit_rows, writing into
     ``out / "models"`` and ``out / "curves"``."""
     for folder in ("models", "curves"):
         (out / folder).mkdir(parents=True, exist_ok=True)
@@ -262,8 +262,7 @@ def run(tmp_path_factory):
     out = tmp_path_factory.mktemp("tinyexp")
     save = save_into(out, manifest)
     rows = [row for kind in kinds for row in KINDS[kind].results]
-    written = runner.prefetch(rows, save)
-    reports = {row.result_id: runner.run_result(row, save, written) for row in rows}
+    reports = dict(zip((row.result_id for row in rows), runner.fit_rows(rows, save)))
     return runner, reports, manifest, out / "models"
 
 
@@ -323,7 +322,7 @@ class TestExperimentRunner:
 
 def test_no_parameter_array_crosses_the_pool(tmp_path, monkeypatch):
     # a fit's job writes the fit's file and returns its name and sha256 and
-    # the fit's outputs: not a net's weights, and no SVM
+    # the fold's metrics and outputs: not a net's weights, and no SVM
     features, manifest = tiny_features(derive_rng(99, "tinyexp"))
     spec = ModelSpec(kind="cnn2d_var", **{**TINY, "conv2d_filters": (32, 16), "dense2d": 32,
                                           "epochs": 3})
@@ -336,13 +335,15 @@ def test_no_parameter_array_crosses_the_pool(tmp_path, monkeypatch):
         return results
 
     monkeypatch.setattr(pipeline, "fork_map", spy)
-    runner.prefetch([row for kind in ("cnn2d_var", "fusion_feature", "svm_linear")
+    runner.fit_rows([row for kind in ("cnn2d_var", "fusion_feature", "svm_linear")
                      for row in KINDS[kind].results], save_into(tmp_path, manifest))
     svms = ("svm_var", "svm_pdc", "svm_cn", "svm_all")
     assert [job for job, _ in returned] == [
-        (label, fold) for label in ("fusion_feature", "var", *svms) for fold in range(2)]
-    for (label, fold), got in returned:
-        name = f"{pipeline.FITS[label].row.result_id}_fold{fold}.model"
+        (pipeline.FITS[label], fold) for label in ("fusion_feature", "var", *svms)
+        for fold in range(2)]
+    for (row, fold), got in returned:
+        label = row.fits[0]
+        name = f"{row.result_id}_fold{fold}.model"
         raw = (tmp_path / "models" / name).read_bytes()
         assert got[0] == {name: hashlib.sha256(raw[:-32]).hexdigest()}, (label, fold)
         if label in svms:
