@@ -25,7 +25,7 @@ from .eeg_io import CohortManifest, ManifestEntry, load_manifest, load_recording
 from .errors import EegConnError, ShapeError, ValidationError
 from .netmetrics import cn_features
 from .nn.network import Network
-from .nn.serialize import BundleRef, load_bundle, save_bundle
+from .nn.serialize import BundleRef, load_bundle, resolve, save_bundle
 from .pipeline import (
     DOMAINS,
     FITS,
@@ -314,7 +314,8 @@ def cmd_train(cfg: RunConfig) -> int:
          *(f"{sid},{runner.plan.assignments[sid]}\n" for sid in manifest.subject_ids())]))
 
     rows = _result_rows(cfg)
-    reports = runner.fit_rows(rows, functools.partial(_save_fold, cfg, manifest))
+    reports = runner.fit_rows(rows, functools.partial(_save_fold, cfg, manifest),
+                              functools.partial(_read_members, cfg))
     failures = 0
     kept: set[Path] = set()  # the files of the rows trained, and of the fits they read
     for row, report in zip(rows, reports):
@@ -351,19 +352,25 @@ def _row_files(cfg: RunConfig, row: ResultRow, k: int) -> set[Path]:
     return {path for r in rows for fold in range(k) for path in _fold_files(cfg, r, fold)}
 
 
+def _member_ref(cfg: RunConfig, member: ResultRow, fold: int,
+                written: dict[str, str]) -> BundleRef:
+    """A reference to the ``NET_ROLE`` entry of a member row's file of one
+    fold, whose name and sha256 ``written`` holds."""
+    name = _model_path(cfg, member, fold).name
+    return BundleRef(name, written[name], NET_ROLE)
+
+
 def _save_fold(cfg: RunConfig, manifest: CohortManifest, row: ResultRow,
                fitted: FittedModel, curves: tuple, fold: int,
                written: dict[str, str]) -> dict[str, str]:
     """Write a result row's model bundle of one fold and its learning
     curves, in ``row.curves`` order; the bundle's name and sha256.  A
-    member's ``ResultRow`` entry becomes a reference to the ``NET_ROLE``
-    entry of that row's file, whose name and sha256 ``written`` holds."""
+    member's ``ResultRow`` entry becomes a reference to that row's file."""
     path, *curve_paths = _fold_files(cfg, row, fold)
     entries, extra_meta = KINDS[row.kind].bundle(fitted.core)
     for role, entry in entries.items():
         if isinstance(entry, ResultRow):
-            member = _model_path(cfg, entry, fold).name
-            entries[role] = BundleRef(member, written[member], NET_ROLE)
+            entries[role] = _member_ref(cfg, entry, fold, written)
     for domain, (mean, sd) in (fitted.stats or {}).items():
         entries[f"stats_{domain}"] = {"mean": mean, "sd": sd}
     meta = {
@@ -381,6 +388,14 @@ def _save_fold(cfg: RunConfig, manifest: CohortManifest, row: ResultRow,
     for curve_path, curve in zip(curve_paths, curves):
         _write_curve_csv(curve_path, curve)
     return {path.name: digest}
+
+
+def _read_members(cfg: RunConfig, row: ResultRow, written: dict[str, str]):
+    """A reader ``(label, fold)`` -> net of the members that ``row`` reads:
+    as eval reads them through the row's file, which need not exist yet,
+    each from its own file, which must have the sha256 in ``written``."""
+    return lambda label, fold: resolve(_model_path(cfg, row, fold),
+                                       _member_ref(cfg, FITS[label], fold, written), {})
 
 
 # -- eval ----------------------------------------------------------------------
@@ -505,15 +520,26 @@ def _eval_fold(cfg: RunConfig, manifest: CohortManifest, features: dict,
     truth = [labels[sid] for sid in test_ids]
     outcomes: list = []
     for row in rows:
+        path = _model_path(cfg, row, fold)
         try:
-            core, meta, band_idx = _load_row(load, _model_path(cfg, row, fold), row, fold)
-            bits, _ = predict_with_core(core, row.kind, features, test_ids, band_idx,
-                                        row.feature_set)
+            core, meta, band_idx = _load_row(load, path, row, fold)
+            bits, _ = _predict(path, core, row.kind, features, test_ids, band_idx,
+                               row.feature_set)
             predicted = [meta["class_names"][int(b)] for b in bits]
             outcomes.append(evaluate(predicted, truth, cfg.positive_class))
         except Exception as exc:  # noqa: BLE001 - per-model isolation, nonzero exit in cmd_eval
             outcomes.append(str(exc))
     return outcomes
+
+
+def _predict(path, core: FittedModel, kind: str, features, sids: list[str], band_idx,
+             feature_set: str):
+    """:func:`predict_with_core` of the model read from ``path``, whose
+    ShapeError, where the model does not fit the inputs, names the file."""
+    try:
+        return predict_with_core(core, kind, features, sids, band_idx, feature_set)
+    except ShapeError as exc:
+        raise ShapeError(f"{path}: {exc}") from None
 
 
 # -- predict -------------------------------------------------------------------
@@ -542,11 +568,8 @@ def cmd_predict(cfg: RunConfig, model_path: str, input_paths: list[str]) -> int:
     if sid is None:
         raise ValidationError("predict needs at least one --input feature container")
     core, meta, band_idx = load_model(model_path, band_names or BandSpec().names)
-    try:
-        bits, probs = predict_with_core(core, meta["model_kind"], {sid: per_domain}, [sid],
-                                        band_idx, meta["feature_set"])
-    except ShapeError as exc:  # the model does not fit the inputs
-        raise ShapeError(f"{model_path}: {exc}") from None
+    bits, probs = _predict(model_path, core, meta["model_kind"], {sid: per_domain}, [sid],
+                           band_idx, meta["feature_set"])
     class_names = meta["class_names"]
     result = {
         "subject_id": sid,

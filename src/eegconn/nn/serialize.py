@@ -176,10 +176,10 @@ def _read(path: Path, cache: dict) -> _File:
     return cache[path]
 
 
-def _resolve(path: Path, ref: BundleRef, cache: dict):
+def resolve(path: Path, ref: BundleRef, cache: dict):
     """The entry a reference in the file at ``path`` names, from a member file
     that passes every check of its own, has the recorded sha256 and holds no
-    reference itself."""
+    reference itself; the file at ``path`` itself is not read."""
     member = path.parent / ref.file
     try:
         got = _read(member, cache)
@@ -204,12 +204,12 @@ def load_bundle(path: str | Path, cache: dict | None = None) -> tuple[dict[str, 
     The sha256 is checked before any network is built, every parameter
     array is a view of the one buffer the payload is read into, and loading
     draws no random weights.  A reference resolves to the entry it names in
-    a member file of the same directory (see ``_resolve``).  ``cache`` maps
+    a member file of the same directory (see :func:`resolve`).  ``cache`` maps
     the path of every file read to its entries, so that callers which share
     one read each file, and build each network, once.
     """
     path = Path(path)
     cache = {} if cache is None else cache
     got = _read(path, cache)
-    return {role: _resolve(path, e, cache) if isinstance(e, BundleRef) else e
+    return {role: resolve(path, e, cache) if isinstance(e, BundleRef) else e
             for role, e in got.entries.items()}, got.meta

@@ -9,7 +9,7 @@ table, which says what the kind reads, how one fold is fitted, how its core is
 saved, and which result rows it reports; a result row names its kind, and is
 the unit that training, evaluation and reporting walk.  A row whose fit other
 rows read, a net or an SVM, is one entry of the ``FITS`` table; its fit is
-made once per fold, before the ensembles that read it.
+made once per fold, before the ensembles that read it from its model file.
 Evaluation is stratified k-fold with a held-out validation split inside each
 fold driving epoch selection.
 """
@@ -17,7 +17,6 @@ fold driving epoch selection.
 from __future__ import annotations
 
 import ctypes
-import hashlib
 import os
 import time
 from dataclasses import dataclass, field
@@ -197,35 +196,20 @@ def member_probs(members: dict[str, Network | Outputs],
     return np.stack([members[d].predict_proba(inputs[d]) for d in DOMAINS], axis=1)
 
 
-def batch_key(x) -> bytes:
-    """The sha256 of a core's input batch, one array or a list with one per
-    branch: the dtype, shape and bytes of each array."""
-    digest = hashlib.sha256()
-    for a in x if isinstance(x, list) else [x]:
-        digest.update(f"{a.dtype.str}{a.shape}".encode())
-        digest.update(np.ascontiguousarray(a))
-    return digest.digest()
-
-
 class Outputs:
-    """A core's class bits and probabilities, ``core.predict(x)``, by input
-    batch (:func:`batch_key`), so that each batch runs once however many
-    result rows read it.  The bits are kept as the core gave them: an SVM
-    score just above zero is class 1 though its probability rounds to 0.5.
+    """A core's class bits and probabilities, ``core.predict(x)``, by the
+    dtype, shape and bytes of each array of the input batch, so that each
+    batch runs once however many result rows of one process read it.  The
+    bits are kept as the core gave them."""
 
-    Without a core it holds the outputs that the fit's job sent, from the
-    process that held the core; a batch not among them is an error.
-    """
-
-    def __init__(self, core=None, pairs: dict[bytes, tuple] | None = None):
+    def __init__(self, core):
         self.core = core
-        self.pairs = {} if pairs is None else pairs
+        self.pairs: dict[tuple, tuple] = {}
 
     def predict(self, x) -> tuple[np.ndarray, np.ndarray]:
-        key = batch_key(x)
+        key = tuple((a.dtype.str, a.shape, a.tobytes()) for a in
+                    (x if isinstance(x, list) else [x]))
         if key not in self.pairs:
-            if self.core is None:
-                raise ValidationError("no output for this batch from the fit's job")
             self.pairs[key] = self.core.predict(x)
         return self.pairs[key]
 
@@ -594,10 +578,9 @@ class ExperimentRunner:
     Every net, member or not, trains through :meth:`train_net`.
     :meth:`fit_rows` fits, saves and scores each result row on each fold in
     one :func:`fork_map` job; the jobs of the ``FITS`` rows run first and
-    fill a cache per (label, fold), so that the fusion ensembles reuse the
-    single-domain kinds' trained members (identical seeds make this exact,
-    not approximate).  The cache holds a member's outputs, not its
-    parameters: the job that made the fit wrote its files.
+    write their model files, from which the fusion ensembles read the
+    single-domain kinds' trained members as eval does (:meth:`trained_member`;
+    a loaded net holds the trained parameters, so this is exact).
     """
 
     def __init__(self, features, manifest: CohortManifest, spec: ModelSpec,
@@ -622,8 +605,6 @@ class ExperimentRunner:
         self.positive_class = positive_class
         self.labels = manifest.labels()
         self.plan = stratified_kfold(manifest, k=k, seed=derive_seed(master_seed, "folds"))
-        # (label, fold) -> a fit's outputs, or the exception its job raised
-        self._member_cache: dict[tuple[str, int], Outputs | Exception] = {}
         self._splits: dict[int, tuple[list[str], list[str], list[str]]] = {}
 
     # ids and labels ---------------------------------------------------------
@@ -676,49 +657,47 @@ class ExperimentRunner:
                           seed=derive_seed(self.master_seed, "train", label, fold))
         return net, res
 
-    def trained_member(self, label: str, fold: int) -> Outputs:
-        """The outputs of the fold's fit of a ``FITS`` label, from the cache
-        that :meth:`fit_rows` filled.  A fit that failed raises its
-        exception again."""
-        got = self._member_cache[label, fold]
-        if isinstance(got, Exception):
-            raise got
-        return got
+    def trained_member(self, label: str, fold: int) -> Network:
+        """The fold's net of a ``FITS`` label, read by the current job's
+        ``read_members`` (see :meth:`fit_rows`) from the file its fit wrote."""
+        return self._read_member(label, fold)
 
-    def fit_rows(self, rows: list["ResultRow"],
-                 save: Callable) -> list[MetricsReport | Exception]:
+    def fit_rows(self, rows: list["ResultRow"], save: Callable,
+                 read_members: Callable) -> list[MetricsReport | Exception]:
         """Fit, save and score every result row on every fold, one
         :func:`fork_map` job per (row, fold); per row, in ``rows`` order, its
         :class:`MetricsReport`, or the exception of its first failed fold.
 
         The jobs run in two waves: first the ``FITS`` rows that the rows
-        read, whose outcomes fill the member cache, then the ensembles, in
-        jobs forked after it is filled.  A job writes its row's model file
-        and learning curves by ``save(row, fitted, curves, fold, written)``,
-        which returns the model file's name and sha256; ``written`` holds
-        those of the first wave, which an ensemble's file refers to.  The
-        jobs are independent and each draws its seeds from its own
+        read, then the ensembles.  A job writes its row's model file and
+        learning curves by ``save(row, fitted, curves, fold, written)``,
+        which returns the file's name and sha256; ``written`` holds those of
+        the first wave, which an ensemble's file refers to and by which
+        ``read_members(row, written)`` checks the member files it reads.
+        The jobs are independent and each draws its seeds from its own
         (label, fold), so the pool size changes no byte.  A fit whose job
-        raises, or whose worker dies, fails every row that reads it.
+        raises, or whose worker dies, fails every row that reads it, and no
+        job runs for those rows.
         """
         reading = {label for row in rows for label in row.fits}
         fits = [row for label, row in FITS.items() if label in reading]
         written: dict[str, str] = {}
         per_fold: dict[tuple, dict | Exception] = {}
-        fit = partial(self._fit_job, save, written)
+        fit = partial(self._fit_job, save, read_members, written)
         for wave in (fits, [row for row in rows if row not in fits]):
             jobs = [(row, fold) for row in wave for fold in range(self.k)]
+            for row, fold in jobs:  # a row that reads failed fits fails with the first's exception
+                for label in row.fits:
+                    if isinstance(per_fold.get((FITS[label], fold)), Exception):
+                        per_fold.setdefault((row, fold), per_fold[FITS[label], fold])
+            jobs = [job for job in jobs if job not in per_fold]
             results = fork_map(fit, jobs, lambda job: (
                 f"{KINDS[job[0].kind].doing.format(row=job[0])} of fold {job[1]}"))
             for (row, fold), got in zip(jobs, results):
-                if isinstance(got, Exception):
-                    per_fold[row, fold] = outputs = got
-                else:
-                    files, per_fold[row, fold], pairs = got
-                    written.update(files)
-                    outputs = Outputs(pairs=pairs)
-                if wave is fits:
-                    self._member_cache[row.fits[0], fold] = outputs
+                if not isinstance(got, Exception):
+                    wrote, got = got
+                    written.update(wrote)
+                per_fold[row, fold] = got
         reports = []
         for row in rows:
             folds = [per_fold[row, fold] for fold in range(self.k)]
@@ -726,26 +705,18 @@ class ExperimentRunner:
             reports.append(MetricsReport.from_folds(folds) if failed is None else failed)
         return reports
 
-    def _fit_job(self, save: Callable, written: dict[str, str], job: tuple):
+    def _fit_job(self, save: Callable, read_members: Callable, written: dict[str, str],
+                 job: tuple):
         """One (row, fold) of :meth:`fit_rows`, in a form that crosses a
-        process boundary: the files the save hook wrote, the fold's metrics,
-        and a member's outputs by :func:`batch_key` on the batches that
-        ensembles read (score fusion fits its stage 2 on the training and
-        validation ones)."""
+        process boundary: the files the save hook wrote, the fold's metrics."""
         row, fold = job
+        self._read_member = read_members(row, written)
         core, curves = KINDS[row.kind].fit(self, row, fold)
-        files = save(row, FittedModel(core, self.fold_stats(fold, row)), curves, fold, written)
-        train_ids, val_ids, test_ids = self.fold_split(fold)
-        outputs = Outputs(core)
-        predict = core.predict
-        if row in (FITS[d] for d in DOMAINS):
-            predict = outputs.predict
-            for sids in (train_ids, val_ids):
-                predict(self.fold_inputs(row, sids, fold))
-        bits, _ = predict(self.fold_inputs(row, test_ids, fold))
-        metrics = evaluate([self.class_names[int(b)] for b in bits],
-                           [self.labels[s] for s in test_ids], self.positive_class)
-        return files, metrics, outputs.pairs
+        wrote = save(row, FittedModel(core, self.fold_stats(fold, row)), curves, fold, written)
+        _, _, test_ids = self.fold_split(fold)
+        bits, _ = core.predict(self.fold_inputs(row, test_ids, fold))
+        return wrote, evaluate([self.class_names[int(b)] for b in bits],
+                               [self.labels[s] for s in test_ids], self.positive_class)
 
 
 # -- the model-kind table -----------------------------------------------------

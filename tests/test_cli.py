@@ -610,6 +610,48 @@ class TestTrain:
         assert not list((copy / "models").glob("fusion_score_*"))
         assert not list((copy / "curves").glob("fusion_score_*"))
 
+    @pytest.mark.parametrize("fault", ["tampered", "re-signed"])
+    def test_member_replaced_between_the_waves_fails_the_ensembles(
+            self, workspace, tmp_path, monkeypatch, capsys, fault):
+        _, _, out, manifest = workspace
+        copy = tmp_path / "out"
+        shutil.copytree(out / "features", copy / "features")
+        cfg = write_config(tmp_path / "r.cfg", manifest, copy, epochs=2)
+        models = copy / "models"
+        member = models / "cnn2d_var_fold0.model"
+        fork_map = pipeline.fork_map
+        digests = []
+
+        def replace_member_after_wave_1(fn, jobs, describe):
+            results = fork_map(fn, jobs, describe)
+            if not digests:  # the members' wave has written its files
+                digests.append(member.read_bytes()[-32:].hex())
+                if fault == "tampered":
+                    flip_bit(member)
+                else:
+                    retarget(member, "main", name="another_net")
+                digests.append(member.read_bytes()[-32:].hex())
+            return results
+
+        monkeypatch.setattr(pipeline, "fork_map", replace_member_after_wave_1)
+        capsys.readouterr()
+        assert main(["train", "--config", str(cfg)]) == 1
+        written, found = digests
+        reason = (": checksum mismatch" if fault == "tampered"
+                  else f" has sha256 {found}, not the recorded {written}")
+        ensembles = ("fusion_score", "fusion_decision")
+        printed = capsys.readouterr()
+        # the lines that eval prints for the same member file
+        assert printed.err.splitlines() == [
+            f"{rid}: FAILED ({models}/{rid}_fold0.model: member bundle {member}{reason})"
+            for rid in ensembles]
+        assert [line.partition(", ")[0] for line in printed.out.splitlines()] == [
+            f"{rid}: trained 2 folds" for rid in RESULT_IDS if rid not in ensembles]
+        assert {p.name for p in models.iterdir()} == {
+            f"{rid}_fold{fold}.model" for fold in range(2)
+            for rid in RESULT_IDS if rid not in ensembles}
+        assert not list((copy / "curves").glob("fusion_score_*"))
+
     def test_unstandardized_inputs_score_as_eval_does(self, workspace, tmp_path, capsys):
         _, _, out, manifest = workspace
         copy = tmp_path / "out"
@@ -1248,8 +1290,8 @@ class TestMalformedFiles:
         cfg = write_config(tmp_path / "r.cfg", manifest, copy, model_kinds="cnn2d_var,cnn1d_cn")
         capsys.readouterr()
         assert main(["eval", "--config", str(cfg)]) == 1
-        err = capsys.readouterr().err.splitlines()
-        assert len(err) == 1 and err[0].startswith("cnn2d_var: FAILED (") and message in err[0]
+        model = copy / "models" / name
+        assert capsys.readouterr().err.splitlines() == [f"cnn2d_var: FAILED ({model}: {message})"]
         assert list(_rows_by_model(copy).values()) == [_rows_by_model(out)["cnn1d_cn"]]
 
     def test_bundle_in_eval_fails_its_row(self, workspace, tmp_path, capsys):

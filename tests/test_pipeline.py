@@ -2,18 +2,19 @@ import functools
 import hashlib
 import os
 import pickle
+from collections import Counter
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from eegconn.cli import _save_fold, core_from_bundle
+from eegconn.cli import _read_members, _save_fold, core_from_bundle
 from eegconn.config import RunConfig
 from eegconn.eeg_io import CohortManifest, ManifestEntry
 from eegconn import pipeline
 from eegconn.errors import ValidationError
-from eegconn.nn import load_bundle
+from eegconn.nn import load_bundle, serialize
 from eegconn.pipeline import (
     DOMAINS,
     KINDS,
@@ -243,11 +244,12 @@ def test_kind_table_invariants():
 
 
 def save_into(out, manifest):
-    """The save hook that ``train`` passes to fit_rows, writing into
-    ``out / "models"`` and ``out / "curves"``."""
+    """The save hook and member reader that ``train`` passes to fit_rows,
+    writing into and reading from ``out / "models"`` and ``out / "curves"``."""
     for folder in ("models", "curves"):
         (out / folder).mkdir(parents=True, exist_ok=True)
-    return functools.partial(_save_fold, RunConfig(output_dir=str(out)), manifest)
+    cfg = RunConfig(output_dir=str(out))
+    return functools.partial(_save_fold, cfg, manifest), functools.partial(_read_members, cfg)
 
 
 @pytest.fixture(scope="module")
@@ -260,10 +262,27 @@ def run(tmp_path_factory):
     kinds = ["cnn2d_var", "cnn2d_pdc", "cnn1d_cn", "fusion_feature",
              "fusion_score", "fusion_decision", "svm_linear"]
     out = tmp_path_factory.mktemp("tinyexp")
-    save = save_into(out, manifest)
+    files = save_into(out, manifest)
     rows = [row for kind in kinds for row in KINDS[kind].results]
-    reports = dict(zip((row.result_id for row in rows), runner.fit_rows(rows, save)))
+    # the jobs may run in forked workers, so the spies log to files
+    train_model, read_framed = pipeline.train_model, serialize.read_framed
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(pipeline, "train_model", lambda model, *args, **kwargs: log_line(
+            out / "trained.log", model.name) or train_model(model, *args, **kwargs))
+        patch.setattr(serialize, "read_framed", lambda path, *args: log_line(
+            out / "read.log", path.name) or read_framed(path, *args))
+        reports = dict(zip((row.result_id for row in rows), runner.fit_rows(rows, *files)))
     return runner, reports, manifest, out / "models"
+
+
+def log_line(path, line: str) -> None:
+    """Append one line to ``path``, opened for this call with O_APPEND, so
+    that forked workers and their parent add to the same file."""
+    fd = os.open(path, os.O_WRONLY | os.O_APPEND | os.O_CREAT)
+    try:
+        os.write(fd, f"{line}\n".encode())
+    finally:
+        os.close(fd)
 
 
 class TestExperimentRunner:
@@ -296,13 +315,18 @@ class TestExperimentRunner:
                    for k in ("cnn2d_var", "cnn2d_pdc", "cnn1d_cn")]
         assert reports["fusion_decision"].mean["modified_accuracy"] >= min(singles)
 
-    def test_member_cache_updates_once(self, run):
-        runner, _, _, _ = run
-        # 3 domains and the feature-fusion net x 2 folds, trained once each
-        # despite 6 kinds requesting them, and the 4 SVMs x 2 folds
-        assert sorted(runner._member_cache) == sorted(
-            (label, fold) for label in (*DOMAINS, "fusion_feature", "svm_var", "svm_pdc",
-                                        "svm_cn", "svm_all") for fold in range(2))
+    def test_each_net_trains_once_and_each_ensemble_reads_its_members_once(self, run):
+        _, _, _, models = run
+        # the 3 member CNNs and the feature-fusion net train once per fold
+        # although 6 rows read them, and score fusion's stage 2 once per fold
+        trained = (models.parent / "trained.log").read_text().splitlines()
+        assert Counter(trained) == {name: 2 for name in ("cnn_var", "cnn_pdc", "cnn_cn",
+                                                         "fusion_feature", "stage2")}
+        # the two ensemble jobs of a fold read each member file once each,
+        # and nothing else is read back
+        read = (models.parent / "read.log").read_text().splitlines()
+        assert Counter(read) == {f"{rid}_fold{fold}.model": 2 for fold in range(2)
+                                 for rid in ("cnn2d_var", "cnn2d_pdc", "cnn1d_cn")}
 
     def test_predictions_cover_all_subjects(self, run):
         _, reports, manifest, _ = run
@@ -322,7 +346,7 @@ class TestExperimentRunner:
 
 def test_no_parameter_array_crosses_the_pool(tmp_path, monkeypatch):
     # a fit's job writes the fit's file and returns its name and sha256 and
-    # the fold's metrics and outputs: not a net's weights, and no SVM
+    # the fold's metrics: not a net's weights, and no SVM
     features, manifest = tiny_features(derive_rng(99, "tinyexp"))
     spec = ModelSpec(kind="cnn2d_var", **{**TINY, "conv2d_filters": (32, 16), "dense2d": 32,
                                           "epochs": 3})
@@ -336,7 +360,7 @@ def test_no_parameter_array_crosses_the_pool(tmp_path, monkeypatch):
 
     monkeypatch.setattr(pipeline, "fork_map", spy)
     runner.fit_rows([row for kind in ("cnn2d_var", "fusion_feature", "svm_linear")
-                     for row in KINDS[kind].results], save_into(tmp_path, manifest))
+                     for row in KINDS[kind].results], *save_into(tmp_path, manifest))
     svms = ("svm_var", "svm_pdc", "svm_cn", "svm_all")
     assert [job for job, _ in returned] == [
         (pipeline.FITS[label], fold) for label in ("fusion_feature", "var", *svms)
