@@ -20,35 +20,30 @@ from pathlib import Path
 import numpy as np
 
 from .config import RunConfig, band_filter_list, model_kind_list, parse_config
-from .container import PARTIAL, header_field, read_container, whole_file, write_container
+from .container import PARTIAL, read_container, whole_file, write_container
 from .eeg_io import CohortManifest, ManifestEntry, load_manifest, load_recording, standardize
-from .errors import EegConnError, ShapeError, ValidationError
+from .errors import EegConnError, ValidationError
+from .models import FoldModels, RowFiles, load_model, load_row
+from .models import core_from_bundle  # noqa: F401 - perfbench reads cli.core_from_bundle
 from .netmetrics import cn_features
-from .nn.network import Network
-from .nn.serialize import BundleRef, load_bundle, resolve, save_bundle
 from .pipeline import (
     DOMAINS,
-    FITS,
     KINDS,
-    NET_ROLE,
     ExperimentRunner,
-    FittedModel,
     FoldPlan,
     MetricsReport,
     ModelSpec,
-    Outputs,
     ResultRow,
     band_indices,
     check_positive_class,
-    evaluate,
     fork_map,
     one_blas_thread,
-    predict_with_core,
+    predict_model,
+    score,
     standardized_inputs,
     time_classification,
 )
 from .reporting import (
-    ascii_heatmap,
     format_latency_table,
     latency_table_csv,
     learning_curve_svg,
@@ -232,26 +227,6 @@ def _spec_from_features(cfg: RunConfig, features: dict, band_idx) -> ModelSpec:
 # -- train -------------------------------------------------------------------
 
 
-def core_from_bundle(entries: dict, meta: dict) -> FittedModel:
-    """The fitted model a bundle's entries and metadata describe."""
-    stats = None
-    if meta.get("standardized_inputs"):
-        stats = {}
-        for domain in DOMAINS:
-            rec = entries.get(f"stats_{domain}")
-            if rec is None:
-                continue
-            if not (isinstance(rec, dict) and {"mean", "sd"} <= rec.keys()):
-                raise ValidationError(f"bundle entry 'stats_{domain}' is not a mean and an sd")
-            stats[domain] = (rec["mean"], rec["sd"])
-    return FittedModel(core=KINDS[meta["model_kind"]].unbundle(entries, meta), stats=stats)
-
-
-def _write_curve_csv(path: Path, curve) -> None:
-    _write_text(path, "".join(["epoch,train_loss,val_loss\n",
-                               *(f"{i},{tr!r},{vl!r}\n" for i, (tr, vl) in enumerate(curve))]))
-
-
 def read_fold_plan(path: Path) -> FoldPlan:
     """The fold of every subject; folds number 0..k-1 and none is empty."""
     lines = path.read_text().splitlines()
@@ -314,145 +289,24 @@ def cmd_train(cfg: RunConfig) -> int:
          *(f"{sid},{runner.plan.assignments[sid]}\n" for sid in manifest.subject_ids())]))
 
     rows = _result_rows(cfg)
-    reports = runner.fit_rows(rows, functools.partial(_save_fold, cfg, manifest),
-                              functools.partial(_read_members, cfg))
+    files = RowFiles(cfg.output_dir, manifest.class_names, cfg.positive_class,
+                     band_filter_list(cfg))
+    reports = runner.fit_rows(rows, files)
     failures = 0
-    kept: set[Path] = set()  # the files of the rows trained, and of the fits they read
+    trained = []
     for row, report in zip(rows, reports):
         if isinstance(report, Exception):  # per-model isolation, nonzero exit below
             failures += 1
             print(f"{row.result_id}: FAILED ({report})", file=sys.stderr)
             continue
-        kept |= _row_files(cfg, row, runner.k)
+        trained.append(row)
         print(f"{row.result_id}: trained {len(report.per_fold)} folds, "
               f"modified accuracy {report.mean['modified_accuracy']:.2f}% "
               f"(+/-{report.sd['modified_accuracy']:.2f})")
     # nothing else stays: no file of a failed row, none of an earlier run's
     # rows, trained on other folds, and nothing that a dead worker left
-    for path in [*_out(cfg, "models").glob("*"), *_out(cfg, "curves").glob("*")]:
-        if path not in kept:
-            path.unlink()
+    files.keep_only(trained, runner.k)
     return 1 if failures else 0
-
-
-def _model_path(cfg: RunConfig, row: ResultRow, fold: int) -> Path:
-    return _out(cfg, "models", f"{row.result_id}_fold{fold}.model")
-
-
-def _fold_files(cfg: RunConfig, row: ResultRow, fold: int) -> list[Path]:
-    """A result row's model file of one fold, then its learning-curve files."""
-    return [_model_path(cfg, row, fold),
-            *(_out(cfg, "curves", f"{stem}_fold{fold}.csv") for stem in row.curves)]
-
-
-def _row_files(cfg: RunConfig, row: ResultRow, k: int) -> set[Path]:
-    """The files of a result row and of the rows whose files hold the fits
-    it reads, over ``k`` folds."""
-    rows = {row, *(FITS[label] for label in row.fits)}
-    return {path for r in rows for fold in range(k) for path in _fold_files(cfg, r, fold)}
-
-
-def _member_ref(cfg: RunConfig, member: ResultRow, fold: int,
-                written: dict[str, str]) -> BundleRef:
-    """A reference to the ``NET_ROLE`` entry of a member row's file of one
-    fold, whose name and sha256 ``written`` holds."""
-    name = _model_path(cfg, member, fold).name
-    return BundleRef(name, written[name], NET_ROLE)
-
-
-def _save_fold(cfg: RunConfig, manifest: CohortManifest, row: ResultRow,
-               fitted: FittedModel, curves: tuple, fold: int,
-               written: dict[str, str]) -> dict[str, str]:
-    """Write a result row's model bundle of one fold and its learning
-    curves, in ``row.curves`` order; the bundle's name and sha256.  A
-    member's ``ResultRow`` entry becomes a reference to that row's file."""
-    path, *curve_paths = _fold_files(cfg, row, fold)
-    entries, extra_meta = KINDS[row.kind].bundle(fitted.core)
-    for role, entry in entries.items():
-        if isinstance(entry, ResultRow):
-            entries[role] = _member_ref(cfg, entry, fold, written)
-    for domain, (mean, sd) in (fitted.stats or {}).items():
-        entries[f"stats_{domain}"] = {"mean": mean, "sd": sd}
-    meta = {
-        "model_kind": row.kind,
-        "feature": row.feature,
-        "feature_set": row.feature_set,
-        "class_names": list(manifest.class_names),
-        "positive_class": cfg.positive_class,
-        "band_filter": band_filter_list(cfg),
-        "fold": fold,
-        "standardized_inputs": bool(fitted.stats),
-        **extra_meta,
-    }
-    digest = save_bundle(path, entries, meta)
-    for curve_path, curve in zip(curve_paths, curves):
-        _write_curve_csv(curve_path, curve)
-    return {path.name: digest}
-
-
-def _read_members(cfg: RunConfig, row: ResultRow, written: dict[str, str]):
-    """A reader ``(label, fold)`` -> net of the members that ``row`` reads:
-    as eval reads them through the row's file, which need not exist yet,
-    each from its own file, which must have the sha256 in ``written``."""
-    return lambda label, fold: resolve(_model_path(cfg, row, fold),
-                                       _member_ref(cfg, FITS[label], fold, written), {})
-
-
-# -- eval ----------------------------------------------------------------------
-
-
-class FoldModels:
-    """The model files of one fold as eval reads them: each file is read and
-    checked once, and each net in them runs forward once per batch (in one
-    fold of eval every row that holds a net feeds it the same batch)."""
-
-    def __init__(self):
-        self._files: dict = {}
-        self._nets: dict[int, Outputs] = {}
-
-    def load(self, path) -> tuple[dict, dict]:
-        entries, meta = load_bundle(path, self._files)
-        return {role: self._once(e) if isinstance(e, Network) else e
-                for role, e in entries.items()}, meta
-
-    def _once(self, net: Network) -> Outputs:
-        if id(net) not in self._nets:  # the file cache keeps every net, and its id, alive
-            self._nets[id(net)] = Outputs(net)
-        return self._nets[id(net)]
-
-
-def load_model(path, band_names: tuple[str, ...], load=load_bundle
-               ) -> tuple[FittedModel, dict, list[int] | None]:
-    """A saved model, its metadata, and the positions of its band filter in
-    ``band_names``; ``load(path)`` reads the bundle.  Metadata that lacks a
-    key that readers use, holds one at another type, or names no kind of
-    ``KINDS`` or not two classes, and a bundle that lacks an entry its kind
-    reads, is a ValidationError naming the file."""
-    entries, meta = load(path)
-    kind = header_field(path, meta, "model_kind", str)
-    if kind not in KINDS:
-        raise ValidationError(f"{path}: unknown model kind {kind!r}")
-    class_names = header_field(path, meta, "class_names", list)
-    if len(class_names) != 2 or not all(isinstance(name, str) for name in class_names):
-        raise ValidationError(f"{path}: class_names {class_names!r} are not two names")
-    header_field(path, meta, "feature_set", str)
-    band_filter = header_field(path, meta, "band_filter", list)
-    try:
-        fitted = core_from_bundle(entries, meta)
-    except ValidationError as exc:
-        raise ValidationError(f"{path}: {exc}") from None
-    return fitted, meta, band_indices(band_filter or None, band_names)
-
-
-def _load_row(load, path: Path, row: ResultRow, fold: int) -> tuple:
-    """``load(path)`` of a row's fold, refused where the metadata names another
-    kind, feature, feature set or fold, as a file copied over another's does."""
-    fitted, meta, band_idx = load(path)
-    for key, want in (("model_kind", row.kind), ("feature", row.feature),
-                      ("feature_set", row.feature_set), ("fold", fold)):
-        if meta.get(key) != want:
-            raise ValidationError(f"{path}: holds {key} {meta.get(key)!r}, not {want!r}")
-    return fitted, meta, band_idx
 
 
 def cmd_eval(cfg: RunConfig) -> int:
@@ -514,32 +368,20 @@ def _eval_fold(cfg: RunConfig, manifest: CohortManifest, features: dict,
     The rows of a fold share its member files and nets, which one
     :class:`FoldModels` reads and runs once.
     """
+    files = RowFiles(cfg.output_dir)
     load = functools.partial(load_model, band_names=band_names, load=FoldModels().load)
     test_ids = plan.test_ids(fold, manifest.subject_ids())
     labels = manifest.labels()
-    truth = [labels[sid] for sid in test_ids]
     outcomes: list = []
     for row in rows:
-        path = _model_path(cfg, row, fold)
+        path = files.model_path(row, fold)
         try:
-            core, meta, band_idx = _load_row(load, path, row, fold)
-            bits, _ = _predict(path, core, row.kind, features, test_ids, band_idx,
-                               row.feature_set)
-            predicted = [meta["class_names"][int(b)] for b in bits]
-            outcomes.append(evaluate(predicted, truth, cfg.positive_class))
+            core, meta, band_idx = load_row(load, path, row, fold)
+            outcomes.append(score(path, core, row, features, test_ids, band_idx,
+                                  meta["class_names"], labels, cfg.positive_class))
         except Exception as exc:  # noqa: BLE001 - per-model isolation, nonzero exit in cmd_eval
             outcomes.append(str(exc))
     return outcomes
-
-
-def _predict(path, core: FittedModel, kind: str, features, sids: list[str], band_idx,
-             feature_set: str):
-    """:func:`predict_with_core` of the model read from ``path``, whose
-    ShapeError, where the model does not fit the inputs, names the file."""
-    try:
-        return predict_with_core(core, kind, features, sids, band_idx, feature_set)
-    except ShapeError as exc:
-        raise ShapeError(f"{path}: {exc}") from None
 
 
 # -- predict -------------------------------------------------------------------
@@ -568,8 +410,8 @@ def cmd_predict(cfg: RunConfig, model_path: str, input_paths: list[str]) -> int:
     if sid is None:
         raise ValidationError("predict needs at least one --input feature container")
     core, meta, band_idx = load_model(model_path, band_names or BandSpec().names)
-    bits, probs = _predict(model_path, core, meta["model_kind"], {sid: per_domain}, [sid],
-                           band_idx, meta["feature_set"])
+    bits, probs = predict_model(model_path, core, meta["model_kind"], {sid: per_domain}, [sid],
+                                band_idx, meta["feature_set"])
     class_names = meta["class_names"]
     result = {
         "subject_id": sid,
@@ -596,14 +438,14 @@ def _report_curves(cfg: RunConfig) -> int:
     return count
 
 
-def _report_feature_maps(cfg: RunConfig, sid: str, features, load) -> int:
-    paths = {row: _model_path(cfg, row, 0)
+def _report_feature_maps(cfg: RunConfig, sid: str, features, files: RowFiles, load) -> int:
+    paths = {row: files.model_path(row, 0)
              for row in (KINDS["cnn2d_pdc"].results[0], KINDS["cnn2d_var"].results[0])}
     row = next((row for row, path in paths.items() if path.exists()), None)
     if row is None:
         return 0
-    fitted, _, band_idx = _load_row(load, paths[row], row, 0)
-    net: Network = fitted.core
+    fitted, _, band_idx = load_row(load, paths[row], row, 0)
+    net = fitted.core
     x = standardized_inputs(row.kind, features, [sid], band_idx, fitted.stats)
     record: list[np.ndarray] = []
     net.forward(x, train=False, record=record)
@@ -618,26 +460,23 @@ def _report_feature_maps(cfg: RunConfig, sid: str, features, load) -> int:
         maps = record[rec_idx][0]  # (H, W, R)
         layer = ("report", "featmaps", f"layer{li}")
         for r in range(maps.shape[-1]):
-            img = maps[:, :, r]
             _write_text(_out(cfg, *layer, f"map_{r:03d}.pgm"),
-                        pgm_heatmap(img, comment=f"{row.kind} {sid} layer{li} map{r}"))
-            if cfg.report_ascii:
-                _write_text(_out(cfg, *layer, f"map_{r:03d}.txt"), ascii_heatmap(img) + "\n")
+                        pgm_heatmap(maps[:, :, r], comment=f"{row.kind} {sid} layer{li} map{r}"))
             written += 1
     print(f"feature maps for subject {sid} from {row.kind}: {written} heatmaps")
     return written
 
 
-def _report_latency(cfg: RunConfig, sid: str, features, load) -> int:
+def _report_latency(cfg: RunConfig, sid: str, features, files: RowFiles, load) -> int:
     """Time each row's fold-0 model into latency.csv; the number of rows that failed."""
     rows = []
     failures = 0
     for row in _result_rows(cfg):
-        path = _model_path(cfg, row, 0)
+        path = files.model_path(row, 0)
         if not path.exists():
             continue
         try:
-            core, _, band_idx = _load_row(load, path, row, 0)
+            core, _, band_idx = load_row(load, path, row, 0)
             ms = time_classification(core, row.kind, features, sid,
                                      repetitions=cfg.latency_repetitions,
                                      band_idx=band_idx, feature_set=row.feature_set)
@@ -657,20 +496,20 @@ def cmd_report(cfg: RunConfig) -> int:
     manifest = _load_manifest(cfg)
     features, band_names = load_features(cfg, manifest)
     print(f"learning-curve SVGs: {_report_curves(cfg)}")
-    # One plain load_bundle cache, so each model file is read once.  Not a
-    # FoldModels: its forward memo would time cached outputs as latency.
-    load = functools.partial(load_model, band_names=band_names,
-                             load=functools.partial(load_bundle, cache={}))
+    # Each model file is read once, but without FoldModels' forward memo,
+    # which would time cached outputs as latency.
+    files = RowFiles(cfg.output_dir)
+    load = functools.partial(load_model, band_names=band_names, load=FoldModels().read)
     sid = cfg.report_subject or manifest.subject_ids()[0]
     if sid not in features:
         raise ValidationError(f"report subject {sid!r} has no extracted features")
     try:
-        _report_feature_maps(cfg, sid, features, load)
+        _report_feature_maps(cfg, sid, features, files, load)
         failures = 0
     except Exception as exc:  # noqa: BLE001 - isolated as a latency row is, nonzero exit below
         failures = 1
         print(f"feature maps: FAILED ({exc})", file=sys.stderr)
-    failures += _report_latency(cfg, sid, features, load)
+    failures += _report_latency(cfg, sid, features, files, load)
     return 1 if failures else 0
 
 

@@ -46,7 +46,6 @@ class RunConfig:
     svm_steps: int = 2000
     latency_repetitions: int = 1000
     report_subject: str = ""           # subject for feature-map dumps; empty = first
-    report_ascii: bool = False         # also write ASCII-art heatmaps
 
 
 def _convert(name: str, kind: type, raw: str):

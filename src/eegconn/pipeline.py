@@ -9,9 +9,10 @@ table, which says what the kind reads, how one fold is fitted, how its core is
 saved, and which result rows it reports; a result row names its kind, and is
 the unit that training, evaluation and reporting walk.  A row whose fit other
 rows read, a net or an SVM, is one entry of the ``FITS`` table; its fit is
-made once per fold, before the ensembles that read it from its model file.
-Evaluation is stratified k-fold with a held-out validation split inside each
-fold driving epoch selection.
+made once per fold, before the ensembles that read it from its model file,
+whose layout ``models`` alone knows.  Evaluation is stratified k-fold with a
+held-out validation split inside each fold driving epoch selection; train and
+eval score through :func:`score`.
 """
 
 from __future__ import annotations
@@ -578,8 +579,8 @@ class ExperimentRunner:
     Every net, member or not, trains through :meth:`train_net`.
     :meth:`fit_rows` fits, saves and scores each result row on each fold in
     one :func:`fork_map` job; the jobs of the ``FITS`` rows run first and
-    write their model files, from which the fusion ensembles read the
-    single-domain kinds' trained members as eval does (:meth:`trained_member`;
+    write their model files through the files object it is given, from which
+    the ensembles read their members as eval does (:meth:`trained_member`;
     a loaded net holds the trained parameters, so this is exact).
     """
 
@@ -657,33 +658,30 @@ class ExperimentRunner:
                           seed=derive_seed(self.master_seed, "train", label, fold))
         return net, res
 
-    def trained_member(self, label: str, fold: int) -> Network:
-        """The fold's net of a ``FITS`` label, read by the current job's
-        ``read_members`` (see :meth:`fit_rows`) from the file its fit wrote."""
-        return self._read_member(label, fold)
+    def trained_member(self, row: "ResultRow", label: str, fold: int) -> Network:
+        """The fold's net of a ``FITS`` label, which the ensemble ``row`` reads
+        from the file that the label's fit wrote (see :meth:`fit_rows`)."""
+        return self.files.read_member(row, label, fold)
 
-    def fit_rows(self, rows: list["ResultRow"], save: Callable,
-                 read_members: Callable) -> list[MetricsReport | Exception]:
+    def fit_rows(self, rows: list["ResultRow"], files) -> list[MetricsReport | Exception]:
         """Fit, save and score every result row on every fold, one
         :func:`fork_map` job per (row, fold); per row, in ``rows`` order, its
         :class:`MetricsReport`, or the exception of its first failed fold.
 
-        The jobs run in two waves: first the ``FITS`` rows that the rows
-        read, then the ensembles.  A job writes its row's model file and
-        learning curves by ``save(row, fitted, curves, fold, written)``,
-        which returns the file's name and sha256; ``written`` holds those of
-        the first wave, which an ensemble's file refers to and by which
-        ``read_members(row, written)`` checks the member files it reads.
-        The jobs are independent and each draws its seeds from its own
-        (label, fold), so the pool size changes no byte.  A fit whose job
-        raises, or whose worker dies, fails every row that reads it, and no
-        job runs for those rows.
+        ``files``, a ``models.RowFiles``, alone knows the files' layout: a
+        job saves its row's files by ``files.save``, and an ensemble's job
+        reads its members by ``files.read_member``.  The jobs run in two
+        waves, first the ``FITS`` rows that the rows read, then the
+        ensembles, once ``files.written`` holds the sha256 of every member
+        file.  The jobs are independent and each draws its seeds from
+        its own (label, fold), so the pool size changes no byte.  A fit whose
+        job raises, or whose worker dies, fails every row that reads it, and
+        no job runs for those rows.
         """
+        self.files = files
         reading = {label for row in rows for label in row.fits}
         fits = [row for label, row in FITS.items() if label in reading]
-        written: dict[str, str] = {}
         per_fold: dict[tuple, dict | Exception] = {}
-        fit = partial(self._fit_job, save, read_members, written)
         for wave in (fits, [row for row in rows if row not in fits]):
             jobs = [(row, fold) for row in wave for fold in range(self.k)]
             for row, fold in jobs:  # a row that reads failed fits fails with the first's exception
@@ -691,12 +689,12 @@ class ExperimentRunner:
                     if isinstance(per_fold.get((FITS[label], fold)), Exception):
                         per_fold.setdefault((row, fold), per_fold[FITS[label], fold])
             jobs = [job for job in jobs if job not in per_fold]
-            results = fork_map(fit, jobs, lambda job: (
+            results = fork_map(self._fit_job, jobs, lambda job: (
                 f"{KINDS[job[0].kind].doing.format(row=job[0])} of fold {job[1]}"))
             for (row, fold), got in zip(jobs, results):
                 if not isinstance(got, Exception):
                     wrote, got = got
-                    written.update(wrote)
+                    files.written.update(wrote)
                 per_fold[row, fold] = got
         reports = []
         for row in rows:
@@ -705,18 +703,17 @@ class ExperimentRunner:
             reports.append(MetricsReport.from_folds(folds) if failed is None else failed)
         return reports
 
-    def _fit_job(self, save: Callable, read_members: Callable, written: dict[str, str],
-                 job: tuple):
+    def _fit_job(self, job: tuple):
         """One (row, fold) of :meth:`fit_rows`, in a form that crosses a
-        process boundary: the files the save hook wrote, the fold's metrics."""
+        process boundary: the files it wrote, the fold's metrics."""
         row, fold = job
-        self._read_member = read_members(row, written)
         core, curves = KINDS[row.kind].fit(self, row, fold)
-        wrote = save(row, FittedModel(core, self.fold_stats(fold, row)), curves, fold, written)
+        fitted = FittedModel(core, self.fold_stats(fold, row))
+        wrote = self.files.save(row, fitted, curves, fold)
         _, _, test_ids = self.fold_split(fold)
-        bits, _ = core.predict(self.fold_inputs(row, test_ids, fold))
-        return wrote, evaluate([self.class_names[int(b)] for b in bits],
-                               [self.labels[s] for s in test_ids], self.positive_class)
+        return wrote, score(self.files.model_path(row, fold), fitted, row, self.features,
+                            test_ids, self.band_idx, self.class_names, self.labels,
+                            self.positive_class)
 
 
 # -- the model-kind table -----------------------------------------------------
@@ -760,7 +757,7 @@ def _flat_concat(arrays: dict) -> np.ndarray:
 def _fit_ensemble(mode: str, runner: ExperimentRunner, row: ResultRow, fold: int):
     """The fold's members fused by ``mode``; score fusion trains its stage 2
     here on the members' outputs, and returns that net's curve."""
-    members = {d: runner.trained_member(d, fold) for d in row.fits}
+    members = {d: runner.trained_member(row, d, fold) for d in row.fits}
     if mode == "decision":
         return EnsembleModel(mode, members), ()
 
@@ -796,7 +793,7 @@ def _bundle_net(net) -> tuple[dict, dict]:
     return {NET_ROLE: net}, {}
 
 
-def _entry(entries: dict, role: str):
+def bundle_entry(entries: dict, role: str):
     """A bundle's ``role`` entry; a ValidationError naming it where the bundle has none."""
     if role not in entries:
         raise ValidationError(f"bundle has no entry {role!r}")
@@ -804,7 +801,7 @@ def _entry(entries: dict, role: str):
 
 
 def _unbundle_net(entries: dict, meta: dict):
-    return _entry(entries, NET_ROLE)
+    return bundle_entry(entries, NET_ROLE)
 
 
 def _bundle_ensemble(ens: EnsembleModel) -> tuple[dict, dict]:
@@ -815,7 +812,7 @@ def _bundle_ensemble(ens: EnsembleModel) -> tuple[dict, dict]:
 
 
 def _unbundle_ensemble(mode: str, entries: dict, meta: dict) -> EnsembleModel:
-    members = {d: _entry(entries, f"member_{d}") for d in DOMAINS}
+    members = {d: bundle_entry(entries, f"member_{d}") for d in DOMAINS}
     return EnsembleModel(mode=mode, members=members, stage2=entries.get("stage2"))
 
 
@@ -824,7 +821,7 @@ def _bundle_svm(svm: LinearSvm) -> tuple[dict, dict]:
 
 
 def _unbundle_svm(entries: dict, meta: dict) -> LinearSvm:
-    return LinearSvm.from_param_arrays(_entry(entries, "svm"))
+    return LinearSvm.from_param_arrays(bundle_entry(entries, "svm"))
 
 
 @dataclass(frozen=True)
@@ -902,6 +899,25 @@ def predict_with_core(core: FittedModel, kind: str, features, sids: list[str],
     """Class bits and probability rows of a fitted model for a batch of subjects."""
     inputs = KINDS[kind].inputs(features, sids, band_idx, core.stats, feature_set)
     return core.core.predict(inputs)
+
+
+def predict_model(path, core: FittedModel, kind: str, features, sids: list[str],
+                  band_idx=None, feature_set: str = "all"):
+    """:func:`predict_with_core` of the model file at ``path``, whose
+    ShapeError, where the model does not fit the inputs, names the file."""
+    try:
+        return predict_with_core(core, kind, features, sids, band_idx, feature_set)
+    except ShapeError as exc:
+        raise ShapeError(f"{path}: {exc}") from None
+
+
+def score(path, core: FittedModel, row: ResultRow, features, sids: list[str], band_idx,
+          class_names, labels: dict[str, str], positive_class: str) -> dict:
+    """:func:`evaluate` of a result row's model, from the file at ``path``,
+    on the subjects ``sids``, whose classes ``labels`` holds."""
+    bits, _ = predict_model(path, core, row.kind, features, sids, band_idx, row.feature_set)
+    return evaluate([class_names[int(b)] for b in bits], [labels[s] for s in sids],
+                    positive_class)
 
 
 def time_classification(core: FittedModel, kind: str, features, sid: str,

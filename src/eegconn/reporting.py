@@ -6,9 +6,6 @@ import numpy as np
 
 from .errors import ValidationError
 
-_ASCII_RAMP = " .:-=+*#%@"
-
-
 def learning_curve_svg(curve: list[tuple[float, float]], title: str) -> str:
     """An SVG plot of train/validation loss per epoch (direct text emission)."""
     if not curve:
@@ -67,14 +64,6 @@ def pgm_heatmap(image: np.ndarray, comment: str = "") -> str:
     lines.append("255")
     lines += [" ".join(str(v) for v in row) for row in pixels]
     return "\n".join(lines) + "\n"
-
-
-def ascii_heatmap(image: np.ndarray) -> str:
-    img = np.asarray(image, dtype=float)
-    lo, hi = img.min(), img.max()
-    scaled = np.zeros_like(img) if hi == lo else (img - lo) / (hi - lo)
-    idx = np.minimum((scaled * len(_ASCII_RAMP)).astype(int), len(_ASCII_RAMP) - 1)
-    return "\n".join("".join(_ASCII_RAMP[v] for v in row) for row in idx)
 
 
 def latency_table_csv(rows: list[dict]) -> str:

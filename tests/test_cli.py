@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 from oracles import flip_bit, resign, retarget
 
-from eegconn import cli, container, pipeline
+from eegconn import cli, container, models, pipeline
 from eegconn.cli import main
 from eegconn.config import parse_config
 from eegconn.container import PARTIAL, read_container, write_container
@@ -76,9 +76,9 @@ import os
 import sys
 from pathlib import Path
 
-from eegconn import cli
+from eegconn import cli, models
 
-save_bundle = cli.save_bundle
+save_bundle = models.save_bundle
 
 
 def die_mid_write(path, *args, **kwargs):
@@ -90,7 +90,7 @@ def die_mid_write(path, *args, **kwargs):
     return digest
 
 
-cli.save_bundle = die_mid_write
+models.save_bundle = die_mid_write
 sys.exit(cli.main(["train", "--config", sys.argv[1]]))
 """
 
@@ -120,9 +120,9 @@ import os
 import sys
 from pathlib import Path
 
-from eegconn import cli
+from eegconn import cli, pipeline
 
-predict_with_core = cli.predict_with_core
+predict_with_core = pipeline.predict_with_core
 lines = Path(sys.argv[2]).read_text().splitlines()[1:]
 fold1 = {sid for sid, _, fold in (line.partition(",") for line in lines) if fold == "1"}
 
@@ -133,7 +133,7 @@ def die_on_fold1(core, kind, features, sids, *args):
     return predict_with_core(core, kind, features, sids, *args)
 
 
-cli.predict_with_core = die_on_fold1
+pipeline.predict_with_core = die_on_fold1
 sys.exit(cli.main(["eval", "--config", sys.argv[1]]))
 """
 
@@ -1135,8 +1135,9 @@ META_FAULTS = [
 ]
 
 # id, edit of a cnn2d_var bundle's stats_var entry ({"mean": ..., "sd": ...}),
-# what the error says after the file's name
+# which an edit that empties it removes, what the error says after the file's name
 STATS_FAULTS = [
+    ("no-entry", lambda rec: rec.clear(), "bundle has no entry 'stats_var'"),
     ("no-sd", lambda rec: rec.pop("sd"), "bundle entry 'stats_var' is not a mean and an sd"),
     ("broadcastable-shape",
      lambda rec: rec.update(mean=rec["mean"][..., :1], sd=rec["sd"][..., :1]),
@@ -1147,10 +1148,13 @@ STATS_FAULTS = [
 
 
 def _edit_stats(src: Path, dst: Path, edit) -> None:
-    """Save ``src`` at ``dst`` with ``edit`` applied to its stats_var entry."""
+    """Save ``src`` at ``dst`` with ``edit`` applied to its stats_var entry,
+    and without the entry where the edit empties it."""
     entries, meta = serialize.load_bundle(src)
     entries["stats_var"] = rec = dict(entries["stats_var"])
     edit(rec)
+    if not rec:
+        del entries["stats_var"]
     save_bundle(dst, entries, meta=meta)
 
 
@@ -1477,8 +1481,8 @@ class TestWorkDoneOnce:
         cfg = write_config(tmp_path / "r.cfg", manifest, copy)
         # the fits' jobs may run in forked workers, so the spy logs to a file
         writes = tmp_path / "writes.log"
-        write_curve_csv = cli._write_curve_csv
-        monkeypatch.setattr(cli, "_write_curve_csv", lambda path, curve: append_line(
+        write_curve_csv = models._write_curve_csv
+        monkeypatch.setattr(models, "_write_curve_csv", lambda path, curve: append_line(
             writes, path.name) or write_curve_csv(path, curve))
         assert main(["train", "--config", str(cfg)]) == 0
         names = sorted(p.name for p in (out / "curves").glob("*.csv"))
@@ -1556,11 +1560,9 @@ class TestLayout:
         assert not [name for name in files if name.endswith(PARTIAL)]
         assert [name for name in files
                 if not any(regex.fullmatch(name) for regex in layout.values())] == []
-        # and every pattern names files of this run, but the text heatmaps,
-        # which need report_ascii
+        # and every pattern names files of this run
         assert [glob for glob, regex in layout.items()
-                if not any(regex.fullmatch(name) for name in files)] == [
-            "report/featmaps/layer<n>/map_<r>.txt"]
+                if not any(regex.fullmatch(name) for name in files)] == []
 
 
 @pytest.mark.skipif(len(os.sched_getaffinity(0)) < 2, reason="needs 2 usable CPUs")

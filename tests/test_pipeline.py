@@ -1,16 +1,17 @@
-import functools
+import ast
 import hashlib
 import os
 import pickle
+import re
 from collections import Counter
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from eegconn.cli import _read_members, _save_fold, core_from_bundle
-from eegconn.config import RunConfig
+from eegconn.models import RowFiles, core_from_bundle
 from eegconn.eeg_io import CohortManifest, ManifestEntry
 from eegconn import pipeline
 from eegconn.errors import ValidationError
@@ -243,13 +244,26 @@ def test_kind_table_invariants():
     assert {label for row in rows for label in row.fits} <= set(pipeline.FITS)
 
 
+def test_only_models_and_nn_name_the_bundle_functions():
+    # one module owns the model files: no other module reads or writes them
+    src = Path(pipeline.__file__).parent
+    names = re.compile(r"\b(save_bundle|load_bundle|resolve|BundleRef)\b")
+    naming = {path.relative_to(src).as_posix() for path in src.rglob("*.py")
+              if names.search(path.read_text())}
+    assert naming == {"models.py", "nn/serialize.py", "nn/__init__.py"}
+    for name in ("cli.py", "pipeline.py"):
+        tree = ast.parse((src / name).read_text())
+        imported = [part for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)
+                    for part in [node.module or "", *(alias.name for alias in node.names)]]
+        assert not [part for part in imported if "serialize" in part], name
+
+
 def save_into(out, manifest):
-    """The save hook and member reader that ``train`` passes to fit_rows,
-    writing into and reading from ``out / "models"`` and ``out / "curves"``."""
+    """The arguments after the rows that ``train`` passes to fit_rows: the
+    files under ``out / "models"`` and ``out / "curves"``."""
     for folder in ("models", "curves"):
         (out / folder).mkdir(parents=True, exist_ok=True)
-    cfg = RunConfig(output_dir=str(out))
-    return functools.partial(_save_fold, cfg, manifest), functools.partial(_read_members, cfg)
+    return (RowFiles(out, manifest.class_names),)
 
 
 @pytest.fixture(scope="module")
