@@ -3,6 +3,7 @@
 
 Reports the per-subject argmin order and the cohort average, which is how
 the fixed extraction order (default 5) should be chosen for a new dataset.
+Each recording is z-scored per channel first, as extract fits it.
 
     python3 scripts/bic_order_scan.py --manifest data/manifest.csv --max-order 10
 """
@@ -23,7 +24,6 @@ def main() -> None:
     parser.add_argument("--format", default="csv_matrix", choices=VALID_FORMATS)
     parser.add_argument("--channels", type=int, default=None)
     parser.add_argument("--rate", type=float, default=128.0)
-    parser.add_argument("--raw", action="store_true", help="skip per-channel z-scoring")
     args = parser.parse_args()
 
     manifest = load_manifest(args.manifest)
@@ -32,9 +32,7 @@ def main() -> None:
     for entry in manifest.entries:
         rec = load_recording(base / entry.path, args.format, channels=args.channels,
                              rate=args.rate, subject_id=entry.subject_id)
-        if not args.raw:
-            rec = standardize(rec)
-        best, _ = bic_order_select(rec, args.max_order)
+        best, _ = bic_order_select(standardize(rec), args.max_order)
         orders.append(best)
         print(f"{entry.subject_id}: L_opt = {best}")
     print(f"cohort average L_opt = {np.mean(orders):.2f} "

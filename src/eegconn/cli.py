@@ -23,7 +23,7 @@ from .config import RunConfig, band_filter_list, model_kind_list, parse_config
 from .container import PARTIAL, read_container, whole_file, write_container
 from .eeg_io import CohortManifest, ManifestEntry, load_manifest, load_recording, standardize
 from .errors import EegConnError, ValidationError
-from .models import FoldModels, RowFiles, load_model, load_row
+from .models import FoldModels, RowFiles, load_model, read_curve_csv
 from .models import core_from_bundle  # noqa: F401 - perfbench reads cli.core_from_bundle
 from .netmetrics import cn_features
 from .pipeline import (
@@ -132,12 +132,10 @@ def _extract_subject(cfg: RunConfig, base: Path, entry: ManifestEntry) -> tuple[
                 base / entry.path, cfg.data_format, channels=cfg.channels,
                 rate=cfg.rate, subject_id=sid, label=entry.label,
             )
-            if cfg.standardize:
-                rec = standardize(rec)
-            model = fit_var(rec, cfg.var_order)
+            model = fit_var(standardize(rec), cfg.var_order)
             var_t = var_feature_tensor(model)
             bands = BandSpec()
-            pdc = band_pdc(model, bands, cfg.band_grid_step, cfg.exclude_self)
+            pdc = band_pdc(model, bands, cfg.band_grid_step)
             cn = cn_features(pdc)
             arrays = dict(zip(DOMAINS, (var_t, pdc.values, cn.values)))
             for domain, path in _feature_paths(cfg, sid).items():
@@ -276,9 +274,7 @@ def cmd_train(cfg: RunConfig) -> int:
     runner = ExperimentRunner(
         features, manifest, spec, master_seed=cfg.seed, k=cfg.folds,
         val_fraction=cfg.val_fraction, positive_class=cfg.positive_class,
-        band_idx=band_idx, svm_l2=cfg.svm_l2,
-        svm_learning_rate=cfg.svm_learning_rate, svm_steps=cfg.svm_steps,
-        standardize_inputs=cfg.standardize_features,
+        band_idx=band_idx, svm_steps=cfg.svm_steps, standardize_inputs=cfg.standardize_features,
     )
     # this run's folds replace those that the earlier scores and report describe
     _out(cfg, "metrics.json").unlink(missing_ok=True)
@@ -368,15 +364,13 @@ def _eval_fold(cfg: RunConfig, manifest: CohortManifest, features: dict,
     The rows of a fold share its member files and nets, which one
     :class:`FoldModels` reads and runs once.
     """
-    files = RowFiles(cfg.output_dir)
-    load = functools.partial(load_model, band_names=band_names, load=FoldModels().load)
+    models = FoldModels(cfg.output_dir, band_names, share_outputs=True)
     test_ids = plan.test_ids(fold, manifest.subject_ids())
     labels = manifest.labels()
     outcomes: list = []
     for row in rows:
-        path = files.model_path(row, fold)
         try:
-            core, meta, band_idx = load_row(load, path, row, fold)
+            path, core, meta, band_idx = models.load(row, fold)
             outcomes.append(score(path, core, row, features, test_ids, band_idx,
                                   meta["class_names"], labels, cfg.positive_class))
         except Exception as exc:  # noqa: BLE001 - per-model isolation, nonzero exit in cmd_eval
@@ -426,25 +420,29 @@ def cmd_predict(cfg: RunConfig, model_path: str, input_paths: list[str]) -> int:
 
 
 def _report_curves(cfg: RunConfig) -> int:
-    count = 0
+    """Draw each curve file into an SVG; the number of files that failed."""
+    count = failures = 0
     for csv_path in sorted(_out(cfg, "curves").glob("*.csv")):
-        rows = (line.split(",") for line in csv_path.read_text().splitlines()[1:])
-        curve = [(float(tr), float(vl)) for _, tr, vl in rows]
-        if not curve:
+        try:
+            curve = read_curve_csv(csv_path)
+        except (ValidationError, OSError) as exc:  # isolated as a latency row is
+            failures += 1
+            print(f"{csv_path.stem}: FAILED ({exc})", file=sys.stderr)
             continue
-        _write_text(_out(cfg, "report", f"{csv_path.stem}.svg"),
-                    learning_curve_svg(curve, csv_path.stem))
-        count += 1
-    return count
+        if curve:
+            _write_text(_out(cfg, "report", f"{csv_path.stem}.svg"),
+                        learning_curve_svg(curve, csv_path.stem))
+            count += 1
+    print(f"learning-curve SVGs: {count}")
+    return failures
 
 
-def _report_feature_maps(cfg: RunConfig, sid: str, features, files: RowFiles, load) -> int:
-    paths = {row: files.model_path(row, 0)
-             for row in (KINDS["cnn2d_pdc"].results[0], KINDS["cnn2d_var"].results[0])}
-    row = next((row for row, path in paths.items() if path.exists()), None)
+def _report_feature_maps(cfg: RunConfig, sid: str, features, models: FoldModels) -> None:
+    row = next((row for row in (KINDS["cnn2d_pdc"].results[0], KINDS["cnn2d_var"].results[0])
+                if models.files.model_path(row, 0).exists()), None)
     if row is None:
-        return 0
-    fitted, _, band_idx = load_row(load, paths[row], row, 0)
+        return
+    _, fitted, _, band_idx = models.load(row, 0)
     net = fitted.core
     x = standardized_inputs(row.kind, features, [sid], band_idx, fitted.stats)
     record: list[np.ndarray] = []
@@ -464,19 +462,19 @@ def _report_feature_maps(cfg: RunConfig, sid: str, features, files: RowFiles, lo
                         pgm_heatmap(maps[:, :, r], comment=f"{row.kind} {sid} layer{li} map{r}"))
             written += 1
     print(f"feature maps for subject {sid} from {row.kind}: {written} heatmaps")
-    return written
 
 
-def _report_latency(cfg: RunConfig, sid: str, features, files: RowFiles, load) -> int:
+def _report_latency(cfg: RunConfig, sid: str, features, models: FoldModels) -> int:
     """Time each row's fold-0 model into latency.csv; the number of rows that failed."""
     rows = []
     failures = 0
     for row in _result_rows(cfg):
-        path = files.model_path(row, 0)
-        if not path.exists():
+        if not models.files.model_path(row, 0).exists():
             continue
         try:
-            core, _, band_idx = load_row(load, path, row, 0)
+            path, core, _, band_idx = models.load(row, 0)
+            # once untimed, so that a model that does not fit fails naming its file
+            predict_model(path, core, row.kind, features, [sid], band_idx, row.feature_set)
             ms = time_classification(core, row.kind, features, sid,
                                      repetitions=cfg.latency_repetitions,
                                      band_idx=band_idx, feature_set=row.feature_set)
@@ -495,21 +493,15 @@ def _report_latency(cfg: RunConfig, sid: str, features, files: RowFiles, load) -
 def cmd_report(cfg: RunConfig) -> int:
     manifest = _load_manifest(cfg)
     features, band_names = load_features(cfg, manifest)
-    print(f"learning-curve SVGs: {_report_curves(cfg)}")
-    # Each model file is read once, but without FoldModels' forward memo,
-    # which would time cached outputs as latency.
-    files = RowFiles(cfg.output_dir)
-    load = functools.partial(load_model, band_names=band_names, load=FoldModels().read)
-    sid = cfg.report_subject or manifest.subject_ids()[0]
-    if sid not in features:
-        raise ValidationError(f"report subject {sid!r} has no extracted features")
+    failures = _report_curves(cfg)
+    models = FoldModels(cfg.output_dir, band_names, share_outputs=False)
+    sid = manifest.subject_ids()[0]
     try:
-        _report_feature_maps(cfg, sid, features, files, load)
-        failures = 0
+        _report_feature_maps(cfg, sid, features, models)
     except Exception as exc:  # noqa: BLE001 - isolated as a latency row is, nonzero exit below
-        failures = 1
+        failures += 1
         print(f"feature maps: FAILED ({exc})", file=sys.stderr)
-    failures += _report_latency(cfg, sid, features, files, load)
+    failures += _report_latency(cfg, sid, features, models)
     return 1 if failures else 0
 
 

@@ -23,10 +23,8 @@ class RunConfig:
     data_format: str = "csv_matrix"    # csv_matrix | column_concat
     channels: int = 16                 # required for column_concat; checked for csv
     rate: float = 128.0                # sampling frequency in Hz
-    standardize: bool = True           # per-channel z-score before VAR fitting
     var_order: int = 5                 # fixed lag order for feature extraction
     band_grid_step: float = 0.25       # PDC averaging grid step in Hz
-    exclude_self: bool = True          # zero the PDC diagonal
     band_filter: str = ""              # comma list of band names; empty = all
     standardize_features: bool = True  # z-score CNN inputs with train-fold stats
     model_kinds: str = "cnn2d_var,cnn2d_pdc,cnn1d_cn,fusion_decision"
@@ -41,11 +39,8 @@ class RunConfig:
     positive_class: str = "SZ"
     seed: int = 0
     output_dir: str = "out"
-    svm_l2: float = 1e-3
-    svm_learning_rate: float = 0.1
     svm_steps: int = 2000
     latency_repetitions: int = 1000
-    report_subject: str = ""           # subject for feature-map dumps; empty = first
 
 
 def _convert(name: str, kind: type, raw: str):

@@ -72,10 +72,34 @@ class RowFiles:
         return resolve(self.model_path(row, fold), self._member_ref(FITS[label], fold), {})
 
 
+_CURVE_HEADER = "epoch,train_loss,val_loss\n"
+_CURVE_LINE = "{},{!r},{!r}\n"  # epoch, train loss, validation loss
+
+
 def _write_curve_csv(path: Path, curve) -> None:
     with whole_file(path) as fh:
-        fh.write("".join(["epoch,train_loss,val_loss\n",
-                          *(f"{i},{tr!r},{vl!r}\n" for i, (tr, vl) in enumerate(curve))]).encode())
+        fh.write("".join([_CURVE_HEADER, *(_CURVE_LINE.format(i, tr, vl)
+                                           for i, (tr, vl) in enumerate(curve))]).encode())
+
+
+def read_curve_csv(path: Path) -> list[tuple[float, float]]:
+    """The curve that :func:`_write_curve_csv` wrote at ``path``; a ValidationError
+    naming the file and line of anything it cannot have written: another header, a
+    line other than ``<epoch>,<float>,<float>`` from epoch 0, or a cut last line."""
+    header, *lines = path.read_bytes().decode(errors="replace").splitlines(keepends=True) or [""]
+    if header != _CURVE_HEADER:
+        raise ValidationError(f"{path}: line 1: {header!r} is not {_CURVE_HEADER!r}")
+    curve = []
+    for epoch, line in enumerate(lines):
+        try:
+            _, train_loss, val_loss = line.split(",")
+            curve.append((float(train_loss), float(val_loss)))
+            if _CURVE_LINE.format(epoch, *curve[-1]) != line:
+                raise ValueError(line)
+        except ValueError:
+            raise ValidationError(f"{path}: line {epoch + 2}: {line!r} is not "
+                                  f"'{epoch},<train loss>,<val loss>\\n'") from None
+    return curve
 
 
 def core_from_bundle(entries: dict, meta: dict) -> FittedModel:
@@ -95,27 +119,34 @@ def core_from_bundle(entries: dict, meta: dict) -> FittedModel:
 
 
 class FoldModels:
-    """The model files of one fold as eval reads them: each file is read and
-    checked once, and each net in them runs forward once per batch (in one
-    fold of eval every row that holds a net feeds it the same batch)."""
+    """The model files of result rows under one output directory, each read
+    and checked once.  With ``share_outputs`` (eval, whose rows feed a net
+    the same batch) each net runs forward once per batch; report times them."""
 
-    def __init__(self):
+    def __init__(self, output_dir, band_names: tuple[str, ...], share_outputs: bool):
+        self.files = RowFiles(output_dir)
+        self.band_names = band_names
         self._files: dict = {}
-        self._nets: dict[int, Outputs] = {}
+        self._nets: dict[int, Outputs] | None = {} if share_outputs else None
 
-    def read(self, path) -> tuple[dict, dict]:
-        """The bundle at ``path``, read and checked once, without the forward memo."""
-        return load_bundle(path, self._files)
+    def load(self, row: ResultRow, fold: int) -> tuple[Path, FittedModel, dict, list[int] | None]:
+        """A row's model file of one fold: its path and :func:`load_model`'s values;
+        refused where its metadata names another kind, feature, feature set or fold."""
+        path = self.files.model_path(row, fold)
+        fitted, meta, band_idx = load_model(path, self.band_names, self._read)
+        for key, want in (("model_kind", row.kind), ("feature", row.feature),
+                          ("feature_set", row.feature_set), ("fold", fold)):
+            if meta.get(key) != want:
+                raise ValidationError(f"{path}: holds {key} {meta.get(key)!r}, not {want!r}")
+        return path, fitted, meta, band_idx
 
-    def load(self, path) -> tuple[dict, dict]:
-        entries, meta = self.read(path)
-        return {role: self._once(e) if isinstance(e, Network) else e
+    def _read(self, path) -> tuple[dict, dict]:
+        entries, meta = load_bundle(path, self._files)
+        if self._nets is None:
+            return entries, meta
+        # the file cache keeps every net, and its id, alive
+        return {role: self._nets.setdefault(id(e), Outputs(e)) if isinstance(e, Network) else e
                 for role, e in entries.items()}, meta
-
-    def _once(self, net: Network) -> Outputs:
-        if id(net) not in self._nets:  # the file cache keeps every net, and its id, alive
-            self._nets[id(net)] = Outputs(net)
-        return self._nets[id(net)]
 
 
 def load_model(path, band_names: tuple[str, ...], load=load_bundle
@@ -139,14 +170,3 @@ def load_model(path, band_names: tuple[str, ...], load=load_bundle
     except ValidationError as exc:
         raise ValidationError(f"{path}: {exc}") from None
     return fitted, meta, band_indices(band_filter or None, band_names)
-
-
-def load_row(load, path: Path, row: ResultRow, fold: int) -> tuple:
-    """``load(path)`` of a row's fold, refused where the metadata names another
-    kind, feature, feature set or fold, as a file copied over another's does."""
-    fitted, meta, band_idx = load(path)
-    for key, want in (("model_kind", row.kind), ("feature", row.feature),
-                      ("feature_set", row.feature_set), ("fold", fold)):
-        if meta.get(key) != want:
-            raise ValidationError(f"{path}: holds {key} {meta.get(key)!r}, not {want!r}")
-    return fitted, meta, band_idx

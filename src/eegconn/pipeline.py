@@ -587,7 +587,6 @@ class ExperimentRunner:
     def __init__(self, features, manifest: CohortManifest, spec: ModelSpec,
                  master_seed: int, k: int = 5, val_fraction: float = 0.15,
                  positive_class: str = "SZ", band_idx: list[int] | None = None,
-                 svm_l2: float = 1e-3, svm_learning_rate: float = 0.1,
                  svm_steps: int = 2000, standardize_inputs: bool = True):
         self.features = features
         self.manifest = manifest
@@ -596,8 +595,6 @@ class ExperimentRunner:
         self.k = k
         self.val_fraction = val_fraction
         self.band_idx = band_idx
-        self.svm_l2 = svm_l2
-        self.svm_learning_rate = svm_learning_rate
         self.svm_steps = svm_steps
         self.standardize_inputs = standardize_inputs
         self._stats_cache: dict[int, dict] = {}
@@ -782,8 +779,7 @@ def _fit_svm(runner: ExperimentRunner, row: ResultRow, fold: int):
     train_ids, val_ids, _ = runner.fold_split(fold)
     fit_ids = train_ids + val_ids
     x = runner.fold_inputs(row, fit_ids, fold)
-    return train_svm(x, runner.bits_of(fit_ids), l2=runner.svm_l2,
-                     learning_rate=runner.svm_learning_rate, steps=runner.svm_steps), ()
+    return train_svm(x, runner.bits_of(fit_ids), steps=runner.svm_steps), ()
 
 
 NET_ROLE = "main"  # the entry that holds a single-net kind's net

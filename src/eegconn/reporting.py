@@ -49,7 +49,7 @@ def learning_curve_svg(curve: list[tuple[float, float]], title: str) -> str:
     return "\n".join(parts)
 
 
-def pgm_heatmap(image: np.ndarray, comment: str = "") -> str:
+def pgm_heatmap(image: np.ndarray, comment: str) -> str:
     """A 2-D array as the text of an ASCII (P2) PGM, min/max scaled to 0..255."""
     img = np.asarray(image, dtype=float)
     if img.ndim != 2:
@@ -57,11 +57,7 @@ def pgm_heatmap(image: np.ndarray, comment: str = "") -> str:
     lo, hi = img.min(), img.max()
     scaled = np.zeros_like(img) if hi == lo else (img - lo) / (hi - lo)
     pixels = np.round(scaled * 255).astype(int)
-    lines = ["P2"]
-    if comment:
-        lines.append(f"# {comment}")
-    lines.append(f"{img.shape[1]} {img.shape[0]}")
-    lines.append("255")
+    lines = ["P2", f"# {comment}", f"{img.shape[1]} {img.shape[0]}", "255"]
     lines += [" ".join(str(v) for v in row) for row in pixels]
     return "\n".join(lines) + "\n"
 

@@ -306,11 +306,17 @@ def workspace(tmp_path_factory):
     return root, cfg, out, manifest
 
 
+# mystery_knob never was a key; the others were, and each held this value
+UNKNOWN_KEYS = {"mystery_knob": "3", "standardize": "true", "exclude_self": "true",
+                "svm_l2": "1e-3", "svm_learning_rate": "0.1", "report_subject": "sz000"}
+
+
 class TestConfigParsing:
-    def test_unknown_key_rejected(self, tmp_path):
+    @pytest.mark.parametrize("key", UNKNOWN_KEYS)
+    def test_unknown_key_rejected(self, tmp_path, key):
         p = tmp_path / "bad.cfg"
-        p.write_text("manifest = x.csv\nmystery_knob = 3\n")
-        with pytest.raises(ConfigError, match="mystery_knob"):
+        p.write_text(f"manifest = x.csv\n{key} = {UNKNOWN_KEYS[key]}\n")
+        with pytest.raises(ConfigError, match=f"line 2: unknown key '{key}'"):
             parse_config(p)
 
     def test_bad_value_rejected(self, tmp_path):
@@ -1298,6 +1304,20 @@ class TestMalformedFiles:
         assert capsys.readouterr().err.splitlines() == [f"cnn2d_var: FAILED ({model}: {message})"]
         assert list(_rows_by_model(copy).values()) == [_rows_by_model(out)["cnn1d_cn"]]
 
+    @pytest.mark.parametrize("edit, message", [row[1:] for row in STATS_FAULTS],
+                             ids=[row[0] for row in STATS_FAULTS])
+    def test_stats_in_report_fail_their_row(self, workspace, tmp_path, capsys, edit, message):
+        _, _, out, manifest = workspace
+        copy = copy_for_eval(workspace, tmp_path)
+        model = copy / "models" / "cnn2d_var_fold0.model"
+        _edit_stats(out / "models" / model.name, model, edit)
+        cfg = write_config(tmp_path / "r.cfg", manifest, copy, model_kinds="cnn2d_var,cnn1d_cn")
+        capsys.readouterr()
+        assert main(["report", "--config", str(cfg)]) == 1
+        assert capsys.readouterr().err.splitlines() == [f"cnn2d_var: FAILED ({model}: {message})"]
+        table = (copy / "report" / "latency.csv").read_text().splitlines()
+        assert [line.split(",")[0] for line in table[1:]] == ["cnn1d_cn"]
+
     def test_bundle_in_eval_fails_its_row(self, workspace, tmp_path, capsys):
         _, _, out, manifest = workspace
         out11 = tmp_path / "out11"
@@ -1533,6 +1553,36 @@ class TestReport:
         assert [line.split(",")[0] for line in table[1:]] == [
             rid for rid in RESULT_IDS if rid != "svm_cn"]
 
+    @pytest.mark.parametrize("cut", ["short-line", "bad-float", "half"])
+    def test_malformed_curve_file_fails_only_its_plot(self, workspace, tmp_path, capsys, cut):
+        _, _, out, manifest = workspace
+        copy = tmp_path / "out"
+        for folder in ("features", "models", "curves"):
+            shutil.copytree(out / folder, copy / folder)
+        curve = copy / "curves" / "domain_cn_fold0.csv"
+        data = curve.read_bytes()
+        if cut == "half":
+            data = data[: len(data) // 2]
+            lines = data.decode().splitlines(keepends=True)
+            assert not lines[-1].endswith("\n")  # the cut falls inside a line, not the header
+            n = len(lines)
+        else:
+            lines = data.decode().splitlines(keepends=True)
+            n = 3
+            lines[n - 1] = {"short-line": "1,0.4\n", "bad-float": "1,0.4,x\n"}[cut]
+            data = "".join(lines).encode()
+        problem = f"line {n}: {lines[n - 1]!r} is not '{n - 2},<train loss>,<val loss>\\n'"
+        curve.write_bytes(data)
+        cfg = write_config(tmp_path / "r.cfg", manifest, copy)
+        capsys.readouterr()
+        assert main(["report", "--config", str(cfg)]) == 1
+        assert capsys.readouterr().err.splitlines() == [
+            f"domain_cn_fold0: FAILED ({curve}: {problem})"]
+        assert sorted(p.name for p in (copy / "report").glob("*.svg")) == sorted(
+            p.name for p in (out / "report").glob("*.svg") if p.stem != "domain_cn_fold0")
+        assert len(list((copy / "report" / "featmaps" / "layer1").glob("*.pgm"))) == 128
+        table = (copy / "report" / "latency.csv").read_text().splitlines()
+        assert [line.split(",")[0] for line in table[1:]] == RESULT_IDS
 
     def test_unreadable_feature_map_model_fails_only_the_maps(self, workspace, tmp_path,
                                                               capsys):
