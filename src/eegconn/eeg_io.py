@@ -171,7 +171,11 @@ def load_recording(
     else:
         if channels is None or channels < 1:
             raise ValidationError("column_concat requires an explicit channel count")
-        flat = mat.reshape(-1)
+        if mat.shape[1] != 1:
+            raise ShapeError(
+                f"{path}: column_concat expects a single column, found {mat.shape[1]}"
+            )
+        flat = mat[:, 0]
         if flat.size % channels != 0:
             raise ShapeError(
                 f"{path}: {flat.size} values are not divisible by {channels} channels"

@@ -9,9 +9,14 @@ Four undirected measures summarize network integration and segregation:
 * transitivity                 T = sum_i 2 t_i / sum_i k_i (k_i - 1)
 
 d_ij is the shortest path length under edge length 1/w (infinite for
-absent edges); the k_i in the clustering and transitivity denominators is
-the binary degree (count of nonzero neighbors).  Directed matrices are
-symmetrized as (P + P') / 2 before any measure is taken.
+absent edges), found by min-plus relaxation: starting from zero on the
+diagonal and inf elsewhere, every round sets d_sv = min_u (d_su + L_uv)
+until nothing changes, at most N - 1 rounds.  That is the fixed point
+Dijkstra's algorithm reaches from each source, with the same sums, so the
+distances are the bits a Dijkstra search returns.  The k_i in the
+clustering and transitivity denominators is the binary degree (count of
+nonzero neighbors).  Directed matrices are symmetrized as (P + P') / 2
+before any measure is taken.
 """
 
 from __future__ import annotations
@@ -19,7 +24,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.sparse.csgraph import shortest_path as _csgraph_shortest_path
 
 from .errors import ShapeError, ValidationError
 from .spectral import PdcTensor
@@ -76,12 +80,20 @@ def shortest_paths(net: WeightedNetwork) -> np.ndarray:
     """All-pairs shortest path lengths under edge length 1/w.
 
     Zero weights mean no edge; disconnected pairs come back as inf and
-    the diagonal is zero.
+    the diagonal is zero.  An edge whose weights differ in the last bits
+    takes the shorter of its two lengths.
     """
     w = net.weights
     with np.errstate(divide="ignore"):
         lengths = np.where(w > 0, 1.0 / np.where(w > 0, w, 1.0), np.inf)
-    return _csgraph_shortest_path(lengths, method="D", directed=False)
+    lengths = np.minimum(lengths, lengths.T)
+    d = np.full(w.shape, np.inf)
+    np.fill_diagonal(d, 0.0)
+    while True:
+        relaxed = np.minimum(d, (d[:, :, None] + lengths[None]).min(axis=1, initial=np.inf))
+        if np.array_equal(relaxed, d):
+            return d
+        d = relaxed
 
 
 def global_efficiency(net: WeightedNetwork) -> float:

@@ -41,6 +41,14 @@ class TestLoadRecording:
         # channel-major: the first 7680 values are channel 1
         np.testing.assert_allclose(rec.data[:, 0], values[:7680])
 
+    def test_column_concat_refuses_a_matrix(self, tmp_path, rng):
+        # read row by row, a T x 16 table would pass as a flat stream with
+        # its samples and channels interleaved
+        p = tmp_path / "table.csv"
+        np.savetxt(p, rng.standard_normal((64, 16)), fmt="%.17g", delimiter=",")
+        with pytest.raises(ShapeError, match=r"table\.csv.*single column, found 16"):
+            load_recording(p, "column_concat", channels=16, rate=128.0)
+
     def test_nan_rejected(self, tmp_path):
         p = write(tmp_path / "bad.csv", "1,2\nnan,4\n")
         with pytest.raises(ValidationError):

@@ -1,3 +1,8 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -147,6 +152,53 @@ class TestShortestPaths:
                 for k in range(n):
                     if np.isfinite(d[i, j]) and np.isfinite(d[i, k]) and np.isfinite(d[k, j]):
                         assert d[i, j] <= d[i, k] + d[k, j] + 1e-12
+
+
+    def test_strongest_edge_is_shortest(self):
+        # a length of 1e-9 is an edge like any other, not "no edge"
+        net = net_of([[0.0, 1e9], [1e9, 0.0]])
+        assert shortest_paths(net)[0, 1] == 1e-9
+        assert global_efficiency(net) == pytest.approx(1e9, rel=1e-15)
+
+    def test_no_nodes(self):
+        assert shortest_paths(net_of(np.zeros((0, 0)))).shape == (0, 0)
+
+    def test_bitwise_equal_to_dijkstra(self):
+        # Dijkstra from each source reaches the same fixed point with the same
+        # sums, so the bits agree, including the last-bit asymmetry of d_ij
+        # against d_ji.  Weights stay at or below 1e7: scipy reads a dense
+        # length within 1e-8 of zero as "no edge", so above 1e8 it drops the
+        # strongest edges and is no oracle.
+        csgraph = pytest.importorskip("scipy.sparse.csgraph")
+        rng = np.random.default_rng(2610)
+        for case in range(1500):
+            n = int(rng.integers(0, 18))
+            low = 10.0 ** rng.uniform(-15, 7)
+            w = np.exp(rng.uniform(np.log(low), np.log(1e7), (n, n)))
+            w[rng.random((n, n)) > rng.random()] = 0.0  # any density, empty included
+            if case % 4 == 0 and n > 2:  # two components
+                w[: n // 2, n // 2:] = 0.0
+                w[n // 2:, : n // 2] = 0.0
+            w = 0.5 * (w + w.T)
+            if case % 5 == 0:  # asymmetry within the tolerance: the shorter length counts
+                w = np.maximum(w + (w > 0) * 1e-13 * np.triu(rng.uniform(-1, 1, (n, n)), 1), 0.0)
+            np.fill_diagonal(w, 0.0)
+            with np.errstate(divide="ignore"):
+                lengths = np.where(w > 0, 1.0 / np.where(w > 0, w, 1.0), np.inf)
+            want = csgraph.shortest_path(lengths, method="D", directed=False)
+            got = shortest_paths(net_of(w))
+            assert got.shape == want.shape
+            assert np.array_equal(got.view(np.int64), want.view(np.int64)), (case, n)
+
+    def test_runtime_loads_no_scipy(self):
+        src = Path(__file__).resolve().parents[1] / "src"
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, [str(src), os.environ.get("PYTHONPATH")])))
+        probe = "import sys, eegconn.cli; print(sorted(m for m in sys.modules if m.startswith('scipy')))"
+        proc = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
+                              text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "[]"
 
 
 class TestGlobalEfficiency:
