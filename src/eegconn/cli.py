@@ -36,6 +36,7 @@ from .pipeline import (
     ResultRow,
     band_indices,
     check_positive_class,
+    fit_groups,
     fork_map,
     one_blas_thread,
     predict_model,
@@ -307,7 +308,8 @@ def cmd_train(cfg: RunConfig) -> int:
 
 def cmd_eval(cfg: RunConfig) -> int:
     """Evaluate every result row's saved models, one :func:`fork_map` job per
-    fold, then report the rows in order and write metrics.json."""
+    (group of rows that read no fit in common, fold), then report the rows in
+    order and write metrics.json."""
     manifest = _load_manifest(cfg)
     check_positive_class(cfg.positive_class, manifest.class_names)
     features, band_names = load_features(cfg, manifest)
@@ -315,17 +317,20 @@ def cmd_eval(cfg: RunConfig) -> int:
     plan = read_fold_plan(plan_path)
     _check_fold_plan(plan, manifest.subject_ids(), plan_path)
     rows = _result_rows(cfg)
-    evaluate_fold = functools.partial(_eval_fold, cfg, manifest, features, band_names, plan,
-                                      rows)
-    outcomes = fork_map(evaluate_fold, list(range(plan.k)),
-                        lambda fold: f"evaluating fold {fold}")
-    # per fold, each row's outcome; a job that failed itself, or whose worker
-    # died, fails every row with its text
-    per_fold = [[str(got)] * len(rows) if isinstance(got, Exception) else got
-                for got in outcomes]
+    jobs = [(group, fold) for group in fit_groups(rows) for fold in range(plan.k)]
+    evaluate_fold = functools.partial(_eval_fold, cfg, manifest, features, band_names, plan)
+    outcomes = fork_map(evaluate_fold, jobs, lambda job: f"evaluating fold {job[1]}")
+    # per (row, fold), its outcome; a job that failed itself, or whose worker
+    # died, fails every row of its group with its text
+    per_fold = {}
+    for (group, fold), got in zip(jobs, outcomes):
+        if isinstance(got, Exception):
+            got = [str(got)] * len(group)
+        per_fold.update(((row, fold), outcome) for row, outcome in zip(group, got))
     scored = []
     failures = 0
-    for row, folds in zip(rows, zip(*per_fold)):
+    for row in rows:
+        folds = [per_fold[row, fold] for fold in range(plan.k)]
         failure = next((got for got in folds if isinstance(got, str)), None)
         if failure is not None:  # the text of its first failed fold
             failures += 1
@@ -355,15 +360,16 @@ def cmd_eval(cfg: RunConfig) -> int:
 
 
 def _eval_fold(cfg: RunConfig, manifest: CohortManifest, features: dict,
-               band_names: tuple[str, ...], plan: FoldPlan, rows: list[ResultRow],
-               fold: int) -> list:
-    """Evaluate every result row on one fold's test subjects: per row, its
-    metrics, or the text of its failure, which is all that eval prints of
-    it and crosses a process boundary as it is.
+               band_names: tuple[str, ...], plan: FoldPlan,
+               job: tuple[list[ResultRow], int]) -> list:
+    """Evaluate one group of result rows on one fold's test subjects: per
+    row, its metrics, or the text of its failure, which is all that eval
+    prints of it and crosses a process boundary as it is.
 
-    The rows of a fold share its member files and nets, which one
-    :class:`FoldModels` reads and runs once.
+    The rows of a group share the fold's member files and nets, which one
+    :class:`FoldModels` reads and runs once; no other group reads them.
     """
+    rows, fold = job
     models = FoldModels(cfg.output_dir, band_names, share_outputs=True)
     test_ids = plan.test_ids(fold, manifest.subject_ids())
     labels = manifest.labels()

@@ -112,6 +112,8 @@ def validate_config(cfg: RunConfig) -> None:
     for kind in kinds:
         if kind not in MODEL_KINDS:
             raise ConfigError(f"unknown model kind {kind!r} (choices: {MODEL_KINDS})")
+    if len(set(kinds)) < len(kinds):
+        raise ConfigError(f"model_kinds must be a list of distinct kinds, got {cfg.model_kinds!r}")
     if len(set(bands)) < len(bands):
         raise ConfigError(f"band_filter must be a list of distinct bands, got {cfg.band_filter!r}")
 

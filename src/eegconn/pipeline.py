@@ -524,7 +524,8 @@ def _call(fn: Callable, job):
 def fork_map(fn: Callable, jobs: list, describe: Callable[[object], str]) -> list:
     """``fn(job)`` for every job, in job order, with the exception a job
     raised in place of its result.  ``extract`` maps it over the subjects,
-    ``train`` over its (result row, fold) pairs and ``eval`` over the folds.
+    ``train`` over its (result row, fold) pairs and ``eval`` over its (group of
+    rows, fold) pairs.
 
     The jobs run in a pool of processes started with ``fork``: ``fn`` reaches
     the workers through the fork, so only jobs and results are pickled.
@@ -885,6 +886,19 @@ FITS: dict[str, ResultRow] = {
     row.fits[0]: row
     for kind in ("fusion_feature", *_DOMAIN_CNNS, "svm_linear") for row in KINDS[kind].results
 }
+
+
+def fit_groups(rows: list[ResultRow]) -> list[list[ResultRow]]:
+    """``rows`` in groups that read no fit in common: rows whose ``fits``
+    overlap, directly or through other rows, share a group.  Each group keeps
+    ``rows`` order, and the groups come in ``FITS`` order of their first fit."""
+    groups: list[list[ResultRow]] = []
+    for row in rows:
+        joined = [g for g in groups if any(set(r.fits) & set(row.fits) for r in g)]
+        groups = [g for g in groups if g not in joined]
+        groups.append([r for r in rows if r == row or any(r in g for g in joined)])
+    order = list(FITS)
+    return sorted(groups, key=lambda g: min(order.index(label) for r in g for label in r.fits))
 
 
 # -- prediction and timing ----------------------------------------------------

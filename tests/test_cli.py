@@ -114,7 +114,8 @@ cli.load_recording = die_on_subject
 sys.exit(cli.main(["extract", "--config", sys.argv[1]]))
 """
 
-# Evaluates with every fold-1 prediction killing its process, as a crash would.
+# Evaluates with every fold-1 prediction (of the kinds argv 3..., where
+# given) killing its process, as a crash would.
 KILL_EVAL_WORKER = r"""
 import os
 import sys
@@ -125,10 +126,11 @@ from eegconn import cli, pipeline
 predict_with_core = pipeline.predict_with_core
 lines = Path(sys.argv[2]).read_text().splitlines()[1:]
 fold1 = {sid for sid, _, fold in (line.partition(",") for line in lines) if fold == "1"}
+kinds = sys.argv[3:]
 
 
 def die_on_fold1(core, kind, features, sids, *args):
-    if set(sids) <= fold1:
+    if set(sids) <= fold1 and (not kinds or kind in kinds):
         os._exit(9)
     return predict_with_core(core, kind, features, sids, *args)
 
@@ -335,6 +337,7 @@ class TestConfigParsing:
         "batch_size = -1",
         "latency_repetitions = 0",
         "model_kinds =",
+        "model_kinds = cnn2d_var,svm_linear,cnn2d_var",
         "band_filter = alpha,alpha",
     ])
     def test_out_of_range_value_rejected(self, tmp_path, line, capsys):
@@ -888,6 +891,19 @@ class TestEval:
                                             f"directory: '{copy}/models/svm_cn_fold0.model')")
         assert proc.stderr.splitlines() == want
         assert json.loads((copy / "metrics.json").read_text())["rows"] == []
+
+    @pytest.mark.skipif(len(os.sched_getaffinity(0)) < 2, reason="needs 2 usable CPUs")
+    def test_dead_worker_fails_only_its_group_in_its_fold(self, workspace, tmp_path):
+        _, _, out, manifest = workspace
+        copy = copy_for_eval(workspace, tmp_path)
+        proc = run_script(KILL_EVAL_WORKER, write_config(tmp_path / "r.cfg", manifest, copy),
+                          copy / "folds.csv", "fusion_feature")
+        assert proc.returncode == 1, proc.stderr
+        assert "Traceback" not in proc.stderr
+        assert proc.stderr == "fusion_feature: FAILED (the worker evaluating fold 1 died)\n"
+        clean = json.loads((out / "metrics.json").read_text())["rows"]
+        assert json.loads((copy / "metrics.json").read_text())["rows"] == [
+            row for row in clean if row["model"] != "fusion_feature"]
 
     def test_deterministic_across_runs(self, workspace, tmp_path):
         root, _, out, manifest = workspace
@@ -1451,6 +1467,20 @@ class TestWorkDoneOnce:
         assert Counter(logged(runs)) == {name: 2 for name in ("cnn_var", "cnn_pdc", "cnn_cn",
                                                               "fusion_feature", "stage2")}
         assert (copy / "metrics.json").read_bytes() == (out / "metrics.json").read_bytes()
+
+    def test_eval_in_one_process_reads_each_file_once(self, workspace, tmp_path, monkeypatch):
+        # every (group, fold) job runs in this process, so a file that two
+        # groups read would be read twice
+        _, _, _, manifest = workspace
+        copy = copy_for_eval(workspace, tmp_path)
+        cfg = write_config(tmp_path / "r.cfg", manifest, copy)
+        read_framed = serialize.read_framed
+        reads = []
+        monkeypatch.setattr(pipeline, "usable_cpus", lambda: 1)
+        monkeypatch.setattr(serialize, "read_framed", lambda path, *args: reads.append(path.name)
+                            or read_framed(path, *args))
+        assert main(["eval", "--config", str(cfg)]) == 0
+        assert Counter(reads) == {p.name: 1 for p in (copy / "models").iterdir()}
 
     def test_fusion_only_config_writes_its_members(self, workspace, tmp_path, capsys):
         _, _, out, manifest = workspace

@@ -27,6 +27,7 @@ from eegconn.pipeline import (
     build_feature_fusion,
     build_stage2,
     evaluate,
+    fit_groups,
     fork_map,
     member_probs,
     stratified_kfold,
@@ -242,6 +243,30 @@ def test_kind_table_invariants():
     for label, row in pipeline.FITS.items():
         assert row in KINDS[row.kind].results and row.fits == (label,), label
     assert {label for row in rows for label in row.fits} <= set(pipeline.FITS)
+
+
+def _group_ids(*result_ids):
+    rows = {row.result_id: row for entry in KINDS.values() for row in entry.results}
+    return [[row.result_id for row in group]
+            for group in fit_groups([rows[rid] for rid in result_ids])]
+
+
+class TestFitGroups:
+    def test_all_kinds(self):
+        ids = [row.result_id for entry in KINDS.values() for row in entry.results]
+        assert _group_ids(*ids) == [
+            ["fusion_feature"],
+            ["cnn2d_var", "cnn2d_pdc", "cnn1d_cn", "fusion_score", "fusion_decision"],
+            ["svm_var"], ["svm_pdc"], ["svm_cn"], ["svm_all"]]
+
+    def test_one_ensemble_alone(self):
+        assert _group_ids("fusion_score") == [["fusion_score"]]
+
+    def test_a_member_joins_its_ensemble(self):
+        assert _group_ids("cnn2d_var", "fusion_decision") == [["cnn2d_var", "fusion_decision"]]
+
+    def test_svm_rows_apart(self):
+        assert _group_ids("svm_all", "svm_var") == [["svm_var"], ["svm_all"]]
 
 
 def test_only_models_and_nn_name_the_bundle_functions():
