@@ -4,9 +4,11 @@ Conventions: batched float64 arrays, channels last.  2-D feature maps are
 (batch, height, width, channels); 1-D ones are (batch, length, channels).
 Convolution is cross-correlation (no kernel flip), the usual deep-learning
 convention.  The 1-D layers run on the 2-D convolution and pooling code with
-a width-1 second axis, so each operation has one body.  All forward passes
-cache what their backward pass needs; a backward call is only valid right
-after the matching forward.
+a width-1 second axis, so each operation has one body.  A forward pass
+with ``need_backward=True`` (the default) keeps what its backward pass needs,
+and a backward call is only valid right after such a forward.  With
+``need_backward=False``, as every prediction runs, a layer keeps nothing and
+drops what an earlier forward kept, so a loaded net holds no activations.
 
 A layer's parameters are read-only zero placeholders of the right shapes
 until ``init`` draws them or a model file binds them, so an in-place update
@@ -50,7 +52,10 @@ class Layer:
     def init(self, rng: np.random.Generator) -> None:
         """Draw initial parameters (no-op for parameter-free layers)."""
 
-    def forward(self, x: np.ndarray, train: bool = False) -> np.ndarray:
+    def forward(self, x: np.ndarray, train: bool = False,
+                need_backward: bool = True) -> np.ndarray:
+        """The layer's output; with ``need_backward=False`` no backward may
+        follow, and the layer keeps no state for one."""
         raise NotImplementedError
 
     def backward(self, dout: np.ndarray, need_dx: bool = True) -> np.ndarray | None:
@@ -60,6 +65,13 @@ class Layer:
         parameters may skip the input gradient and return None.
         """
         raise NotImplementedError
+
+    def _kept(self, name: str = "_cache"):
+        """The state that the last forward kept under ``name`` for backward."""
+        state = getattr(self, name, None)
+        if state is None:
+            raise ValidationError(f"{self.kind}: backward needs a forward that kept its inputs")
+        return state
 
     def output_shape(self, in_shape: tuple[int, ...]) -> tuple[int, ...]:
         raise NotImplementedError
@@ -216,14 +228,15 @@ class _Conv(_Spatial):
             raise ShapeError(f"{self.kind} output collapses on input {in_shape}")
         return (*out, self.filters)
 
-    def forward(self, x, train=False):
+    def forward(self, x, train=False, need_backward=True):
         self._check(x.shape[1:], self.in_channels)
-        out, self._cache = _conv_forward(self._wide(x, 2), self._wide(self.params["w"], 1),
-                                         self.params["b"], self._pair(self.pad, 0))
+        out, xp = _conv_forward(self._wide(x, 2), self._wide(self.params["w"], 1),
+                                self.params["b"], self._pair(self.pad, 0))
+        self._cache = xp if need_backward else None
         return self._narrow(out, 2)
 
     def backward(self, dout, need_dx=True):
-        dx, dw, db = _conv_backward(self._wide(dout, 2), self._cache,
+        dx, dw, db = _conv_backward(self._wide(dout, 2), self._kept(),
                                     self._wide(self.params["w"], 1), self._pair(self.pad, 0),
                                     need_dx)
         self.grads = {"w": self._narrow(dw, 1), "b": db}
@@ -264,13 +277,13 @@ class _Pool(_Spatial):
         sy, sx = self._pair(self.stride, 1)
         return v[:, ::sy, ::sx]
 
-    def forward(self, x, train=False):
+    def forward(self, x, train=False, need_backward=True):
         v = self._windows(x)
-        self._cache = (x.shape, v.shape[1], v.shape[2])
+        self._cache = (x.shape, v.shape[1], v.shape[2]) if need_backward else None
         return self._narrow(v.mean(axis=(-2, -1)), 2)
 
     def backward(self, dout, need_dx=True):
-        x_shape, ho, wo = self._cache
+        x_shape, ho, wo = self._kept()
         dx = np.zeros(x_shape)
         dx2, share = self._wide(dx, 2), self._wide(dout, 2) / self.size ** self.spatial
         (ky, kx), (sy, sx) = self._pair(self.size, 1), self._pair(self.stride, 1)
@@ -295,19 +308,19 @@ class AvgPool2d(_Pool):
 class MaxPool2d(_Pool):
     kind = "maxpool2d"
 
-    def forward(self, x, train=False):
+    def forward(self, x, train=False, need_backward=True):
         v = self._windows(x)
         b, ho, wo, c = v.shape[:4]
         flat = v.reshape(b, ho, wo, c, -1)
-        self._amax = flat.argmax(axis=-1)
-        self._cache = (x.shape, ho, wo)
+        self._cache = (x.shape, flat.argmax(axis=-1)) if need_backward else None
         return flat.max(axis=-1)
 
     def backward(self, dout, need_dx=True):
-        x_shape, ho, wo = self._cache
+        x_shape, amax = self._kept()
         b, _, _, c = x_shape
+        ho, wo = amax.shape[1:3]
         dx = np.zeros(x_shape)
-        oy, ox = np.divmod(self._amax, self.size)
+        oy, ox = np.divmod(amax, self.size)
         ry = self.stride * np.arange(ho)[None, :, None, None] + oy
         rx = self.stride * np.arange(wo)[None, None, :, None] + ox
         bi = np.arange(b)[:, None, None, None]
@@ -322,12 +335,12 @@ class Flatten(Layer):
     def output_shape(self, in_shape):
         return (int(np.prod(in_shape)),)
 
-    def forward(self, x, train=False):
-        self._cache = x.shape
+    def forward(self, x, train=False, need_backward=True):
+        self._cache = x.shape if need_backward else None
         return x.reshape(x.shape[0], -1)
 
     def backward(self, dout, need_dx=True):
-        return dout.reshape(self._cache)
+        return dout.reshape(self._kept())
 
 
 class Dense(Layer):
@@ -352,14 +365,14 @@ class Dense(Layer):
             raise ShapeError(f"dense expects ({self.in_features},), got {in_shape}")
         return (self.out_features,)
 
-    def forward(self, x, train=False):
+    def forward(self, x, train=False, need_backward=True):
         if x.ndim != 2 or x.shape[1] != self.in_features:
             raise ShapeError(f"dense expects (B, {self.in_features}), got {x.shape}")
-        self._cache = x
+        self._cache = x if need_backward else None
         return x @ self.params["w"] + self.params["b"]
 
     def backward(self, dout, need_dx=True):
-        x = self._cache
+        x = self._kept()
         self.grads = {"w": x.T @ dout, "b": dout.sum(axis=0)}
         return dout @ self.params["w"].T if need_dx else None
 
@@ -373,13 +386,13 @@ class ReLU(Layer):
     def output_shape(self, in_shape):
         return in_shape
 
-    def forward(self, x, train=False):
+    def forward(self, x, train=False, need_backward=True):
         # fmax, unlike maximum, maps NaN to +0.0 as np.where(x > 0, x, 0.0) does
-        self._mask = x > 0
+        self._mask = x > 0 if need_backward else None
         return np.fmax(x, 0.0)
 
     def backward(self, dout, need_dx=True):
-        return dout * self._mask
+        return dout * self._kept("_mask")
 
 
 class Dropout(Layer):
@@ -397,20 +410,19 @@ class Dropout(Layer):
     def output_shape(self, in_shape):
         return in_shape
 
-    def forward(self, x, train=False):
-        if not train or self.ratio == 0.0:
-            self._mask = None
-            return x
-        if self.rng is None:
-            raise ValidationError("dropout used in train mode without an RNG")
-        mask = self.rng.random(x.shape) >= self.ratio
-        self._mask = mask
-        return x * mask / (1.0 - self.ratio)
+    def forward(self, x, train=False, need_backward=True):
+        mask, out = None, x
+        if train and self.ratio > 0.0:
+            if self.rng is None:
+                raise ValidationError("dropout used in train mode without an RNG")
+            mask = self.rng.random(x.shape) >= self.ratio
+            out = x * mask / (1.0 - self.ratio)
+        self._cache = (mask,) if need_backward else None  # a None mask: identity
+        return out
 
     def backward(self, dout, need_dx=True):
-        if self._mask is None:
-            return dout
-        return dout * self._mask / (1.0 - self.ratio)
+        (mask,) = self._kept()
+        return dout if mask is None else dout * mask / (1.0 - self.ratio)
 
     def config(self):
         return {"ratio": self.ratio}
@@ -422,13 +434,13 @@ class Softmax(Layer):
     def output_shape(self, in_shape):
         return in_shape
 
-    def forward(self, x, train=False):
+    def forward(self, x, train=False, need_backward=True):
         out = softmax(x)
-        self._out = out
+        self._cache = out if need_backward else None
         return out
 
     def backward(self, dout, need_dx=True):
-        s = self._out
+        s = self._kept()
         return s * (dout - (dout * s).sum(axis=-1, keepdims=True))
 
 

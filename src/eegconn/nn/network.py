@@ -116,34 +116,39 @@ class Network:
 
     # -- forward and backward -----------------------------------------------
 
-    def _run(self, layers, x, shape, where: str, train: bool, record: list | None):
+    def _run(self, layers, x, shape, where: str, train: bool, need_backward: bool,
+             record: list | None):
         if tuple(x.shape[1:]) != shape:
             raise ShapeError(f"{self.name}: {where}input shape {x.shape[1:]} != expected {shape}")
         for i, layer in enumerate(layers):
             try:
-                x = layer.forward(x, train=train)
+                x = layer.forward(x, train=train, need_backward=need_backward)
             except (ShapeError, FloatingPointError) as exc:
                 raise ShapeError(f"{self.name}: {where}layer {i} ({layer.kind}): {exc}") from None
             if record is not None:
                 record.append(x)
         return x
 
-    def forward(self, x, train: bool = False, record: list | None = None) -> np.ndarray:
+    def forward(self, x, train: bool = False, record: list | None = None,
+                need_backward: bool = True) -> np.ndarray:
         """Class probabilities for a batch: one array, or a list with one per branch.
 
         ``record`` collects every layer's output in order, branches first.
+        With ``need_backward=False`` no layer keeps state for a backward pass.
         """
         if self.branches:
             if len(x) != len(self.branches):
                 raise ShapeError(f"{self.name}: expected {len(self.branches)} inputs, got {len(x)}")
             x = np.concatenate([
-                self._run(stack, xb, shape, f"branch {bi} ", train, record)
+                self._run(stack, xb, shape, f"branch {bi} ", train, need_backward, record)
                 for bi, (stack, shape, xb) in enumerate(zip(self.branches, self.input_shapes, x))
             ], axis=1)
-        return self._run(self.layers, x, self.input_shape, "", train, record)
+        return self._run(self.layers, x, self.input_shape, "", train, need_backward, record)
 
     def predict_proba(self, x) -> np.ndarray:
-        return self.forward(x, train=False)
+        """Class probabilities from a forward that no backward follows, so
+        the net keeps none of the batch's activations."""
+        return self.forward(x, train=False, need_backward=False)
 
     def predict(self, x):
         """Class bits and probability rows in one forward pass."""

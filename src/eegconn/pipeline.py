@@ -535,9 +535,12 @@ def fork_map(fn: Callable, jobs: list, describe: Callable[[object], str]) -> lis
     where BLAS keeps the threads it started with (two workers with two
     busy-waiting OpenBLAS threads each on two CPUs ran eight times slower
     than one), the jobs run one after another in this process.  A worker
-    that dies breaks the pool and fails every unfinished job, so each of
-    those runs again alone: only a job whose own worker dies fails, with a
-    ``RuntimeError`` naming ``describe(job)``.
+    that dies breaks the pool and fails every unfinished job.  A pool starts
+    jobs in order and runs at most ``workers`` at once, so the job whose
+    worker died is among the first ``workers`` unfinished ones: those run
+    again each alone, and the rest in one fresh pool, under the same rule
+    if it breaks too.  Only a job whose own worker dies when it runs alone
+    fails, with a ``RuntimeError`` naming ``describe(job)``.
     """
     # imported here, where a pool may start: other commands do without them
     import multiprocessing
@@ -546,11 +549,18 @@ def fork_map(fn: Callable, jobs: list, describe: Callable[[object], str]) -> lis
     if workers < 2 or "fork" not in multiprocessing.get_all_start_methods():
         return [_call(fn, job) for job in jobs]
     results = _run_forked(fn, jobs, workers)
-    for i, job in enumerate(jobs):
-        if results[i] is _BROKEN:
-            results[i] = _run_forked(fn, [job], 1)[0]
+    unfinished = [i for i, result in enumerate(results) if result is _BROKEN]
+    while unfinished:
+        alone, rest = unfinished[:workers], unfinished[workers:]
+        for i in alone:
+            results[i] = _run_forked(fn, [jobs[i]], 1)[0]
             if results[i] is _BROKEN:
-                results[i] = RuntimeError(f"the worker {describe(job)} died")
+                results[i] = RuntimeError(f"the worker {describe(jobs[i])} died")
+        workers = min(workers, len(rest))
+        if rest:
+            for i, result in zip(rest, _run_forked(fn, [jobs[i] for i in rest], workers)):
+                results[i] = result
+        unfinished = [i for i in rest if results[i] is _BROKEN]
     return results
 
 

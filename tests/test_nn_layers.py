@@ -417,3 +417,53 @@ class TestInputGradientRequests:
         assert layer.backward(dout, need_dx=False) is None
         for key, g in layer.grads.items():
             np.testing.assert_array_equal(g, grads[key])
+
+
+def _batch(net, rng, n=3):
+    if net.branches:
+        return [rng.standard_normal((n, *shape)) for shape in net.input_shapes]
+    return rng.standard_normal((n, *net.input_shape))
+
+
+class TestInferenceKeepsNoBackwardState:
+    TINY = dict(channels=4, lags=2, n_bands=3, conv2d_filters=(5, 4), conv1d_filters=3,
+                dense2d=8, dense1d=6, fusion_dense=8, dropout=0.25)
+
+    @pytest.mark.parametrize("build,pool2d", [
+        (lambda spec: build_domain_network("var", spec, seed=1), "none"),
+        (lambda spec: build_domain_network("var", spec, seed=1), "max"),
+        (lambda spec: build_domain_network("cn", spec, seed=1), "none"),
+        (lambda spec: build_feature_fusion(spec, seed=1), "none"),
+        (lambda spec: build_stage2(seed=1), "none"),
+    ], ids=["cnn2d_var", "cnn2d_var-maxpool", "cnn1d_cn", "fusion_feature", "stage2"])
+    def test_predict_proba_drops_what_a_training_forward_kept(self, build, pool2d, rng):
+        net = build(ModelSpec(kind="cnn2d_var", **{**self.TINY, "pool2d": pool2d}))
+        x = _batch(net, rng)
+        net.loss_and_grads(x, np.array([0, 1, 1]))
+        probs = net.predict_proba(x)
+        for prefix, layer, _, _ in net._layers():
+            for name in ("_cache", "_mask", "_amax"):
+                assert getattr(layer, name, None) is None, (prefix, layer.kind, name)
+        assert probs.tobytes() == net.forward(x, train=False).tobytes()
+        relus = [layer for _, layer, _, _ in net._layers() if layer.kind == "relu"]
+        for layer in relus:
+            assert layer._mask.dtype == bool
+
+    @pytest.mark.parametrize("make,shape", [
+        (lambda: Conv2d(2, 3, 3), (2, 4, 4, 2)),
+        (lambda: Dense(4, 3), (2, 4)),
+        (lambda: ReLU(), (2, 5)),
+    ], ids=["conv2d", "dense", "relu"])
+    def test_backward_without_a_kept_forward_raises(self, make, shape, rng):
+        layer = make()
+        layer.init(rng)
+        x = rng.standard_normal(shape)
+        dout = np.ones_like(layer.forward(x))
+        message = f"{layer.kind}: backward needs a forward that kept its inputs"
+        with pytest.raises(ValidationError, match=message):
+            make().backward(dout)
+        layer.forward(x, need_backward=False)
+        with pytest.raises(ValidationError, match=message):
+            layer.backward(dout)
+        layer.forward(x)
+        assert layer.backward(dout).shape == x.shape

@@ -21,7 +21,7 @@ from eegconn.nn import (
 from eegconn.nn.layers import Conv1d, Conv2d, Dropout, Flatten
 from eegconn.nn.optim import CHUNK, AdamState, adam_step
 from eegconn.nn.serialize import FORMAT_MAJOR, FORMAT_MINOR, MAGIC
-from eegconn.pipeline import ModelSpec, train_model
+from eegconn.pipeline import ModelSpec, build_domain_network, build_feature_fusion, train_model
 from eegconn.seeding import derive_rng
 
 
@@ -199,6 +199,37 @@ class TestTrainModel:
         spec = self.spec(epochs=50, learning_rate=1e154)
         with np.errstate(all="ignore"), pytest.raises((TrainingDivergedError, FloatingPointError)):
             train_model(net, x, bits, x, bits, spec, seed=17)
+
+
+@pytest.mark.parametrize("build", [
+    lambda spec: build_domain_network("var", spec, seed=6),
+    lambda spec: build_feature_fusion(spec, seed=6),
+], ids=["cnn2d_var", "fusion_feature"])
+def test_inference_between_training_steps_changes_no_byte(build, rng):
+    # train_model scores the validation split between epochs; that forward
+    # must leave the next training step exactly as it would have been
+    spec = ModelSpec(kind="cnn2d_var", channels=4, lags=2, n_bands=3, conv2d_filters=(5, 4),
+                     conv1d_filters=3, dense2d=8, dense1d=6, fusion_dense=8, dropout=0.25)
+    nets = [build(spec), build(spec)]
+    states = [AdamState(lr=1e-2), AdamState(lr=1e-2)]
+
+    def batch(n):
+        net = nets[0]
+        if net.branches:
+            return [rng.standard_normal((n, *shape)) for shape in net.input_shapes]
+        return rng.standard_normal((n, *net.input_shape))
+
+    val = batch(3)
+    for _ in range(4):
+        x, bits = batch(6), rng.integers(0, 2, size=6)
+        for i, (net, state) in enumerate(zip(nets, states)):
+            net.loss_and_grads(x, bits, train=True)
+            adam_step(net.param_dict(), net.grad_dict(), state)
+            if i == 0:
+                net.predict_proba(val)
+    ours, theirs = (net.param_dict() for net in nets)
+    for key in ours:
+        np.testing.assert_array_equal(ours[key].view(np.int64), theirs[key].view(np.int64))
 
 
 class TestDeterministicInit:

@@ -3,6 +3,7 @@ import hashlib
 import os
 import pickle
 import re
+import time
 from collections import Counter
 from pathlib import Path
 
@@ -450,6 +451,14 @@ def _square_or_fail(x: int) -> int:
     return x * x
 
 
+def _die_at_five(x: int) -> int:
+    if os.getpid() != PARENT_PID:
+        if x == 5:
+            os._exit(9)
+        time.sleep(0.05)  # the other worker is mid-job when 5 dies
+    return x * x
+
+
 class TestForkMap:
     @pytest.mark.parametrize("cpus", [1, 2], ids=["in-process", "pool-of-2"])
     def test_results_in_job_order_with_exceptions_in_place(self, monkeypatch, cpus):
@@ -473,3 +482,22 @@ class TestForkMap:
         assert [repr(g) if isinstance(g, Exception) else g for g in got] == [
             0, 1, 4, "ValueError('three')", "RuntimeError('the worker squaring 4 died')",
             25, 36, 49]
+
+    @pytest.mark.skipif(len(os.sched_getaffinity(0)) < 2, reason="needs 2 usable CPUs")
+    def test_after_a_death_only_the_first_unfinished_jobs_run_alone(self, monkeypatch):
+        run_forked = pipeline._run_forked
+        alone = []
+
+        def spy(fn, jobs, workers):
+            if len(jobs) == 1:
+                alone.append(jobs[0])
+            return run_forked(fn, jobs, workers)
+
+        monkeypatch.setattr(pipeline, "_run_forked", spy)
+        got = fork_map(_die_at_five, list(range(12)), lambda x: f"squaring {x}")
+        assert [repr(g) if isinstance(g, Exception) else g for g in got] == [
+            *(x * x for x in range(5)), "RuntimeError('the worker squaring 5 died')",
+            *(x * x for x in range(6, 12))]
+        # the death leaves 5, the job running beside it and every later job
+        # unfinished: 8 jobs, which each ran alone before
+        assert 5 in alone and len(alone) < 7
