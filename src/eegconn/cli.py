@@ -217,7 +217,7 @@ def _spec_from_features(cfg: RunConfig, features: dict, band_idx) -> ModelSpec:
     n_bands = first["pdc"].shape[2] if band_idx is None else len(band_idx)
     return ModelSpec(
         kind="cnn2d_var", channels=n, lags=lags, n_bands=n_bands,
-        dropout=cfg.dropout, pool2d=cfg.pool2d, epochs=cfg.epochs,
+        dropout=cfg.dropout, epochs=cfg.epochs,
         learning_rate=cfg.learning_rate, lr_decay=cfg.lr_decay,
         batch_size=cfg.batch_size,
     )
@@ -275,7 +275,7 @@ def cmd_train(cfg: RunConfig) -> int:
     runner = ExperimentRunner(
         features, manifest, spec, master_seed=cfg.seed, k=cfg.folds,
         val_fraction=cfg.val_fraction, positive_class=cfg.positive_class,
-        band_idx=band_idx, svm_steps=cfg.svm_steps, standardize_inputs=cfg.standardize_features,
+        band_idx=band_idx, svm_steps=cfg.svm_steps,
     )
     # this run's folds replace those that the earlier scores and report describe
     _out(cfg, "metrics.json").unlink(missing_ok=True)

@@ -12,9 +12,7 @@ from pathlib import Path
 
 from .eeg_io import VALID_FORMATS
 from .errors import ConfigError
-from .pipeline import MODEL_KINDS, POOL2D_MODES
-
-_BOOL = {"true": True, "false": False, "1": True, "0": False, "yes": True, "no": False}
+from .pipeline import MODEL_KINDS
 
 
 @dataclass
@@ -26,14 +24,12 @@ class RunConfig:
     var_order: int = 5                 # fixed lag order for feature extraction
     band_grid_step: float = 0.25       # PDC averaging grid step in Hz
     band_filter: str = ""              # comma list of band names; empty = all
-    standardize_features: bool = True  # z-score CNN inputs with train-fold stats
     model_kinds: str = "cnn2d_var,cnn2d_pdc,cnn1d_cn,fusion_decision"
     epochs: int = 500
     learning_rate: float = 1e-4
     lr_decay: float = 1e-6
     dropout: float = 0.5
     batch_size: int = 0                # 0 = full batch
-    pool2d: str = "none"               # none | avg | max (pooling ablation)
     folds: int = 5
     val_fraction: float = 0.15
     positive_class: str = "SZ"
@@ -45,16 +41,7 @@ class RunConfig:
 
 def _convert(name: str, kind: type, raw: str):
     try:
-        if kind is bool:
-            key = raw.strip().lower()
-            if key not in _BOOL:
-                raise ValueError
-            return _BOOL[key]
-        if kind is int:
-            return int(raw)
-        if kind is float:
-            return float(raw)
-        return raw
+        return kind(raw)
     except ValueError:
         raise ConfigError(f"bad value {raw!r} for key {name!r} (expected {kind.__name__})") from None
 
@@ -64,7 +51,7 @@ def parse_config(path: str | Path) -> RunConfig:
     if not path.exists():
         raise FileNotFoundError(f"config file not found: {path}")
     known = {f.name: f.type for f in fields(RunConfig)}
-    types = {"str": str, "int": int, "float": float, "bool": bool}
+    types = {"str": str, "int": int, "float": float}
     cfg = RunConfig()
     for lineno, line in enumerate(path.read_text().splitlines(), start=1):
         stripped = line.strip()
@@ -94,16 +81,18 @@ def validate_config(cfg: RunConfig) -> None:
         raise ConfigError(f"var_order must be >= 1, got {cfg.var_order}")
     if cfg.band_grid_step <= 0:
         raise ConfigError(f"band_grid_step must be positive, got {cfg.band_grid_step}")
-    if cfg.pool2d not in POOL2D_MODES:
-        raise ConfigError(f"pool2d must be {'/'.join(POOL2D_MODES)}, got {cfg.pool2d!r}")
     if cfg.epochs < 0:
         raise ConfigError(f"epochs must be >= 0, got {cfg.epochs}")
     if not cfg.learning_rate > 0:
         raise ConfigError(f"learning_rate must be positive, got {cfg.learning_rate}")
+    if not cfg.lr_decay >= 0:
+        raise ConfigError(f"lr_decay must be >= 0, got {cfg.lr_decay}")
     if not (0 <= cfg.dropout < 1):
         raise ConfigError(f"dropout must be in [0, 1), got {cfg.dropout}")
     if cfg.batch_size < 0:
         raise ConfigError(f"batch_size must be >= 0 (0 = full batch), got {cfg.batch_size}")
+    if cfg.svm_steps < 1:
+        raise ConfigError(f"svm_steps must be >= 1, got {cfg.svm_steps}")
     if cfg.latency_repetitions < 1:
         raise ConfigError(f"latency_repetitions must be >= 1, got {cfg.latency_repetitions}")
     kinds, bands = model_kind_list(cfg), band_filter_list(cfg)

@@ -2,14 +2,12 @@
 
 from .layers import (  # noqa: F401
     AvgPool1d,
-    AvgPool2d,
     Conv1d,
     Conv2d,
     Dense,
     Dropout,
     Flatten,
     Layer,
-    MaxPool2d,
     ReLU,
     Softmax,
     softmax,

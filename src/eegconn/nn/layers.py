@@ -253,9 +253,13 @@ class Conv1d(_Conv):
     axes = "L"
 
 
-class _Pool(_Spatial):
-    """Pooling over ``size``-wide windows every ``stride`` steps along each
-    spatial axis: average pooling unless a subclass overrides the passes."""
+class AvgPool1d(_Spatial):
+    """Average pooling over ``size``-wide windows every ``stride`` steps along
+    the sequence, on the 2-D window code with a width-1 second axis."""
+
+    kind = "avgpool1d"
+    spatial = 1
+    axes = "L"
 
     def __init__(self, size: int = 2, stride: int | None = None):
         super().__init__()
@@ -272,7 +276,7 @@ class _Pool(_Spatial):
         return (*((n - self.size) // self.stride + 1 for n in in_shape[:-1]), in_shape[-1])
 
     def _windows(self, x):
-        """(B, Ho, Wo, C, size, size or 1) windows of the input on the 2-D code."""
+        """(B, Lo, 1, C, size, 1) windows of the input on the 2-D code."""
         v = sliding_window_view(self._wide(x, 2), self._pair(self.size, 1), axis=(1, 2))
         sy, sx = self._pair(self.stride, 1)
         return v[:, ::sy, ::sx]
@@ -292,40 +296,6 @@ class _Pool(_Spatial):
             for ox in range(kx):
                 ix = ox + sx * np.arange(wo)
                 dx2[:, iy[:, None], ix[None, :], :] += share
-        return dx
-
-
-class AvgPool1d(_Pool):
-    kind = "avgpool1d"
-    spatial = 1
-    axes = "L"
-
-
-class AvgPool2d(_Pool):
-    kind = "avgpool2d"
-
-
-class MaxPool2d(_Pool):
-    kind = "maxpool2d"
-
-    def forward(self, x, train=False, need_backward=True):
-        v = self._windows(x)
-        b, ho, wo, c = v.shape[:4]
-        flat = v.reshape(b, ho, wo, c, -1)
-        self._cache = (x.shape, flat.argmax(axis=-1)) if need_backward else None
-        return flat.max(axis=-1)
-
-    def backward(self, dout, need_dx=True):
-        x_shape, amax = self._kept()
-        b, _, _, c = x_shape
-        ho, wo = amax.shape[1:3]
-        dx = np.zeros(x_shape)
-        oy, ox = np.divmod(amax, self.size)
-        ry = self.stride * np.arange(ho)[None, :, None, None] + oy
-        rx = self.stride * np.arange(wo)[None, None, :, None] + ox
-        bi = np.arange(b)[:, None, None, None]
-        ci = np.arange(c)[None, None, None, :]
-        np.add.at(dx, (bi, ry, rx, ci), dout)
         return dx
 
 
@@ -447,7 +417,6 @@ class Softmax(Layer):
 LAYER_KINDS: dict[str, type[Layer]] = {
     cls.kind: cls
     for cls in (
-        Conv2d, Conv1d, AvgPool1d, AvgPool2d, MaxPool2d,
-        Flatten, Dense, ReLU, Dropout, Softmax,
+        Conv2d, Conv1d, AvgPool1d, Flatten, Dense, ReLU, Dropout, Softmax,
     )
 }

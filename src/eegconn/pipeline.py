@@ -31,13 +31,11 @@ from .errors import ShapeError, TrainingDivergedError, ValidationError
 from .netmetrics import feature_length
 from .nn.layers import (
     AvgPool1d,
-    AvgPool2d,
     Conv1d,
     Conv2d,
     Dense,
     Dropout,
     Flatten,
-    MaxPool2d,
     ReLU,
     Softmax,
 )
@@ -49,8 +47,6 @@ from .svm import LinearSvm, train_svm
 DOMAINS = ("var", "pdc", "cn")
 
 METRIC_NAMES = ("accuracy", "sensitivity", "specificity", "modified_accuracy")
-
-POOL2D_MODES = ("none", "avg", "max")  # "avg" or "max" reproduces the pooling ablation
 
 CONV2D_KERNEL = 3
 CONV1D_KERNEL = 3
@@ -72,7 +68,6 @@ class ModelSpec:
     dense1d: int = 32
     fusion_dense: int = 64
     dropout: float = 0.5
-    pool2d: str = "none"  # one of POOL2D_MODES
     epochs: int = 500
     learning_rate: float = 1e-4
     lr_decay: float = 1e-6
@@ -81,8 +76,6 @@ class ModelSpec:
     def __post_init__(self):
         if self.kind not in MODEL_KINDS:
             raise ValidationError(f"unknown model kind {self.kind!r}")
-        if self.pool2d not in POOL2D_MODES:
-            raise ValidationError(f"pool2d must be {'/'.join(POOL2D_MODES)}, got {self.pool2d!r}")
 
     def input_shape(self, domain: str) -> tuple[int, ...]:
         if domain == "var":
@@ -104,8 +97,6 @@ def _conv_stack_2d(spec: ModelSpec, in_channels: int):
     layers = []
     for c_in, c_out in zip((in_channels, *spec.conv2d_filters), spec.conv2d_filters):
         layers += [Conv2d(c_in, c_out, CONV2D_KERNEL), ReLU()]
-        if spec.pool2d != "none":
-            layers.append(AvgPool2d(2) if spec.pool2d == "avg" else MaxPool2d(2))
     return layers + [Flatten()]
 
 
@@ -598,7 +589,7 @@ class ExperimentRunner:
     def __init__(self, features, manifest: CohortManifest, spec: ModelSpec,
                  master_seed: int, k: int = 5, val_fraction: float = 0.15,
                  positive_class: str = "SZ", band_idx: list[int] | None = None,
-                 svm_steps: int = 2000, standardize_inputs: bool = True):
+                 svm_steps: int = 2000):
         self.features = features
         self.manifest = manifest
         self.spec = spec
@@ -607,7 +598,6 @@ class ExperimentRunner:
         self.val_fraction = val_fraction
         self.band_idx = band_idx
         self.svm_steps = svm_steps
-        self.standardize_inputs = standardize_inputs
         self._stats_cache: dict[int, dict] = {}
         self.class_names = manifest.class_names
         check_positive_class(positive_class, manifest.class_names)
@@ -636,7 +626,7 @@ class ExperimentRunner:
     def fold_stats(self, fold: int, row: "ResultRow") -> dict | None:
         """The statistics of the fold's training subjects that standardize
         the row's inputs, or None where its kind does not standardize them."""
-        if not (self.standardize_inputs and KINDS[row.kind].standardized):
+        if not KINDS[row.kind].standardized:
             return None
         if fold not in self._stats_cache:
             train_ids, _, _ = self.fold_split(fold)

@@ -7,6 +7,7 @@ import shutil
 import subprocess
 import sys
 from collections import Counter
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -15,10 +16,10 @@ from oracles import flip_bit, resign, retarget
 
 from eegconn import cli, container, models, pipeline
 from eegconn.cli import main
-from eegconn.config import parse_config
+from eegconn.config import RunConfig, parse_config
 from eegconn.container import PARTIAL, read_container, write_container
 from eegconn.errors import ConfigError, TrainingDivergedError
-from eegconn.nn import Network, save_bundle, serialize
+from eegconn.nn import Conv2d, Flatten, Layer, Network, ReLU, save_bundle, serialize
 from eegconn.pipeline import ModelSpec, build_domain_network
 from eegconn.spectral import BandSpec
 from eegconn.synthetic import make_synthetic_cohort
@@ -282,6 +283,21 @@ def readme_layout() -> dict[str, re.Pattern]:
     return layout
 
 
+class RemovedPool2d(Layer):
+    """A 2-D pooling layer as runs with ``pool2d = avg`` or ``max`` saved it
+    before that option was removed: 2x2 windows every 2 steps."""
+
+    def __init__(self, kind: str):
+        super().__init__()
+        self.kind = kind
+
+    def config(self):
+        return {"size": 2, "stride": 2}
+
+    def output_shape(self, in_shape):
+        return (in_shape[0] // 2, in_shape[1] // 2, in_shape[2])
+
+
 def copy_for_eval(workspace, tmp_path: Path) -> Path:
     """``tmp_path / "out"``: a copy of the workspace's features, models and
     fold plan, which eval reads."""
@@ -310,7 +326,8 @@ def workspace(tmp_path_factory):
 
 # mystery_knob never was a key; the others were, and each held this value
 UNKNOWN_KEYS = {"mystery_knob": "3", "standardize": "true", "exclude_self": "true",
-                "svm_l2": "1e-3", "svm_learning_rate": "0.1", "report_subject": "sz000"}
+                "svm_l2": "1e-3", "svm_learning_rate": "0.1", "report_subject": "sz000",
+                "pool2d": "max", "standardize_features": "false"}
 
 
 class TestConfigParsing:
@@ -336,6 +353,8 @@ class TestConfigParsing:
         "dropout = -0.1",
         "batch_size = -1",
         "latency_repetitions = 0",
+        "svm_steps = 0",
+        "lr_decay = -0.5",
         "model_kinds =",
         "model_kinds = cnn2d_var,svm_linear,cnn2d_var",
         "band_filter = alpha,alpha",
@@ -660,29 +679,6 @@ class TestTrain:
             f"{rid}_fold{fold}.model" for fold in range(2)
             for rid in RESULT_IDS if rid not in ensembles}
         assert not list((copy / "curves").glob("fusion_score_*"))
-
-    def test_unstandardized_inputs_score_as_eval_does(self, workspace, tmp_path, capsys):
-        _, _, out, manifest = workspace
-        copy = tmp_path / "out"
-        shutil.copytree(out / "features", copy / "features")
-        cfg = write_config(tmp_path / "r.cfg", manifest, copy, standardize_features="false")
-        capsys.readouterr()
-        assert main(["train", "--config", str(cfg)]) == 0
-        printed = dict(re.fullmatch(r"(\w+): trained 2 folds, modified accuracy "
-                                    r"([\d.]+)% \(\+/-[\d.]+\)", line).groups()
-                       for line in capsys.readouterr().out.splitlines())
-        for path in (copy / "models").glob("*.model"):
-            entries, meta = serialize.load_bundle(path)
-            assert meta["standardized_inputs"] is False, path.name
-            assert not [role for role in entries if role.startswith("stats_")], path.name
-        assert main(["eval", "--config", str(cfg)]) == 0
-        assert printed == {rid: f"{row['mean']['modified_accuracy']:.2f}"
-                           for rid, row in _rows_by_model(copy).items()}
-        args = ["predict", "--config", str(cfg),
-                "--model", str(copy / "models" / "fusion_score_fold0.model")]
-        for dom in ("var", "pdc", "cn"):
-            args += ["--input", str(copy / "features" / f"sz000_{dom}.feat")]
-        assert main(args) == 0
 
     @pytest.mark.skipif(len(os.sched_getaffinity(0)) < 2, reason="needs 2 usable CPUs")
     def test_worker_dying_while_saving_leaves_no_partial_file(self, workspace, tmp_path):
@@ -1269,6 +1265,28 @@ class TestMalformedFiles:
         err = capsys.readouterr().err.strip().splitlines()
         assert len(err) == 1 and err[0].startswith(f"error: {model}: ") and f"'{key}'" in err[0]
 
+    @pytest.mark.parametrize("kind", ["maxpool2d", "avgpool2d"])
+    def test_bundle_with_a_removed_pool_layer_in_predict(self, workspace, tmp_path, capsys,
+                                                         kind):
+        _, cfg, out, _ = workspace
+        entries, meta = serialize.load_bundle(out / "models" / "cnn2d_var_fold0.model")
+        shape = entries["main"].input_shape
+        spec = ModelSpec(kind="cnn2d_var")
+        stack = []  # the 2-D stack of a pooled run: a pool after each conv's ReLU
+        for c_in, c_out in zip((shape[2], *spec.conv2d_filters), spec.conv2d_filters):
+            stack += [Conv2d(c_in, c_out, 3), ReLU(), RemovedPool2d(kind)]
+        stack.append(Flatten())
+        flat = pipeline._shape_after(stack, shape)[0]
+        entries["main"] = Network(stack + pipeline._head(flat, spec.dense2d, spec.dropout),
+                                  input_shape=shape, seed=1, name="cnn_var").initialize()
+        model = tmp_path / "cnn2d_var_fold0.model"
+        save_bundle(model, entries, meta=meta)
+        capsys.readouterr()
+        assert main(["predict", "--config", str(cfg), "--model", str(model),
+                     "--input", str(out / "features" / "sz000_var.feat")]) == 2
+        assert capsys.readouterr().err.splitlines() == [
+            f"error: {model}: unknown layer kind {kind!r}"]
+
     @pytest.mark.parametrize("edit, message", [row[1:] for row in META_FAULTS],
                              ids=[row[0] for row in META_FAULTS])
     def test_bundle_meta_in_predict(self, workspace, tmp_path, capsys, edit, message):
@@ -1633,6 +1651,12 @@ class TestReport:
 
 
 class TestLayout:
+    def test_config_reference_lists_every_run_config_key(self):
+        text = (SRC.parent / "README.md").read_text()
+        table = text.split("## Configuration reference", 1)[1].split("\n\n")[1]
+        keys = re.findall(r"^\| `(\w+)` \|", table, flags=re.M)
+        assert keys == [f.name for f in fields(RunConfig)]
+
     def test_every_file_is_in_the_documented_layout(self, workspace):
         _, _, out, _ = workspace
         layout = readme_layout()

@@ -6,13 +6,11 @@ import pytest
 from conftest import numeric_grad, numeric_grad_sampled, rel_err
 from eegconn.nn import (
     AvgPool1d,
-    AvgPool2d,
     Conv1d,
     Conv2d,
     Dense,
     Dropout,
     Flatten,
-    MaxPool2d,
     Network,
     ReLU,
     Softmax,
@@ -104,12 +102,6 @@ class TestLayerGradients:
 
     def test_avgpool1d_overlapping(self, rng):
         check_layer(AvgPool1d(3, 1), rng.standard_normal((2, 7, 2)), rng)
-
-    def test_avgpool2d(self, rng):
-        check_layer(AvgPool2d(2, 2), rng.standard_normal((2, 6, 6, 2)), rng)
-
-    def test_maxpool2d(self, rng):
-        check_layer(MaxPool2d(2, 2), rng.standard_normal((2, 6, 6, 2)), rng)
 
     def test_dropout_with_frozen_mask(self, rng):
         layer = Dropout(0.5)
